@@ -8,8 +8,8 @@ nets (the equivalence checker must detect every one), and a
 margin-erosion bisection measuring where a feedback config's matched
 delay line actually breaks.
 
-The campaign fans cells through the resilient executor
-(:mod:`repro.faults.executor`) — per-cell timeouts, crash recovery,
+The campaign fans cells through the grid runner
+(:func:`repro.jobs.run_grid`) — per-cell timeouts, crash recovery,
 bounded retries, quarantine — whose accounting lands in the summary and
 the ``faults.executor.*`` metric counters.
 

@@ -611,20 +611,6 @@ SWEEP_SEEDS = tuple(range(8))
 MODEL_VALIDATION_BANK_CAP = 11
 
 
-#: Environment variable the sweep reads for its default shard count.
-JOBS_ENV = "REPRO_JOBS"
-
-
-def sweep_jobs() -> int:
-    """The shard count ``REPRO_JOBS`` requests (>= 1; default 1)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise OptionsError(
-            "jobs", f"{JOBS_ENV} must be an integer, got {raw!r}") from None
-
-
 def sweep_pipelines(configs: list[str] | None = None,
                     variants: list[PipelineVariant] | None = None,
                     seeds: tuple[int, ...] = SWEEP_SEEDS,
@@ -666,127 +652,103 @@ def sweep_pipelines(configs: list[str] | None = None,
     (``lanes`` — from the explicit ``lanes`` argument, else the
     ``REPRO_LANES``/size-tuned :func:`repro.sim.lanes.resolve_lanes`
     policy, resolved per cell against its synchronous netlist; ``None``
-    on rows that never reached verification).  ``summary`` aggregates across the whole grid what the
-    per-row strings only show locally: status counts, per-seed desync
-    engine counts, and fallback-reason counts; the same totals land in
-    the global metrics registry under ``sweep.*``.  Every cell also gets
-    a ``sweep:cell`` tracer span.
+    on rows that never reached verification).  ``summary`` aggregates
+    across the whole grid what the per-row strings only show locally:
+    status counts, per-seed desync engine counts, fallback-reason
+    counts, and the grid runner's accounting (``executor``, plus
+    ``jobs`` when a job dir or cache is in play); the same totals land
+    in the global metrics registry under ``sweep.*``.  Every cell also
+    gets a ``sweep:cell`` tracer span.
 
+    The grid runs on :func:`repro.jobs.run_grid`, one task per config.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-    shards the grid across a process pool, one task per config —
-    workers reuse compiled artifacts through the fingerprint-keyed
-    shared memo (:func:`repro.netlist.install_shared_memo`) and record
-    their own ``sweep:cell`` spans, which the parent ingests as
-    per-shard trace tracks.  Results merge back in grid order, and
-    worker-side metric counters are folded into the parent registry, so
-    the sharded run's rows, summary and metrics equal the
-    single-process run's (only the wall-time ``build_ms``/``verify_ms``
-    fields differ).  Sharded scheduling runs on the resilient executor
-    (:func:`repro.faults.run_cells`): per-config wall-clock timeouts
-    (``REPRO_CELL_TIMEOUT``), worker-crash recovery and bounded retries
-    (``REPRO_CELL_RETRIES``); a config that keeps failing is quarantined
-    — its rows report ``status='quarantined: ...'`` and the executor
-    accounting lands in ``summary['executor']``.
+    workers share the configs; at one worker, with no cell timeout and
+    no job dir, the configs run in this process.  Pool workers reuse
+    compiled artifacts through the fingerprint-keyed shared memo
+    (:func:`repro.netlist.install_shared_memo`) and record their own
+    ``sweep:cell`` spans, which this process ingests as per-worker trace
+    tracks; their metric counters are folded into this process's
+    registry, so rows, summary and metrics equal the in-process run's
+    (only the wall-time ``build_ms``/``verify_ms`` fields differ).  A
+    config that outlives ``REPRO_CELL_TIMEOUT`` or crashes its worker is
+    retried (``REPRO_CELL_RETRIES``) and, if it keeps failing,
+    quarantined — its rows report ``status='quarantined: ...'``.
 
-    ``job_dir`` (default: ``REPRO_JOB_DIR``) schedules the shards
+    ``job_dir`` (default: ``REPRO_JOB_DIR``) schedules the configs
     through the durable job store (:mod:`repro.jobs`): independent
     sweep processes pointed at the same directory cooperate on the
-    grid, dead workers' configs are reclaimed by survivors, and every
-    process returns the complete merged rows.  ``cache_dir`` memoizes
+    grid, dead workers' configs are reclaimed by survivors, every
+    process returns the complete merged rows, and a rerun on the same
+    directory resumes an interrupted sweep.  ``cache_dir`` memoizes
     whole config shards in the content-addressed result cache, keyed by
     the netlist fingerprint and a digest of the full grid parameters —
     a re-run with identical inputs replays rows from the cache instead
     of rebuilding pipelines.
     """
     from repro.corpus import generate
-    from repro.equiv import check_flow_equivalence_batch
+    from repro.jobs import (ExecutorPolicy, cache_key, cell_retries,
+                            cell_timeout, default_job_dir, run_grid,
+                            sweep_jobs)
 
     config_names = configs if configs is not None else _registry_names()
     grid = variants if variants is not None else default_variants()
     n_jobs = jobs if jobs is not None else sweep_jobs()
-    if job_dir is None:
-        from repro.jobs import default_job_dir
-        job_dir = default_job_dir()
-    cache = None
-    grid_digest = None
-    if cache_dir:
-        from repro.jobs import ResultCache
-        cache = ResultCache(cache_dir)
-        grid_digest = _sweep_grid_digest(
-            grid, seeds, cycles, backend, max_equiv_instances,
-            hold_rounds, desync_engine, lanes)
+    params = (grid, seeds, cycles, backend, max_equiv_instances,
+              hold_rounds, desync_engine, lanes)
+    tasks = [(config, (config, *params)) for config in config_names]
+    grid_digest = _sweep_grid_digest(*params) if cache_dir else None
+
+    def shard_key(config: str, payload: tuple) -> str:
+        return cache_key(generate(config).fingerprint(), grid_digest,
+                         "sweep")
+
+    policy = ExecutorPolicy(
+        jobs=max(1, min(n_jobs, len(tasks))), timeout=cell_timeout(),
+        retries=cell_retries(),
+        job_dir=job_dir if job_dir is not None else default_job_dir())
     rows: list[list[object]] = []
     statuses: dict[str, int] = {}
     engines: dict[str, int] = {}
     reasons: dict[str, int] = {}
     status_index = SWEEP_COLUMNS.index("status")
-    engine_index = SWEEP_COLUMNS.index("desync_engine")
-
-    def tally(row: list[object], stats: dict) -> None:
-        rows.append(row)
-        status = (row[status_index] or "").split(":")[0]
-        statuses[status] = statuses.get(status, 0) + 1
-        for engine, count in stats["engines"].items():
-            engines[engine] = engines.get(engine, 0) + count
-        for reason, count in stats["reasons"].items():
-            reasons[reason] = reasons.get(reason, 0) + count
 
     # Register the replay-fallback counter up front so every sweep
     # envelope carries it even when it stays zero — the CI smoke job
     # asserts on exactly that.
     METRICS.counter("sim.replay.fallbacks").inc(0)
-    exec_stats = None
-    cache_hits = 0
     with TRACER.span("sweep:grid", configs=len(config_names),
                      variants=len(grid), jobs=n_jobs) as grid_span:
-        if job_dir or (n_jobs > 1 and len(config_names) > 1):
-            shard_tracks: dict[int, int] = {}
-            shards, exec_stats, cache_hits = _sweep_sharded(
-                config_names, grid, seeds, cycles, backend,
-                max_equiv_instances, hold_rounds, desync_engine, n_jobs,
-                lanes, job_dir=job_dir, cache=cache,
-                grid_digest=grid_digest)
-            for config, results, events, worker_pid, deltas in shards:
-                for row, stats in results:
-                    tally(row, stats)
-                for name, delta in sorted(deltas.items()):
-                    METRICS.counter(name).inc(delta)
-                if events:
-                    # One trace track per worker process; labels are
-                    # assigned in grid order of first appearance (the
-                    # parent itself records as pid 1).
-                    track = shard_tracks.setdefault(
-                        worker_pid, len(shard_tracks) + 2)
-                    TRACER.ingest(events, pid=track)
-        else:
-            for config in config_names:
-                netlist = generate(config)
-                shard_key = None
-                if cache is not None:
-                    from repro.jobs import MISS, cache_key
-                    shard_key = cache_key(netlist.fingerprint(),
-                                          grid_digest, "sweep")
-                    value = cache.get(shard_key)
-                    if value is not MISS:
-                        cache_hits += 1
-                        for row, stats in value:
-                            tally(row, stats)
-                        continue
-                shard_results = []
-                for variant in grid:
-                    with TRACER.span("sweep:cell", config=config,
-                                     variant=variant.name) as span:
-                        row, stats = _sweep_cell(
-                            config, netlist, variant, seeds, cycles,
-                            backend, max_equiv_instances, hold_rounds,
-                            desync_engine, check_flow_equivalence_batch,
-                            lanes=lanes)
-                        span.set(status=row[status_index],
-                                 desync_engine=row[engine_index])
-                    tally(row, stats)
-                    shard_results.append([row, stats])
-                if cache is not None:
-                    cache.put(shard_key, shard_results)
+        outcomes, exec_stats = run_grid(
+            tasks, _sweep_config_task, policy, cache_key=shard_key,
+            cache_dir=cache_dir, initializer=_sweep_worker_init,
+            initargs=(TRACER.enabled,), metric_prefix="sweep.executor")
+        tracks: dict[int, int] = {}
+        for config in config_names:
+            outcome = outcomes[config]
+            if outcome.status != "ok":
+                results = [(_quarantined_row(config, variant, outcome.error),
+                            {"engines": {}, "reasons": {}})
+                           for variant in grid]
+            else:
+                results, events, worker_pid, deltas = outcome.value
+                if outcome.attempts:  # computed, not replayed from cache
+                    for name, delta in sorted(deltas.items()):
+                        METRICS.counter(name).inc(delta)
+                    if events:
+                        # One trace track per worker process; labels are
+                        # assigned in grid order of first appearance (this
+                        # process itself records as pid 1).
+                        track = tracks.setdefault(worker_pid,
+                                                  len(tracks) + 2)
+                        TRACER.ingest(events, pid=track)
+            for row, stats in results:
+                rows.append(row)
+                status = (row[status_index] or "").split(":")[0]
+                statuses[status] = statuses.get(status, 0) + 1
+                for engine, count in stats["engines"].items():
+                    engines[engine] = engines.get(engine, 0) + count
+                for reason, count in stats["reasons"].items():
+                    reasons[reason] = reasons.get(reason, 0) + count
         grid_span.set(cells=len(rows))
     for status, count in statuses.items():
         METRICS.counter(f"sweep.status.{status}").inc(count)
@@ -799,28 +761,10 @@ def sweep_pipelines(configs: list[str] | None = None,
         "statuses": dict(sorted(statuses.items())),
         "desync_engines": dict(sorted(engines.items())),
         "fallback_reasons": dict(sorted(reasons.items())),
+        "executor": exec_stats.as_dict(),
     }
-    if exec_stats is not None:
-        summary["executor"] = exec_stats.as_dict()
-    if job_dir or cache is not None:
-        store_stats = (exec_stats.store_stats or {}) \
-            if exec_stats is not None else {}
-        cache_stats = cache.stats() if cache is not None else {}
-        summary["jobs"] = {
-            "cache_hits": cache_hits,
-            "cache_misses": (len(config_names) - cache_hits
-                             if cache is not None else 0),
-            "cache_hit_rate": (cache_hits / len(config_names)
-                               if cache is not None and config_names
-                               else None),
-            "reclaimed": exec_stats.reclaimed if exec_stats else 0,
-            "duplicates": exec_stats.duplicates if exec_stats else 0,
-            "dead_letter": (len(exec_stats.dead_letter)
-                            if exec_stats else 0),
-            "quarantined_entries": (
-                int(store_stats.get("quarantined", 0))
-                + int(cache_stats.get("quarantined", 0))),
-        }
+    if exec_stats.jobs is not None:
+        summary["jobs"] = exec_stats.jobs
     return list(SWEEP_COLUMNS), rows, summary
 
 
@@ -859,102 +803,6 @@ def _registry_names() -> list[str]:
     return names("all")
 
 
-def _sweep_sharded(config_names: list[str], grid: list[PipelineVariant],
-                   seeds: tuple[int, ...], cycles: int, backend: str,
-                   max_equiv_instances: int, hold_rounds: int,
-                   desync_engine: str, jobs: int,
-                   lanes: int | None = None,
-                   job_dir: str | None = None,
-                   cache=None,
-                   grid_digest: str | None = None,
-                   ) -> tuple[list[tuple], object, int]:
-    """Dispatch one task per config through the resilient executor.
-
-    Returns ``(shards, executor_stats, cache_hits)`` with shards in
-    grid (submission) order — the merge is deterministic by
-    construction, whatever order the shards finish in.  Scheduling runs
-    on :func:`repro.faults.run_cells`: a config whose worker hangs past
-    ``REPRO_CELL_TIMEOUT`` or crashes the pool is retried
-    (``REPRO_CELL_RETRIES``) and, if it keeps failing, quarantined —
-    its variants come back as rows with status ``'quarantined: ...'``
-    instead of taking the whole sweep down.  With ``job_dir`` the
-    executor runs in durable multi-process mode; cached shards are then
-    pre-published into the job store so every cooperating sweep process
-    keeps the identical task manifest.
-    """
-    # Deferred: repro.faults.executor imports repro.obs only, but the
-    # repro.faults package re-exports the campaign driver, which imports
-    # this module.
-    from repro.faults.executor import (
-        ExecutorPolicy,
-        cell_retries,
-        cell_timeout,
-        run_cells,
-    )
-
-    tasks = [(config, (config, grid, seeds, cycles, backend,
-                       max_equiv_instances, hold_rounds, desync_engine,
-                       lanes))
-             for config in config_names]
-
-    cached: dict[str, list] = {}
-    shard_keys: dict[str, str] = {}
-    if cache is not None:
-        from repro.corpus import generate
-        from repro.jobs import MISS, cache_key
-        for config in config_names:
-            shard_keys[config] = cache_key(
-                generate(config).fingerprint(), grid_digest, "sweep")
-            value = cache.get(shard_keys[config])
-            if value is not MISS:
-                cached[config] = value
-
-    policy = ExecutorPolicy(jobs=min(jobs, len(tasks)),
-                            timeout=cell_timeout(),
-                            retries=cell_retries(),
-                            job_dir=job_dir)
-    if job_dir:
-        dispatch = tasks
-        if cached:
-            from repro.jobs import JobStore
-            store = JobStore(job_dir, ttl=policy.lease_ttl)
-            store.ensure_tasks(config_names)
-            durable = store.collect()
-            for config, results in cached.items():
-                if config not in durable:
-                    store.complete(
-                        config, [config, results, [], 0, {}], 0)
-    else:
-        dispatch = [(config, payload) for config, payload in tasks
-                    if config not in cached]
-    if dispatch:
-        outcomes, stats = run_cells(dispatch, _sweep_config_task, policy,
-                                    initializer=_sweep_worker_init,
-                                    initargs=(TRACER.enabled,),
-                                    metric_prefix="sweep.executor")
-    else:
-        from repro.faults.executor import ExecutorStats
-        outcomes, stats = {}, ExecutorStats()
-
-    shards = []
-    for config in config_names:
-        if config in cached and config not in outcomes:
-            shards.append((config, cached[config], [], 0, {}))
-            continue
-        outcome = outcomes[config]
-        if outcome.status == "ok" and outcome.value is not None:
-            shard = tuple(outcome.value)
-            shards.append(shard)
-            if cache is not None and config not in cached:
-                cache.put(shard_keys[config], shard[1])
-        else:
-            results = [(_quarantined_row(config, variant, outcome.error),
-                        {"engines": {}, "reasons": {}})
-                       for variant in grid]
-            shards.append((config, results, [], 0, {}))
-    return shards, stats, len(cached)
-
-
 def _quarantined_row(config: str, variant: PipelineVariant,
                      error: str | None) -> list[object]:
     """A sweep row for a config the executor gave up on: identity
@@ -969,11 +817,19 @@ def _quarantined_row(config: str, variant: PipelineVariant,
     return [row[column] for column in SWEEP_COLUMNS]
 
 
+#: Set in pool workers by :func:`_sweep_worker_init`.  A shard that
+#: runs in the sweeping process itself already recorded its spans and
+#: counters there, so it ships neither back.
+_POOL_WORKER = False
+
+
 def _sweep_worker_init(tracing: bool = False) -> None:
     """Per-worker setup: sever inherited trace state, arm in-memory
     tracing when the parent traces, and install the fingerprint-keyed
     shared compile cache so every cell of every config this worker
     processes reuses compiled simulator artifacts."""
+    global _POOL_WORKER
+    _POOL_WORKER = True
     os.environ.pop(TRACE_ENV, None)
     TRACER.disarm()
     if tracing:
@@ -990,11 +846,11 @@ def _counter_values() -> dict[str, int | float]:
 def _sweep_config_task(payload: tuple) -> tuple:
     """One shard task: every variant of one config.
 
-    Returns ``(config, [(row, stats), ...], trace_events, worker_pid,
-    counter_deltas)`` — everything the parent needs to merge the shard
-    back as if it had run inline: rows in variant order, the worker's
-    span recording since the previous task, and the deltas its cells
-    added to the process-local metric counters.
+    Returns ``([(row, stats), ...], trace_events, worker_pid,
+    counter_deltas)`` — everything the sweeping process needs to merge
+    the shard back as if it had run there: rows in variant order and,
+    from a pool worker, its span recording since the previous task and
+    the deltas its cells added to the process-local metric counters.
     """
     (config, grid, seeds, cycles, backend, max_equiv_instances,
      hold_rounds, desync_engine, lanes) = payload
@@ -1003,7 +859,7 @@ def _sweep_config_task(payload: tuple) -> tuple:
 
     status_index = SWEEP_COLUMNS.index("status")
     engine_index = SWEEP_COLUMNS.index("desync_engine")
-    counters_before = _counter_values()
+    counters_before = _counter_values() if _POOL_WORKER else {}
     netlist = generate(config)
     results = []
     for variant in grid:
@@ -1016,6 +872,8 @@ def _sweep_config_task(payload: tuple) -> tuple:
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
         results.append((row, stats))
+    if not _POOL_WORKER:
+        return results, [], os.getpid(), {}
     deltas = {}
     for name, value in _counter_values().items():
         delta = value - counters_before.get(name, 0)
@@ -1025,7 +883,7 @@ def _sweep_config_task(payload: tuple) -> tuple:
     if TRACER.enabled:
         events = TRACER.events()
         TRACER.start()  # clear: the next task reports only its own spans
-    return config, results, events, os.getpid(), deltas
+    return results, events, os.getpid(), deltas
 
 
 def _engine_summary(reports) -> str:

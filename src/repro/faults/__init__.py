@@ -1,17 +1,13 @@
-"""Fault-injection campaigns and the crash-safe sweep executor.
+"""Fault-injection campaigns.
 
-Three layers (see the module docstrings for the full story):
+Two layers (see the module docstrings for the full story):
 
-* :mod:`repro.faults.executor` — :func:`run_cells`, the hardened
-  process-pool loop with per-cell timeouts, crash recovery, bounded
-  retry, quarantine and a resumable JSONL checkpoint — plus a durable
-  multi-process mode (:attr:`ExecutorPolicy.job_dir`) scheduled through
-  the :mod:`repro.jobs` store;
 * :mod:`repro.faults.inject` — stuck-at / glitch injection on the
   handshake controller nets, detected through the flow-equivalence
   checker;
 * :mod:`repro.faults.campaign` — the ``(config x perturbation x seed)``
-  campaign driver emitting the ``BENCH_faults`` envelope.
+  campaign driver emitting the ``BENCH_faults`` envelope, run on the
+  grid runner :func:`repro.jobs.run_grid`.
 
 Run a campaign from the command line with ``python -m repro.faults``.
 """
@@ -23,17 +19,6 @@ from repro.faults.campaign import (
     campaign_cells,
     campaign_options,
     run_campaign,
-)
-from repro.faults.executor import (
-    CELL_RETRIES_ENV,
-    CELL_TIMEOUT_ENV,
-    CellOutcome,
-    ExecutorPolicy,
-    ExecutorStats,
-    cell_retries,
-    cell_timeout,
-    load_checkpoint,
-    run_cells,
 )
 from repro.faults.inject import (
     CONTROL_PREFIXES,
@@ -50,12 +35,9 @@ from repro.faults.inject import (
 )
 
 __all__ = [
-    "CAMPAIGN_COLUMNS", "CELL_RETRIES_ENV", "CELL_TIMEOUT_ENV",
-    "CONTROL_PREFIXES", "CampaignReport", "CampaignSpec", "CellOutcome",
-    "ExecutorPolicy", "ExecutorStats", "FAULT_KINDS", "FaultSite",
-    "GLITCH_PREFIXES", "arm_glitch", "arm_stuck", "campaign_cells",
-    "campaign_options",
-    "cell_retries", "cell_timeout", "control_nets", "glitch_trials",
-    "load_checkpoint", "profile_net", "run_campaign", "run_cells",
+    "CAMPAIGN_COLUMNS", "CONTROL_PREFIXES", "CampaignReport",
+    "CampaignSpec", "FAULT_KINDS", "FaultSite", "GLITCH_PREFIXES",
+    "arm_glitch", "arm_stuck", "campaign_cells", "campaign_options",
+    "control_nets", "glitch_trials", "profile_net", "run_campaign",
     "run_detection", "sample_control_nets",
 ]

@@ -10,11 +10,12 @@ Examples::
     PYTHONPATH=src python -m repro.faults --tier core \
         --out benchmarks/out/BENCH_faults.json
 
-    # interruptible + resumable
+    # interruptible: rerun with the same --job-dir to resume, only
+    # the cells without a durable result run again
     PYTHONPATH=src python -m repro.faults --configs pipe4x1 counter6 \
-        --checkpoint /tmp/faults.jsonl
+        --job-dir /tmp/faults-jobs
     PYTHONPATH=src python -m repro.faults --configs pipe4x1 counter6 \
-        --checkpoint /tmp/faults.jsonl --resume
+        --job-dir /tmp/faults-jobs
 
     # two cooperating worker processes on one durable job dir, with a
     # shared content-addressed result cache
@@ -67,14 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retries", type=int, default=None,
                         help="per-cell retries "
                              "(default: REPRO_CELL_RETRIES)")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        help="JSONL checkpoint for --resume")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip cells already in --checkpoint")
     parser.add_argument("--job-dir", metavar="DIR", default=None,
                         help="shared durable job directory: processes "
                              "started with the same --job-dir cooperate "
-                             "on the campaign (default: REPRO_JOB_DIR)")
+                             "on the campaign, and a rerun resumes it "
+                             "(default: REPRO_JOB_DIR)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="content-addressed result cache; cells "
                              "already computed for the same netlist and "
@@ -103,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
 
     METRICS.reset()  # the envelope's metrics block is this run's alone
     report = run_campaign(spec, jobs=args.jobs,
-                          checkpoint=args.checkpoint, resume=args.resume,
                           timeout=args.timeout, retries=args.retries,
                           job_dir=args.job_dir, cache_dir=args.cache_dir,
                           worker_id=args.worker_id,

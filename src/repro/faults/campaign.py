@@ -1,8 +1,8 @@
 """Delay-fault injection campaigns over the de-synchronized corpus.
 
 A campaign fans ``(config x perturbation x seed)`` cells through the
-resilient executor (:mod:`repro.faults.executor`) and asserts the
-paper's robustness claim cell by cell:
+grid runner (:func:`repro.jobs.run_grid`) and asserts the paper's
+robustness claim cell by cell:
 
 * **delay cells** perturb every instance delay — uniform scaling
   (flow equivalence must survive *any* dilation), seeded gaussian
@@ -29,14 +29,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.faults.executor import (
-    CellOutcome,
-    ExecutorPolicy,
-    ExecutorStats,
-    cell_retries,
-    cell_timeout,
-    run_cells,
-)
 from repro.faults.inject import (
     CONTROL_PREFIXES,
     FAULT_KINDS,
@@ -44,6 +36,17 @@ from repro.faults.inject import (
     FaultSite,
     run_detection,
     sample_control_nets,
+)
+from repro.jobs import (
+    CellOutcome,
+    ExecutorPolicy,
+    cache_key,
+    cell_retries,
+    cell_timeout,
+    default_job_dir,
+    payload_digest,
+    run_grid,
+    sweep_jobs,
 )
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -113,10 +116,11 @@ class CampaignSpec:
 def campaign_cells(spec: CampaignSpec) -> list[tuple[str, dict]]:
     """The deterministic ``(key, payload)`` cell list of a campaign.
 
-    Keys are stable across runs and processes — they are the checkpoint
-    identity that makes ``--resume`` cell-exact.  Fault cells reference
-    controller nets by *site index* into the seeded sample (the actual
-    nets exist only after the worker builds the fabric).
+    Keys are stable across runs and processes — they are the job-store
+    identity that makes a rerun on the same job dir cell-exact.  Fault
+    cells reference controller nets by *site index* into the seeded
+    sample (the actual nets exist only after the worker builds the
+    fabric).
     """
     cells: list[tuple[str, dict]] = []
 
@@ -163,7 +167,9 @@ def campaign_cells(spec: CampaignSpec) -> list[tuple[str, dict]]:
 # ----------------------------------------------------------------------
 
 #: Per-process cache: one built serial-mode pipeline serves every cell
-#: of the same config that lands on this worker.
+#: of the same config that runs in this process — a pool worker, or
+#: the campaign's own process when its cells run in process (then
+#: :func:`run_campaign` clears it on return).
 _RESULT_CACHE: dict[str, object] = {}
 
 
@@ -265,8 +271,9 @@ def _fault_cell(row: dict, result, payload: dict) -> None:
     detected, how = run_detection(result, site,
                                   cycles=payload["cycles"],
                                   seed=payload["seed"])
-    row.update(status="detected" if detected else "undetected",
-               detail=f"{site.label}: {how}"[:160])
+    status = ("skipped" if detected is None
+              else "detected" if detected else "undetected")
+    row.update(status=status, detail=f"{site.label}: {how}"[:160])
 
 
 def _margin_cell(row: dict, result, payload: dict) -> None:
@@ -308,10 +315,10 @@ def _margin_cell(row: dict, result, payload: dict) -> None:
 
 
 def _campaign_cell(payload: dict) -> dict:
-    """One campaign cell, executed in a worker process.
+    """One campaign cell, executed in a pool worker or in process.
 
-    Returns the row as a JSON-serializable dict (the checkpoint
-    round-trips it); ``attempts``/``wall_ms`` are filled by the driver.
+    Returns the row as a JSON-serializable dict (the job store and the
+    result cache round-trip it); ``attempts`` is filled by the driver.
     """
     from time import perf_counter
     _chaos_sleep(payload["cell"])
@@ -355,128 +362,80 @@ class CampaignReport:
     quarantined: list[str] = field(default_factory=list)
 
 
-def _campaign_cache_keys(cells: list[tuple[str, dict]]) -> dict[str, str]:
-    """Content address of every campaign cell, computed driver-side.
+def _campaign_cache_key():
+    """The ``cache_key`` function that gives each campaign cell its
+    content address, computed driver-side.
 
-    The netlist is generated in the parent (cheap — the expensive part
-    is desynchronizing it, which is exactly what the cache skips) so
-    the key can be derived from its structural fingerprint plus the
-    digest of the flow options and the full cell payload.
+    The netlist is generated here (cheap — the expensive part is
+    desynchronizing it, which is exactly what the cache skips) so the
+    key can be derived from its structural fingerprint plus the digest
+    of the flow options and the full cell payload.
     """
     from repro.corpus import generate
-    from repro.jobs import cache_key, payload_digest
     per_config: dict[str, tuple[str, str]] = {}
-    keys: dict[str, str] = {}
-    for key, payload in cells:
+
+    def address(key: str, payload: dict) -> str:
         config = payload["config"]
         if config not in per_config:
             netlist = generate(config)
             per_config[config] = (netlist.fingerprint(),
                                   campaign_options(netlist).digest())
         fingerprint, options_digest = per_config[config]
-        keys[key] = cache_key(
-            fingerprint,
-            f"{options_digest}:{payload_digest(payload)}",
-            "campaign")
-    return keys
+        return cache_key(fingerprint,
+                         f"{options_digest}:{payload_digest(payload)}",
+                         "campaign")
+    return address
 
 
 def run_campaign(spec: CampaignSpec, jobs: int | None = None,
-                 checkpoint: str | None = None, resume: bool = False,
                  timeout: float | None = None,
                  retries: int | None = None,
                  job_dir: str | None = None,
                  cache_dir: str | None = None,
                  worker_id: str | None = None,
                  lease_ttl: float | None = None) -> CampaignReport:
-    """Run a fault-injection campaign through the resilient executor.
+    """Run a fault-injection campaign on the grid runner.
 
-    ``timeout``/``retries`` default to the ``REPRO_CELL_TIMEOUT`` /
-    ``REPRO_CELL_RETRIES`` environment knobs; ``checkpoint`` +
-    ``resume`` make an interrupted campaign restartable cell-exact.
+    ``jobs``/``timeout``/``retries`` default to the ``REPRO_JOBS`` /
+    ``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES`` environment knobs.
     Rows come back in canonical cell order whatever the completion
-    order, so a resumed run's envelope is comparable row-for-row
-    (modulo the wall-time fields) with an uninterrupted one.
-    Quarantined cells become rows with status ``"quarantined: ..."``.
+    order, so envelopes of two runs compare row-for-row (modulo the
+    wall-time fields).  Quarantined cells become rows with status
+    ``"quarantined: ..."``.
 
-    ``job_dir`` (default :data:`repro.jobs.JOB_DIR_ENV` when no
-    checkpoint is in play) routes scheduling through the durable job
-    store: several processes running the same campaign against one
-    directory cooperate, crashed workers are reclaimed, and every
-    process returns the complete merged report.  ``cache_dir`` points
-    at a content-addressed result cache — cells whose (netlist
-    fingerprint, options digest, payload) was already computed are
-    served from the cache instead of re-run.  In durable mode, cache
-    hits are pre-published into the job store so every cooperating
-    worker keeps the identical task manifest.
+    ``job_dir`` (default :data:`repro.jobs.JOB_DIR_ENV`) routes
+    scheduling through the durable job store: several processes running
+    the same campaign against one directory cooperate, crashed workers
+    are reclaimed, every process returns the complete merged report, and
+    rerunning on the same directory resumes an interrupted campaign
+    without re-running its finished cells.  ``cache_dir`` points at a
+    content-addressed result cache — cells whose (netlist fingerprint,
+    options digest, payload) was already computed are served from the
+    cache instead of re-run.
     """
-    from repro.desync.pipeline import sweep_jobs
     cells = campaign_cells(spec)
-    if job_dir is None and not checkpoint:
-        from repro.jobs import default_job_dir
-        job_dir = default_job_dir()
-
-    cache = None
-    cache_keys: dict[str, str] = {}
-    cached: dict[str, CellOutcome] = {}
-    if cache_dir:
-        from repro.jobs import MISS, ResultCache
-        cache = ResultCache(cache_dir)
-        cache_keys = _campaign_cache_keys(cells)
-        for key, _ in cells:
-            value = cache.get(cache_keys[key])
-            if value is not MISS:
-                cached[key] = CellOutcome(key=key, status="ok",
-                                          value=value, attempts=0)
-
     policy = ExecutorPolicy(
         jobs=jobs if jobs is not None else sweep_jobs(),
         timeout=timeout if timeout is not None else cell_timeout(),
         retries=retries if retries is not None else cell_retries(),
-        checkpoint=checkpoint, resume=resume, job_dir=job_dir,
+        job_dir=job_dir if job_dir is not None else default_job_dir(),
         worker_id=worker_id, lease_ttl=lease_ttl)
-
-    if job_dir:
-        # Every cooperating worker must bring the identical manifest,
-        # so cache hits are pre-published as durable results instead of
-        # being dropped from the task list (a later-starting worker
-        # would otherwise see a different, mismatching cell set).
-        dispatch = cells
-        if cached:
-            from repro.jobs import JobStore
-            store = JobStore(job_dir, worker_id=worker_id, ttl=lease_ttl)
-            store.ensure_tasks([key for key, _ in cells])
-            durable = store.collect()
-            for key, outcome in cached.items():
-                if key not in durable:
-                    store.complete(key, outcome.value, 0)
-    else:
-        dispatch = [(key, payload) for key, payload in cells
-                    if key not in cached]
-
     with TRACER.span("faults:campaign", cells=len(cells),
-                     configs=len(spec.configs), jobs=policy.jobs,
-                     cache_hits=len(cached)):
-        if dispatch:
-            outcomes, stats = run_cells(
-                dispatch, _campaign_cell, policy,
+                     configs=len(spec.configs), jobs=policy.jobs):
+        try:
+            outcomes, stats = run_grid(
+                cells, _campaign_cell, policy,
+                cache_key=_campaign_cache_key(), cache_dir=cache_dir,
                 initializer=_campaign_worker_init,
                 metric_prefix="faults.executor")
-        else:
-            outcomes, stats = {}, ExecutorStats()
-    for key, outcome in cached.items():
-        outcomes.setdefault(key, outcome)
-    if cache is not None:
-        for key, outcome in outcomes.items():
-            if key not in cached and outcome.status == "ok":
-                cache.put(cache_keys[key], outcome.value)
+        finally:
+            _RESULT_CACHE.clear()  # pipelines an in-process run built
 
     rows: list[list[object]] = []
     counts: dict[str, dict[str, int]] = {}
     margins: dict[str, float | None] = {}
     for key, payload in cells:
-        outcome = outcomes[key]
-        row = _outcome_row(key, payload, outcome)
+        row = _outcome_row(key, payload, outcomes[key])
         rows.append([row[column] for column in CAMPAIGN_COLUMNS])
         kind, status = row["kind"], (row["status"] or "").split(":")[0]
         per_kind = counts.setdefault(kind, {})
@@ -484,8 +443,6 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
         if kind == "margin" and status in ("cliff", "no-cliff"):
             margins[row["config"]] = row["margin"]
 
-    store_stats = stats.store_stats or {}
-    cache_stats = cache.stats() if cache is not None else {}
     summary = {
         "cells": len(cells),
         "statuses": {kind: dict(sorted(states.items()))
@@ -495,20 +452,9 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
         "margins": dict(sorted(margins.items())),
         "quarantined": list(stats.quarantined),
         "executor": stats.as_dict(),
-        "jobs": {
-            "cache_hits": len(cached),
-            "cache_misses": (len(cells) - len(cached)
-                             if cache is not None else 0),
-            "cache_hit_rate": (len(cached) / len(cells)
-                               if cache is not None and cells else None),
-            "reclaimed": stats.reclaimed,
-            "duplicates": stats.duplicates,
-            "dead_letter": len(stats.dead_letter),
-            "quarantined_entries": (
-                int(store_stats.get("quarantined", 0))
-                + int(cache_stats.get("quarantined", 0))),
-        },
     }
+    if stats.jobs is not None:
+        summary["jobs"] = stats.jobs
     for kind, states in counts.items():
         for status, count in states.items():
             METRICS.counter(f"faults.{kind}.{status}").inc(count)
@@ -526,13 +472,11 @@ def _outcome_row(key: str, payload: dict, outcome: CellOutcome) -> dict:
         row = {column: outcome.value.get(column)
                for column in CAMPAIGN_COLUMNS}
     else:
-        label = ("dead-letter" if outcome.status == "dead-letter"
-                 else "quarantined")
         row = {column: None for column in CAMPAIGN_COLUMNS}
         row.update(cell=key, kind=payload["kind"],
                    config=payload["config"], target=payload["target"],
                    param=payload["param"], seed=payload["seed"],
-                   status=f"{label}: {outcome.error}"[:160],
+                   status=f"quarantined: {outcome.error}"[:160],
                    wall_ms=0.0)
     row["attempts"] = outcome.attempts
     return row

@@ -232,7 +232,7 @@ def guard_stress(net: str):
 
 
 def run_detection(result, site: FaultSite, cycles: int = 8,
-                  seed: int = 0) -> tuple[bool, str]:
+                  seed: int = 0) -> tuple[bool | None, str]:
     """Inject ``site`` and ask the equivalence checker to find it.
 
     Returns ``(detected, how)``: ``how`` localizes the detection —
@@ -243,7 +243,8 @@ def run_detection(result, site: FaultSite, cycles: int = 8,
     provoked (:func:`guard_stress`) — or explains the miss:
     ``"absorbed"`` when every adversarial transient trial was masked
     by the fabric (``"silent-pass"`` for an unobserved stuck-at, which
-    *is* a bug).
+    *is* a bug).  ``detected`` is ``None`` when nothing was injected: no
+    transient trial fits the glitch site's clean-run waveform.
     """
     from repro.testing.stimulus import random_stimulus
     stimulus = random_stimulus(result.sync_netlist, cycles, seed)
@@ -269,6 +270,8 @@ def run_detection(result, site: FaultSite, cycles: int = 8,
     history, deadline = profile_net(result, site.net, cycles)
     gate = _gate_delay(result.desync_netlist)
     trials = glitch_trials(history, deadline, gate)
+    if not trials:
+        return None, f"no transient trial fits on {site.net}"
     for at, width, value in trials:
         how = _classify(result, cycles, stimulus,
                         arm_glitch(site.net, at, width, value))

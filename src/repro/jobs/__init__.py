@@ -1,12 +1,15 @@
-"""Durable job store, content-addressed result cache, chaos harness.
+"""The grid runner, its durable job store, result cache and chaos harness.
 
-``repro.jobs`` turns the resilient in-process executor
-(:mod:`repro.faults.executor`) into a restartable multi-process work
-fabric: several independent OS processes pointed at one *job directory*
-cooperate on a task list, crashed or frozen workers have their leases
-reclaimed by survivors, results are published first-wins (duplicates
-detected and counted, never clobbered), and pure computations are
-memoized in a checksummed content-addressed cache.  A seeded chaos
+:func:`run_grid` (:mod:`repro.jobs.grid`) is the one scheduler both the
+sweep and the fault campaign run their cells on: in process or on a
+fork pool, with per-cell timeouts, crash recovery, bounded retries and
+quarantine.  Given a *job directory* it becomes a restartable
+multi-process work fabric: several independent OS processes pointed at
+one directory cooperate on a task list, crashed or frozen workers have
+their leases reclaimed by survivors, results are published first-wins
+(duplicates detected and counted, never clobbered), and a rerun on the
+same directory resumes where the last one stopped.  Pure computations
+are memoized in a checksummed content-addressed cache.  A seeded chaos
 harness (:mod:`repro.jobs.chaos`) injects torn writes, checksum
 corruption and fsync denial so the recovery paths stay honest.
 """
@@ -17,6 +20,9 @@ from repro.jobs.chaos import (CHAOS_ENV, ChaosInjector, ChaosPolicy,
 from repro.jobs.fsio import (QUARANTINE_DIR, encode_entry, payload_digest,
                              publish_entry, quarantine, read_entry,
                              replace_entry)
+from repro.jobs.grid import (CELL_RETRIES_ENV, CELL_TIMEOUT_ENV, JOBS_ENV,
+                             CellOutcome, ExecutorPolicy, ExecutorStats,
+                             cell_retries, cell_timeout, run_grid, sweep_jobs)
 from repro.jobs.store import (DEFAULT_LEASE_TTL, JOB_DIR_ENV, LEASE_TTL_ENV,
                               Claim, JobStore, StoreOutcome, StoreStats,
                               default_job_dir, lease_ttl)
@@ -24,11 +30,17 @@ from repro.utils.errors import JobStoreError
 
 __all__ = [
     "CACHE_EPOCH",
+    "CELL_RETRIES_ENV",
+    "CELL_TIMEOUT_ENV",
     "CHAOS_ENV",
+    "CellOutcome",
     "Claim",
     "ChaosInjector",
     "ChaosPolicy",
     "DEFAULT_LEASE_TTL",
+    "ExecutorPolicy",
+    "ExecutorStats",
+    "JOBS_ENV",
     "JOB_DIR_ENV",
     "JobStore",
     "JobStoreError",
@@ -39,6 +51,8 @@ __all__ = [
     "StoreOutcome",
     "StoreStats",
     "cache_key",
+    "cell_retries",
+    "cell_timeout",
     "chaos_from_env",
     "default_job_dir",
     "encode_entry",
@@ -48,4 +62,6 @@ __all__ = [
     "quarantine",
     "read_entry",
     "replace_entry",
+    "run_grid",
+    "sweep_jobs",
 ]

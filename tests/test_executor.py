@@ -1,30 +1,28 @@
-"""The crash-safe, resumable cell executor.
+"""The grid runner's scheduling paths.
 
-Every hardening path of :func:`repro.faults.executor.run_cells` under
-real process-pool conditions: clean completion, worker exceptions with
+Every hardening path of :func:`repro.jobs.run_grid` under real
+process-pool conditions: clean completion, worker exceptions with
 bounded retry and quarantine, hard worker crashes (``os._exit``) that
 break the pool, per-cell wall-clock timeouts that kill wedged workers
-without losing innocent bystanders, and the JSONL checkpoint whose
-cell-exact resume (torn final line included) makes an interrupted
-campaign restartable.
+without losing innocent bystanders — plus the in-process path taken at
+one job without a timeout or job dir, and the result cache.  The
+durable job-dir mode is covered in ``tests/test_jobs.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import pytest
 
-from repro.faults.executor import (
+from repro.jobs import (
     CELL_RETRIES_ENV,
     CELL_TIMEOUT_ENV,
     ExecutorPolicy,
     cell_retries,
     cell_timeout,
-    load_checkpoint,
-    run_cells,
+    run_grid,
 )
 from repro.utils.errors import ExecutorError
 
@@ -63,23 +61,28 @@ def sleep_then_return(payload):
     return value
 
 
-class TestRunCells:
+def pid_of_runner(payload):
+    return os.getpid()
+
+
+class TestRunGrid:
     def test_all_ok(self):
         tasks = [(f"c{i}", i) for i in range(5)]
-        outcomes, stats = run_cells(tasks, double, FAST)
+        outcomes, stats = run_grid(tasks, double, FAST)
         assert {key: o.value for key, o in outcomes.items()} == \
             {f"c{i}": 2 * i for i in range(5)}
         assert all(o.status == "ok" and o.attempts == 1
                    for o in outcomes.values())
         assert stats.completed == 5
         assert not stats.quarantined
+        assert stats.jobs is None  # no job dir, no cache
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ExecutorError, match="duplicate"):
-            run_cells([("a", 1), ("a", 2)], double, FAST)
+            run_grid([("a", 1), ("a", 2)], double, FAST)
 
     def test_worker_error_quarantined_after_retries(self):
-        outcomes, stats = run_cells([("bad", 1)], boom, FAST)
+        outcomes, stats = run_grid([("bad", 1)], boom, FAST)
         outcome = outcomes["bad"]
         assert outcome.status == "quarantined"
         assert outcome.attempts == 2  # first run + one retry
@@ -89,7 +92,7 @@ class TestRunCells:
 
     def test_retry_then_success(self, tmp_path):
         marker = str(tmp_path / "marker")
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             [("flaky", (marker, 7))], fail_until_marker,
             ExecutorPolicy(jobs=1, retries=2, backoff=0.01))
         outcome = outcomes["flaky"]
@@ -100,7 +103,7 @@ class TestRunCells:
 
     def test_crash_breaks_pool_and_recovers(self):
         tasks = [("crash", "crash")] + [(f"c{i}", i) for i in range(4)]
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             tasks, crash_or_double,
             ExecutorPolicy(jobs=2, retries=1, backoff=0.01))
         assert outcomes["crash"].status == "quarantined"
@@ -114,7 +117,7 @@ class TestRunCells:
 
     def test_timeout_kills_wedged_cell_keeps_bystander(self):
         tasks = [("wedged", (30.0, None)), ("quick", (0.0, 5))]
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             tasks, sleep_then_return,
             ExecutorPolicy(jobs=2, timeout=0.3, retries=1, backoff=0.01))
         assert outcomes["quick"].status == "ok"
@@ -125,72 +128,43 @@ class TestRunCells:
         assert wedged.attempts == 2
         assert stats.timeouts == 2  # both attempts expired
 
-    def test_checkpoint_written_per_cell(self, tmp_path):
-        path = str(tmp_path / "cells.jsonl")
-        run_cells([("a", 1), ("b", 2)], double,
-                  ExecutorPolicy(jobs=1, checkpoint=path))
-        lines = [json.loads(line) for line in open(path)]
-        assert {entry["key"]: entry["value"] for entry in lines} == \
-            {"a": 2, "b": 4}
-        assert all(entry["status"] == "ok" for entry in lines)
+    def test_one_job_without_timeout_runs_in_process(self):
+        tasks = [("a", None), ("b", None)]
+        inline, _ = run_grid(tasks, pid_of_runner, ExecutorPolicy(jobs=1))
+        assert {o.value for o in inline.values()} == {os.getpid()}
+        # A timeout needs a process to kill: the same grid forks.
+        forked, _ = run_grid(tasks, pid_of_runner,
+                             ExecutorPolicy(jobs=1, timeout=30.0))
+        assert os.getpid() not in {o.value for o in forked.values()}
 
-    def test_resume_skips_completed_cells(self, tmp_path):
-        path = str(tmp_path / "cells.jsonl")
-        run_cells([("a", 1), ("b", 2)], double,
-                  ExecutorPolicy(jobs=1, checkpoint=path))
-        # Resume with a worker that would fail: restored cells must not
-        # re-run; only the new cell executes.
-        outcomes, stats = run_cells(
-            [("a", 1), ("b", 2), ("c", (str(tmp_path / "m"), 9))],
-            fail_until_marker,
-            ExecutorPolicy(jobs=1, retries=2, backoff=0.01,
-                           checkpoint=path, resume=True))
-        assert stats.resumed == 2
-        assert outcomes["a"].from_checkpoint
-        assert outcomes["a"].value == 2
-        assert outcomes["b"].value == 4
-        assert outcomes["c"].status == "ok"
-        assert outcomes["c"].value == 9
+    def test_in_process_errors_retry_and_quarantine(self):
+        outcomes, stats = run_grid(
+            [("bad", 1), ("good", 2)], boom,
+            ExecutorPolicy(jobs=1, retries=1, backoff=0.01))
+        assert outcomes["bad"].status == "quarantined"
+        assert outcomes["bad"].attempts == 2
+        assert sorted(stats.quarantined) == ["bad", "good"]
 
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = str(tmp_path / "cells.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"key": "a", "status": "ok",
-                                     "value": 2, "attempts": 1}) + "\n")
-            handle.write(json.dumps({"key": "q", "status": "quarantined",
-                                     "value": None, "attempts": 3}) + "\n")
-            handle.write('{"key": "b", "status"')  # the kill landed here
-        restored, duplicates = load_checkpoint(path)
-        assert set(restored) == {"a"}  # torn line dropped, quarantined
-        assert restored["a"].value == 2  # lines get a fresh chance
-        assert duplicates == 0
+    def test_result_cache_serves_reruns(self, tmp_path):
+        tasks = [(f"c{i}", i) for i in range(3)]
+        policy = ExecutorPolicy(jobs=1)
+        kwargs = dict(cache_key=lambda key, payload: f"grid:{key}",
+                      cache_dir=str(tmp_path / "cache"))
+        cold, cold_stats = run_grid(tasks, double, policy, **kwargs)
+        assert cold_stats.jobs["cache_hits"] == 0
+        assert cold_stats.jobs["cache_misses"] == 3
+        # A failing worker proves the rerun executes nothing.
+        warm, warm_stats = run_grid(tasks, boom, policy, **kwargs)
+        assert {k: o.value for k, o in warm.items()} == \
+            {k: o.value for k, o in cold.items()}
+        assert all(o.attempts == 0 for o in warm.values())
+        assert warm_stats.jobs["cache_hit_rate"] == 1.0
+        assert warm_stats.completed == 0
 
-    def test_duplicated_trailing_line_deduped_keep_last(self, tmp_path):
-        # A kill between the fsynced append and the acknowledgement
-        # makes the restarted run re-append the same cell: the loader
-        # must dedupe by key, keep the last occurrence, and count it.
-        path = str(tmp_path / "cells.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"key": "a", "status": "ok",
-                                     "value": 2, "attempts": 1}) + "\n")
-            handle.write(json.dumps({"key": "b", "status": "ok",
-                                     "value": 4, "attempts": 1}) + "\n")
-            handle.write(json.dumps({"key": "b", "status": "ok",
-                                     "value": 4, "attempts": 2}) + "\n")
-        restored, duplicates = load_checkpoint(path)
-        assert set(restored) == {"a", "b"}
-        assert duplicates == 1
-        assert restored["b"].attempts == 2  # keep-last
-        # And a resumed run surfaces the count in its summary.
-        outcomes, stats = run_cells(
-            [("a", 1), ("b", 2)], double,
-            ExecutorPolicy(jobs=1, checkpoint=path, resume=True))
-        assert stats.resumed == 2
-        assert stats.checkpoint_duplicates == 1
-        assert stats.as_dict()["checkpoint_duplicates"] == 1
-
-    def test_missing_checkpoint_is_empty(self, tmp_path):
-        assert load_checkpoint(str(tmp_path / "nope.jsonl")) == ({}, 0)
+    def test_cache_needs_a_key_function(self, tmp_path):
+        with pytest.raises(ExecutorError, match="cache_key"):
+            run_grid([("a", 1)], double, FAST,
+                     cache_dir=str(tmp_path / "cache"))
 
 
 class TestPolicyAndEnv:
@@ -201,12 +175,14 @@ class TestPolicyAndEnv:
             ExecutorPolicy(retries=-1)
         with pytest.raises(ExecutorError, match="timeout"):
             ExecutorPolicy(timeout=0.0)
-        with pytest.raises(ExecutorError, match="checkpoint"):
-            ExecutorPolicy(resume=True)
-        with pytest.raises(ExecutorError, match="mutually exclusive"):
-            ExecutorPolicy(job_dir="/tmp/jobs", checkpoint="/tmp/c.jsonl")
         with pytest.raises(ExecutorError, match="lease_ttl"):
             ExecutorPolicy(job_dir="/tmp/jobs", lease_ttl=0.0)
+
+    def test_in_process_rule(self):
+        assert ExecutorPolicy(jobs=1).in_process
+        assert not ExecutorPolicy(jobs=2).in_process
+        assert not ExecutorPolicy(jobs=1, timeout=5.0).in_process
+        assert not ExecutorPolicy(jobs=1, job_dir="/tmp/jobs").in_process
 
     def test_cell_timeout_env(self, monkeypatch):
         monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)

@@ -10,8 +10,8 @@ Three layers:
   transient faults on controller nets must surface as divergences,
   stalls or X escalations — and the serial fabric's absorption of
   interior acknowledge transients is pinned as a robustness property;
-* :func:`repro.faults.run_campaign` drives the cells through the
-  resilient executor with cell-exact checkpoint/resume.
+* :func:`repro.faults.run_campaign` drives the cells through the grid
+  runner; a rerun on the same job dir resumes cell-exactly.
 """
 
 from __future__ import annotations
@@ -325,20 +325,28 @@ class TestCampaign:
         assert report.summary["margins"] == {}
         assert report.summary["executor"]["completed"] == len(keys)
 
-    def test_checkpoint_resume_reproduces_rows(self, tmp_path):
+    def test_rerun_on_job_dir_resumes_without_rerunning(self, tmp_path):
         spec = small_spec()
-        checkpoint = str(tmp_path / "campaign.jsonl")
-        first = run_campaign(spec, jobs=1, checkpoint=checkpoint)
-        resumed = run_campaign(spec, jobs=1, checkpoint=checkpoint,
-                               resume=True)
-        assert resumed.summary["executor"]["resumed"] == len(first.rows)
-        timing = {CAMPAIGN_COLUMNS.index("wall_ms"),
-                  CAMPAIGN_COLUMNS.index("attempts")}
+        job_dir = str(tmp_path / "jobs")
+        first = run_campaign(spec, jobs=1, job_dir=job_dir)
+        assert first.summary["executor"]["completed"] == len(first.rows)
+        resumed = run_campaign(spec, jobs=1, job_dir=job_dir)
+        assert resumed.summary["executor"]["completed"] == 0
+        assert resumed.rows == first.rows
 
-        def strip(rows):
-            return [[cell for i, cell in enumerate(row) if i not in timing]
-                    for row in rows]
-        assert strip(resumed.rows) == strip(first.rows)
+    def test_glitch_cell_without_trials_is_skipped(self, monkeypatch):
+        # Nothing injected is not a detection miss: the cell is skipped
+        # and left out of the detection rate.
+        monkeypatch.setattr("repro.faults.inject.glitch_trials",
+                            lambda *args, **kwargs: [])
+        report = run_campaign(small_spec(fault_kinds=("glitch",)), jobs=1)
+        at = {column: i for i, column in enumerate(CAMPAIGN_COLUMNS)}
+        faults = [row for row in report.rows if row[at["kind"]] == "fault"]
+        assert faults and all(row[at["status"]] == "skipped"
+                              for row in faults)
+        assert all("no transient trial fits on " in row[at["detail"]]
+                   for row in faults)
+        assert report.summary["detection_rate"] is None
 
 
 class TestOptionsAndPlanningErrors:

@@ -6,8 +6,8 @@ never fatal), the two-tier content-addressed result cache, the
 lease-based claim protocol (contention, renewal, expiry, reclamation
 from dead *and* frozen workers), idempotent first-wins completion with
 duplicate detection, the cross-worker dead-letter state, and the
-durable multi-process mode of :func:`repro.faults.executor.run_cells` —
-including the ``SIGKILL`` drill where a surviving worker finishes a
+durable multi-process mode of :func:`repro.jobs.run_grid` — including
+the ``SIGKILL`` drill where a surviving worker finishes a
 dead worker's cells and still returns the complete merged outcome set.
 """
 
@@ -21,11 +21,11 @@ import time
 
 import pytest
 
-from repro.faults.executor import ExecutorPolicy, run_cells
 from repro.jobs import (
     CHAOS_ENV,
     ChaosInjector,
     ChaosPolicy,
+    ExecutorPolicy,
     JobStore,
     JobStoreError,
     MISS,
@@ -37,6 +37,7 @@ from repro.jobs import (
     publish_entry,
     read_entry,
     replace_entry,
+    run_grid,
 )
 from repro.obs.metrics import METRICS
 
@@ -64,7 +65,7 @@ def _drive_blocking(job_dir, tasks, ready_path):
     os.setpgrp()
     with open(ready_path, "w"):
         pass
-    run_cells(tasks, slow_double,
+    run_grid(tasks, slow_double,
               ExecutorPolicy(jobs=1, job_dir=job_dir, lease_ttl=0.4,
                              backoff=0.01, poll=0.02,
                              worker_id="victim"))
@@ -72,7 +73,7 @@ def _drive_blocking(job_dir, tasks, ready_path):
 
 def _drive_and_dump(job_dir, tasks, stats_path):
     """A cooperating driver that records its outcomes and stats."""
-    outcomes, stats = run_cells(
+    outcomes, stats = run_grid(
         tasks, double,
         ExecutorPolicy(jobs=2, job_dir=job_dir, lease_ttl=0.4,
                        backoff=0.01, poll=0.02))
@@ -376,14 +377,14 @@ class TestJobStore:
             lease_ttl()
 
 
-# -- durable run_cells --------------------------------------------------
+# -- durable run_grid ---------------------------------------------------
 
-class TestDurableRunCells:
+class TestDurableRunGrid:
     def test_single_worker_matches_plain_run(self, tmp_path):
         tasks = [(f"c{i}", i) for i in range(5)]
-        plain, _ = run_cells(tasks, double,
+        plain, _ = run_grid(tasks, double,
                              ExecutorPolicy(jobs=2, backoff=0.01))
-        durable, stats = run_cells(
+        durable, stats = run_grid(
             tasks, double,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
                            job_dir=str(tmp_path / "jobs")))
@@ -397,12 +398,12 @@ class TestDurableRunCells:
     def test_restart_serves_results_from_store(self, tmp_path):
         job_dir = str(tmp_path / "jobs")
         tasks = [(f"c{i}", i) for i in range(4)]
-        run_cells(tasks, double,
+        run_grid(tasks, double,
                   ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
                                  job_dir=job_dir))
         # A rerun with a worker that would fail proves nothing re-runs:
         # every cell is ingested from the durable store.
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             tasks, boom,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
                            job_dir=job_dir))
@@ -410,22 +411,26 @@ class TestDurableRunCells:
             {f"c{i}": 2 * i for i in range(4)}
         assert stats.completed == 0  # nothing executed locally
 
-    def test_exhausted_retries_dead_letter_across_runs(self, tmp_path):
+    def test_exhausted_retries_quarantine_persists_across_runs(self,
+                                                                tmp_path):
         job_dir = str(tmp_path / "jobs")
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             [("bad", 1)], boom,
             ExecutorPolicy(jobs=1, retries=1, backoff=0.01, poll=0.02,
                            job_dir=job_dir))
-        assert outcomes["bad"].status == "dead-letter"
+        assert outcomes["bad"].status == "quarantined"
         assert outcomes["bad"].attempts == 2
         assert "ValueError" in outcomes["bad"].error
-        assert stats.dead_letter == ["bad"]
-        # A later run sees the durable dead letter, not a fresh budget.
-        rerun, rerun_stats = run_cells(
+        assert stats.quarantined == ["bad"]
+        assert stats.store_stats["dead_letter"] == 1
+        # A later run reads the store's dead letter, not a fresh budget.
+        rerun, rerun_stats = run_grid(
             [("bad", 1)], double,
             ExecutorPolicy(jobs=1, retries=1, backoff=0.01, poll=0.02,
                            job_dir=job_dir))
-        assert rerun["bad"].status == "dead-letter"
+        assert rerun["bad"].status == "quarantined"
+        assert "ValueError" in rerun["bad"].error
+        assert rerun_stats.quarantined == ["bad"]
         assert rerun_stats.completed == 0
 
     def test_sigkilled_worker_is_reclaimed_by_survivor(self, tmp_path):
@@ -458,7 +463,7 @@ class TestDurableRunCells:
                     pass
             victim.join(timeout=10.0)
 
-        outcomes, stats = run_cells(
+        outcomes, stats = run_grid(
             tasks, double,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
                            job_dir=job_dir, lease_ttl=0.4))
@@ -467,7 +472,7 @@ class TestDurableRunCells:
         assert all(o.status == "ok" for o in outcomes.values())
         assert stats.reclaimed >= 1  # the victim's lease was stolen
         # The merged result equals a fresh single-process run.
-        fresh, _ = run_cells(tasks, double,
+        fresh, _ = run_grid(tasks, double,
                              ExecutorPolicy(jobs=1, backoff=0.01))
         assert {k: o.value for k, o in outcomes.items()} == \
             {k: o.value for k, o in fresh.items()}
@@ -481,7 +486,7 @@ class TestDurableRunCells:
                            args=(job_dir, tasks, stats_path))
         peer.start()
         try:
-            outcomes, _ = run_cells(
+            outcomes, _ = run_grid(
                 tasks, double,
                 ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
                                job_dir=job_dir, lease_ttl=0.4))

@@ -366,8 +366,9 @@ class TestSweepDriver:
                                                  cycles=8)
         assert len(rows) == 6
         assert set(summary) == {"cells", "statuses", "desync_engines",
-                                "fallback_reasons"}
+                                "fallback_reasons", "executor"}
         assert summary["cells"] == 6
+        assert summary["executor"]["completed"] == 2  # one task per config
         assert sum(summary["statuses"].values()) == 6
         assert summary["statuses"]["ok"] >= 1
         # Status aggregation folds parameterized suffixes ("invalid: ...")
@@ -415,15 +416,76 @@ class TestShardedSweep:
         # Byte-identical modulo the wall-time columns: the merge is in
         # submission order, so shard scheduling cannot reorder rows.
         assert stable(sharded) == stable(solo)
-        # The sharded run additionally reports its executor accounting;
-        # everything the cells computed must still match exactly.
-        executor = sharded_summary.pop("executor")
-        assert executor["completed"] == len({r[0] for r in sharded})
-        assert not executor["quarantined"]
+        # Both runs go through the same grid runner, so even its
+        # accounting matches.
+        assert sharded_summary["executor"]["completed"] == 3
+        assert not sharded_summary["executor"]["quarantined"]
         assert sharded_summary == solo_summary
 
+    def test_traced_in_process_and_pooled_runs_agree(self):
+        # At jobs=1 the configs run in this process; at jobs=2 on a
+        # pool whose counters and spans are folded back.  Neither may
+        # double-count a counter or lose the sweeping process's trace.
+        from repro.desync.pipeline import SWEEP_COLUMNS
+        from repro.obs import METRICS, TRACER
+
+        def traced(jobs):
+            METRICS.reset()
+            TRACER.start()
+            try:
+                _, rows, _ = sweep_pipelines(["pipe4x1", "counter6"],
+                                             seeds=(0,), cycles=8,
+                                             jobs=jobs)
+                events = TRACER.events()
+            finally:
+                TRACER.stop()
+            counters = {name: entry["value"]
+                        for name, entry in METRICS.snapshot().items()
+                        if name.startswith("sweep.")
+                        or name == "sim.replay.fallbacks"}
+            timing = {SWEEP_COLUMNS.index("build_ms"),
+                      SWEEP_COLUMNS.index("verify_ms")}
+            rows = [[value for index, value in enumerate(row)
+                     if index not in timing] for row in rows]
+            return rows, counters, events
+
+        solo_rows, solo_counters, solo_events = traced(1)
+        pool_rows, pool_counters, _ = traced(2)
+        assert solo_rows == pool_rows
+        assert solo_counters == pool_counters
+        assert solo_counters["sweep.executor.completed"] == 2
+        names = [event["name"] for event in solo_events
+                 if event.get("ph") == "X"]
+        assert names.count("sweep:grid") == 1
+        assert names.count("sweep:cell") == 16  # 2 configs x 8 variants
+
+    def test_cell_timeout_applies_at_one_job(self, monkeypatch):
+        # REPRO_CELL_TIMEOUT needs a process it can kill, so even a
+        # one-job sweep forks once a timeout is set; the forked worker
+        # inherits the patched cell.
+        import time
+
+        from repro.desync import pipeline
+        real_cell = pipeline._sweep_cell
+
+        def wedged_on_counter6(config, *args, **kwargs):
+            if config == "counter6":
+                time.sleep(30)
+            return real_cell(config, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_sweep_cell", wedged_on_counter6)
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0.5")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "0")
+        columns, rows, summary = sweep_pipelines(
+            ["pipe4x1", "counter6"], seeds=(0,), cycles=8, jobs=1,
+            variants=self.SWEEP_KWARGS["variants"])
+        status = {row[0]: row[columns.index("status")] for row in rows}
+        assert status["pipe4x1"] == "ok"
+        assert status["counter6"].startswith("quarantined: timed out")
+        assert summary["executor"]["quarantined"] == ["counter6"]
+
     def test_jobs_env_knob(self, monkeypatch):
-        from repro.desync.pipeline import JOBS_ENV, sweep_jobs
+        from repro.jobs import JOBS_ENV, sweep_jobs
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert sweep_jobs() == 1
         monkeypatch.setenv(JOBS_ENV, "3")
