@@ -23,8 +23,7 @@ from tests.circuits import inverter_pipeline, ripple_counter
 def _cycle(netlist, mode, margin=0.10):
     # Pipeline API: the ablations only need the timed model, so the
     # FlowContext is consumed directly (no DesyncResult packaging).
-    ctx = run_pipeline(netlist, DesyncOptions(mode=mode, margin=margin,
-                                              validate_model=False))
+    ctx = run_pipeline(netlist, DesyncOptions(mode=mode, margin=margin))
     return ctx.desync_cycle_time().cycle_time, ctx.sync_period()
 
 

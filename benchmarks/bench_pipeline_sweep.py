@@ -131,6 +131,12 @@ def test_bench_pipeline_sweep(benchmark):
     fallbacks = METRICS.snapshot().get("sim.replay.fallbacks")
     assert fallbacks is not None, "sim.replay.fallbacks not registered"
     assert fallbacks["value"] == 0, fallbacks
+    # Every cell that built a model had it checked: no size cap turns
+    # the model check off behind the grid's back.
+    built = sum(not cell["status"].startswith("invalid") for cell in by)
+    assert summary["model_validated"] == built, (summary["model_validated"],
+                                                 built)
+    assert METRICS.snapshot()["sweep.model_validated"]["value"] == built
     # Build-vs-verify split recorded per row.
     assert all(cell["build_ms"] is not None for cell in by)
     assert all(cell["verify_ms"] is not None for cell in verified

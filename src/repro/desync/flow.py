@@ -69,10 +69,10 @@ class DesyncOptions:
             (see :class:`repro.desync.network.HandshakeMode`); the
             protocol name string is accepted too.
         hold_slack: overlap-mode self-pacing stretch in ps.
-        validate_model: run liveness / consistency / boundedness checks
-            on the composed fabric model; disable for very large bank
-            graphs (the checks walk the reachability graph).
-        model_check_states: state cap for those checks.
+        validate_model: run the structure / liveness / boundedness /
+            consistency checks of :meth:`repro.stg.stg.Stg.check_model`
+            on the composed fabric model (exact and polynomial in the
+            model size, so they stay on for every design).
         strategy: clustering strategy name (an entry of
             :data:`repro.desync.clustering.CLUSTERING_STRATEGIES`).
         cluster_cap: register cap forwarded to size-capped strategies
@@ -94,7 +94,6 @@ class DesyncOptions:
     mode: HandshakeMode = HandshakeMode.OVERLAP
     hold_slack: float = DEFAULT_HOLD_SLACK
     validate_model: bool = True
-    model_check_states: int = 200_000
     strategy: str = "scc"
     cluster_cap: int | None = None
     sync_banks: tuple[str, ...] = ()
@@ -121,12 +120,6 @@ class DesyncOptions:
                 raise OptionsError(
                     name,
                     f"must be a finite non-negative number, got {value!r}")
-        if not isinstance(self.model_check_states, int) \
-                or self.model_check_states < 1:
-            raise OptionsError(
-                "model_check_states",
-                f"must be a positive state cap, got "
-                f"{self.model_check_states!r}")
         if self.strategy not in CLUSTERING_STRATEGIES:
             raise OptionsError(
                 "strategy",

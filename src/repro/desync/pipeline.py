@@ -341,7 +341,7 @@ class ControllerNetworkPass(Pass):
                                  ctx.sync_netlist.library,
                                  name=f"desync:{ctx.sync_netlist.name}")
         if opts.validate_model:
-            ctx.model.check_model(max_states=opts.model_check_states)
+            ctx.model.check_model()
         return {
             "controllers": len(ctx.network.controllers),
             "delay_lines": len(ctx.network.delay_plans),
@@ -392,11 +392,12 @@ class BaselineModelPass(Pass):
                             delay_fn=delay_fn,
                             controller_delay=controller_delay)
         if opts.validate_model:
-            ctx.model.check_model(max_states=opts.model_check_states)
+            ctx.model.check_model()
         return {
             "kind": self.kind,
             "controllers": len(banks),
             "controller_delay_ps": round(controller_delay, 1),
+            "model_validated": opts.validate_model,
         }
 
 
@@ -563,15 +564,9 @@ def default_variants() -> list[PipelineVariant]:
         PipelineVariant("partial-serial",
                         options=DesyncOptions(mode=serial),
                         sync_banks=AUTO_SYNC_BANKS),
-        # Baseline models carry one signal per latch bank (two per
-        # register): full reachability checks explode on the larger
-        # corpus members, so the sweep skips them (the structural and
-        # liveness checks run on small designs in the test suite).
         PipelineVariant("dlap", pipeline="doubly_latched",
-                        options=DesyncOptions(validate_model=False),
                         check_equivalence=False),
         PipelineVariant("nonoverlap", pipeline="nonoverlap",
-                        options=DesyncOptions(validate_model=False),
                         check_equivalence=False),
     ]
 
@@ -597,19 +592,6 @@ SWEEP_COLUMNS = [
 #: one lane-parallel replay per cell (both equivalence sides batched),
 #: not one event simulation per seed.
 SWEEP_SEEDS = tuple(range(8))
-
-#: Register-bank count above which a sweep cell skips the timed-model
-#: reachability checks (``DesyncOptions.validate_model``).  The OVERLAP
-#: fabric's pacing tokens make the marked-graph state space grow
-#: combinatorially with chain depth — ``fir16``'s 17-bank chain already
-#: exceeds the 200k-marking cap — while flow equivalence (the actual
-#: correctness gate) scales fine.  Structural model checks still run on
-#: every sub-cap config, so the model checker keeps real coverage on
-#: the core corpus.  11 is empirical: the 12-stage deep pipelines are
-#: the smallest corpus members whose overlap-mode reachability blows
-#: the marking cap.
-MODEL_VALIDATION_BANK_CAP = 11
-
 
 def sweep_pipelines(configs: list[str] | None = None,
                     variants: list[PipelineVariant] | None = None,
@@ -640,10 +622,11 @@ def sweep_pipelines(configs: list[str] | None = None,
     sweep cost), in which case the row reports ``status='unchecked'``.
     A variant that is structurally inapplicable (e.g. ``per-register``
     on a cyclic register graph) reports ``status='invalid'`` instead of
-    failing the sweep.  Configs with more than
-    :data:`MODEL_VALIDATION_BANK_CAP` register banks run with timed-model
-    reachability validation disabled (it explodes on deep overlap
-    chains; flow equivalence remains the correctness gate).
+    failing the sweep.  Every cell that builds a timed model validates
+    it (:meth:`repro.stg.stg.Stg.check_model` is exact and polynomial,
+    so no design is too large for it) unless its variant turns
+    ``validate_model`` off; ``summary["model_validated"]`` counts the
+    cells whose model was checked.
 
     Each row records the build-vs-verify wall-time split (``build_ms`` /
     ``verify_ms``), the engine(s) that produced the desync streams
@@ -710,6 +693,7 @@ def sweep_pipelines(configs: list[str] | None = None,
     statuses: dict[str, int] = {}
     engines: dict[str, int] = {}
     reasons: dict[str, int] = {}
+    validated = 0
     status_index = SWEEP_COLUMNS.index("status")
 
     # Register the replay-fallback counter up front so every sweep
@@ -745,6 +729,7 @@ def sweep_pipelines(configs: list[str] | None = None,
                 rows.append(row)
                 status = (row[status_index] or "").split(":")[0]
                 statuses[status] = statuses.get(status, 0) + 1
+                validated += bool(stats.get("model_validated"))
                 for engine, count in stats["engines"].items():
                     engines[engine] = engines.get(engine, 0) + count
                 for reason, count in stats["reasons"].items():
@@ -756,9 +741,11 @@ def sweep_pipelines(configs: list[str] | None = None,
         METRICS.counter(f"sweep.desync_engine.{engine}").inc(count)
     if reasons:
         METRICS.counter("sweep.replay_fallbacks").inc(sum(reasons.values()))
+    METRICS.counter("sweep.model_validated").inc(validated)
     summary = {
         "cells": len(rows),
         "statuses": dict(sorted(statuses.items())),
+        "model_validated": validated,
         "desync_engines": dict(sorted(engines.items())),
         "fallback_reasons": dict(sorted(reasons.items())),
         "executor": exec_stats.as_dict(),
@@ -904,20 +891,15 @@ def _sweep_cell(config, netlist, variant, seeds, cycles, backend,
                 check_batch, lanes=None):
     """One grid cell: ``(row_values, stats)``.
 
-    ``stats`` carries the per-seed aggregation inputs the row string
-    cannot: ``engines`` (desync engine -> seed count) and ``reasons``
-    (fallback reason -> seed count), both empty for unverified cells.
+    ``stats`` carries the aggregation inputs the row string cannot:
+    ``engines`` (desync engine -> seed count) and ``reasons`` (fallback
+    reason -> seed count), both empty for unverified cells, and
+    ``model_validated`` (a pass checked the cell's timed model).
     """
     from time import perf_counter
 
-    stats = {"engines": {}, "reasons": {}}
+    stats = {"engines": {}, "reasons": {}, "model_validated": False}
     options = replace(variant.options)
-    if options.validate_model and \
-            sum(1 for _ in iter_register_banks(netlist)) \
-            > MODEL_VALIDATION_BANK_CAP:
-        # Scale-tier members blow the reachability cap (see
-        # MODEL_VALIDATION_BANK_CAP); equivalence stays the gate.
-        options.validate_model = False
     if variant.sync_banks == AUTO_SYNC_BANKS:
         options.sync_banks = auto_sync_banks(netlist)
     elif variant.sync_banks:
@@ -939,6 +921,8 @@ def _sweep_cell(config, netlist, variant, seeds, cycles, backend,
                    build_ms=(perf_counter() - build_start) * 1e3)
         return cell(row)
     row.update(build_ms=(perf_counter() - build_start) * 1e3)
+    stats["model_validated"] = any(record.info.get("model_validated")
+                                   for record in ctx.records)
     sync_period = ctx.sync_period()
     desync_cycle = ctx.desync_cycle_time().cycle_time
     row.update(domains=len(ctx.clustering.clusters),

@@ -182,8 +182,8 @@ def _campaign_worker_init() -> None:
     _RESULT_CACHE.clear()
 
 
-def campaign_options(netlist):
-    """The serial-mode flow options a campaign uses for ``netlist``.
+def campaign_options():
+    """The serial-mode flow options a campaign uses for every config.
 
     Shared between the worker (which builds the pipeline) and the
     driver (which derives result-cache keys from
@@ -192,12 +192,6 @@ def campaign_options(netlist):
     run.
     """
     from repro.desync.flow import DesyncOptions, HandshakeMode
-    from repro.desync.pipeline import MODEL_VALIDATION_BANK_CAP
-    from repro.netlist import iter_register_banks
-    if sum(1 for _ in iter_register_banks(netlist)) \
-            > MODEL_VALIDATION_BANK_CAP:
-        return DesyncOptions(mode=HandshakeMode.SERIAL,
-                             validate_model=False)
     return DesyncOptions(mode=HandshakeMode.SERIAL)
 
 
@@ -206,9 +200,8 @@ def _campaign_result(config: str):
     if result is None:
         from repro.corpus import generate
         from repro.desync.pipeline import make_result, run_pipeline
-        netlist = generate(config)
-        result = make_result(run_pipeline(netlist,
-                                          campaign_options(netlist)))
+        result = make_result(run_pipeline(generate(config),
+                                          campaign_options()))
         _RESULT_CACHE[config] = result
     return result
 
@@ -372,16 +365,14 @@ def _campaign_cache_key():
     of the flow options and the full cell payload.
     """
     from repro.corpus import generate
-    per_config: dict[str, tuple[str, str]] = {}
+    options_digest = campaign_options().digest()
+    fingerprints: dict[str, str] = {}
 
     def address(key: str, payload: dict) -> str:
         config = payload["config"]
-        if config not in per_config:
-            netlist = generate(config)
-            per_config[config] = (netlist.fingerprint(),
-                                  campaign_options(netlist).digest())
-        fingerprint, options_digest = per_config[config]
-        return cache_key(fingerprint,
+        if config not in fingerprints:
+            fingerprints[config] = generate(config).fingerprint()
+        return cache_key(fingerprints[config],
                          f"{options_digest}:{payload_digest(payload)}",
                          "campaign")
     return address

@@ -33,7 +33,7 @@ from repro.utils.errors import JobStoreError
 
 #: Version salt of the cache key derivation.  Bump to invalidate every
 #: entry at once when the cached computation changes shape.
-CACHE_EPOCH = "repro-jobs/2"
+CACHE_EPOCH = "repro-jobs/3"
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 MISS = object()

@@ -10,11 +10,15 @@ extra propagation delay attached to the edge (matched delays, in the
 de-synchronization model).  This is how the de-synchronized DLX cycle time
 in Table 1 is computed.
 
-The ratio is found with Lawler's parametric search: a guess ``lam`` is
-feasible iff the graph with edge weights ``delay - lam * tokens`` has no
-positive cycle (checked with Bellman-Ford).  Binary search converges
-geometrically; the critical cycle is then extracted from a slightly
-deflated guess.
+The ratio is found with Howard's policy iteration (Cochet-Terrasson et
+al. 1998; Dasdan, TODAES 2004): a policy picks one out-edge per
+transition, every transition inherits the ratio of the policy cycle it
+leads to plus a bias, and policies improve — first by ratio, then by bias
+— until none does.  Each round is linear in the graph and the iteration
+count is small in practice; the final policy cycle is a critical cycle,
+exact up to float rounding.  Transitions that reach no cycle are pruned
+first, since a policy needs an out-edge everywhere.  The reported ratio
+is recomputed from that cycle's own delay and token sums.
 """
 
 from __future__ import annotations
@@ -52,86 +56,138 @@ def _edge_weight(graph: MarkedGraph, edge: MgEdge) -> float:
     return graph.transitions[edge.target].delay + edge.delay
 
 
-def _has_positive_cycle(nodes: list[str],
-                        edges: list[tuple[str, str, float]],
-                        ) -> tuple[bool, list[str]]:
-    """Bellman-Ford longest-path positive-cycle detection.
+def _cyclic_core(graph: MarkedGraph,
+                 edges: list[MgEdge]) -> dict[str, list[MgEdge]]:
+    """Out-edges of every transition that reaches a cycle: transitions
+    left without an out-edge are removed until none is."""
+    out: dict[str, list[MgEdge]] = {t: [] for t in graph.transitions}
+    incoming: dict[str, list[MgEdge]] = {t: [] for t in graph.transitions}
+    for edge in edges:
+        out[edge.source].append(edge)
+        incoming[edge.target].append(edge)
+    degree = {t: len(edges) for t, edges in out.items()}
+    dead = [t for t, count in degree.items() if count == 0]
+    removed = set(dead)
+    while dead:
+        for edge in incoming[dead.pop()]:
+            degree[edge.source] -= 1
+            if degree[edge.source] == 0:
+                removed.add(edge.source)
+                dead.append(edge.source)
+    return {t: [e for e in out[t] if e.target not in removed]
+            for t in out if t not in removed}
 
-    Returns ``(found, cycle)`` where ``cycle`` lists the transitions of a
-    positive-weight cycle when one exists.
+
+def _policy_values(graph: MarkedGraph, policy: dict[str, MgEdge],
+                   ) -> tuple[dict[str, float], dict[str, float]]:
+    """Ratio and bias of every transition under ``policy``.
+
+    Each policy cycle's ratio is its delay over its tokens; a transition
+    inherits the ratio of the cycle its policy path ends in, and its bias
+    solves ``bias[u] = weight - ratio * tokens + bias[v]`` along the
+    policy edge, with the bias of each cycle's earliest transition (in
+    graph order, so it stays put while the cycle survives) 0.
     """
-    distance = {node: 0.0 for node in nodes}
-    parent: dict[str, str | None] = {node: None for node in nodes}
-    updated_node: str | None = None
-    for _ in range(len(nodes)):
-        updated_node = None
-        for source, target, weight in edges:
-            candidate = distance[source] + weight
-            if candidate > distance[target] + 1e-12:
-                distance[target] = candidate
-                parent[target] = source
-                updated_node = target
-        if updated_node is None:
-            return False, []
-    # A relaxation in the n-th pass proves a positive cycle; walk parents
-    # n steps to guarantee we are on it, then peel off the cycle.
-    node = updated_node
-    assert node is not None
-    for _ in range(len(nodes)):
-        node = parent[node]
-        assert node is not None
+    order = {t: index for index, t in enumerate(policy)}
+    ratio: dict[str, float] = {}
+    bias: dict[str, float] = {}
+    for start in policy:
+        if start in ratio:
+            continue
+        path: list[str] = []
+        on_path: set[str] = set()
+        node = start
+        while node not in ratio and node not in on_path:
+            path.append(node)
+            on_path.add(node)
+            node = policy[node].target
+        if node not in ratio:  # closed a new policy cycle at ``node``
+            cycle = path[path.index(node):]
+            del path[len(path) - len(cycle):]
+            handle = cycle.index(min(cycle, key=order.__getitem__))
+            cycle = cycle[handle:] + cycle[:handle]
+            delay = sum(_edge_weight(graph, policy[t]) for t in cycle)
+            tokens = sum(policy[t].tokens for t in cycle)
+            ratio[cycle[0]] = delay / tokens
+            bias[cycle[0]] = 0.0
+            path.extend(cycle[1:])
+        for walker in reversed(path):
+            edge = policy[walker]
+            ratio[walker] = ratio[edge.target]
+            bias[walker] = (_edge_weight(graph, edge)
+                            - ratio[walker] * edge.tokens + bias[edge.target])
+    return ratio, bias
+
+
+def _howard(graph: MarkedGraph, out: dict[str, list[MgEdge]],
+            ) -> tuple[float, list[str]]:
+    """Maximum cycle ratio of the (pruned, live) graph ``out`` and one
+    cycle attaining it, by policy iteration."""
+    scale = 1.0 + sum(_edge_weight(graph, e) for edges in out.values()
+                      for e in edges)
+    eps = 1e-12 * scale
+    policy = {t: max(edges, key=lambda e: _edge_weight(graph, e))
+              for t, edges in out.items()}
+    while True:
+        ratio, bias = _policy_values(graph, policy)
+        improved = False
+        # Ratio improvement: move towards a cycle of higher ratio.
+        for t, edges in out.items():
+            best = max(edges, key=lambda e: ratio[e.target])
+            if ratio[best.target] > ratio[t] + eps:
+                policy[t] = best
+                improved = True
+        if not improved:
+            # Bias improvement among edges that keep the ratio.
+            for t, edges in out.items():
+                level = ratio[t]
+                best_value = bias[t] + eps
+                for edge in edges:
+                    if abs(ratio[edge.target] - level) > eps:
+                        continue
+                    value = (_edge_weight(graph, edge)
+                             - level * edge.tokens + bias[edge.target])
+                    if value > best_value:
+                        policy[t] = edge
+                        best_value = value
+                        improved = True
+        if not improved:
+            break
+    start = max(out, key=lambda t: ratio[t])
+    seen: set[str] = set()
+    node = start
+    while node not in seen:
+        seen.add(node)
+        node = policy[node].target
     cycle = [node]
-    walker = parent[node]
+    walker = policy[node].target
     while walker != node:
-        assert walker is not None
         cycle.append(walker)
-        walker = parent[walker]
-    cycle.reverse()
-    return True, cycle
+        walker = policy[walker].target
+    return ratio[start], cycle
 
 
-def cycle_time(graph: MarkedGraph, tolerance: float = 1e-6) -> CycleTimeResult:
+def cycle_time(graph: MarkedGraph) -> CycleTimeResult:
     """Maximum cycle ratio of a live timed marked graph.
 
     Raises :class:`PetriError` if the graph has a token-free cycle (not
-    live — the ratio would be infinite) or has no cycles at all (the
-    period is then 0: the graph is a finite pipeline with no feedback).
+    live — the ratio would be infinite).  A graph with no cycle of
+    positive delay (a finite pipeline with no feedback, or zero-delay
+    feedback) has period 0.
     """
     graph.check_structure()
     if not graph.is_live():
         raise PetriError(
             f"{graph.name}: token-free cycle -> unbounded cycle ratio")
-    nodes = list(graph.transitions)
-    all_edges = graph.edges()
-    if not all_edges:
+    out = _cyclic_core(graph, graph.edges())
+    if not out:
         return CycleTimeResult(0.0, [], 0.0, 0)
-
-    def weighted(lam: float) -> list[tuple[str, str, float]]:
-        return [(e.source, e.target, _edge_weight(graph, e) - lam * e.tokens)
-                for e in all_edges]
-
-    # Upper bound: total delay of the whole graph over one token.
-    high = sum(_edge_weight(graph, e) for e in all_edges) + 1.0
-    low = 0.0
-    found_any, _ = _has_positive_cycle(nodes, weighted(0.0))
-    if not found_any:
-        # No cycle with positive delay: acyclic or zero-delay feedback.
+    best, cycle = _howard(graph, out)
+    if best <= 0.0:
         return CycleTimeResult(0.0, [], 0.0, 0)
-    while high - low > max(tolerance, tolerance * high):
-        mid = 0.5 * (low + high)
-        positive, _ = _has_positive_cycle(nodes, weighted(mid))
-        if positive:
-            low = mid
-        else:
-            high = mid
-    ratio = high
-    # Extract the critical cycle just below the converged ratio.
-    slack = max(tolerance, tolerance * high) * 4
-    positive, cycle = _has_positive_cycle(nodes, weighted(ratio - slack))
     delay_sum, token_sum = _cycle_metrics(graph, cycle)
-    if token_sum > 0:
-        ratio = delay_sum / token_sum
-    return CycleTimeResult(ratio, cycle, delay_sum, token_sum)
+    return CycleTimeResult(delay_sum / token_sum, cycle, delay_sum,
+                           token_sum)
 
 
 def _cycle_metrics(graph: MarkedGraph,

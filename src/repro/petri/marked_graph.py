@@ -8,19 +8,34 @@ transitions are latch-control events (``x+`` = latch x becomes transparent,
 
 Because each place connects exactly one pair of transitions, an MG is
 equivalently a directed multigraph whose *edges* carry tokens; all the
-classic results used here come from that view:
+classic results used here come from that view, so none of them walks the
+reachability graph:
 
 * **liveness**: an MG is live iff every directed cycle carries >= 1 token
   (equivalently: the token-free subgraph is acyclic) [Commoner et al. 1971];
-* **safety** (1-boundedness): a live MG marking is safe iff every edge lies
-  on some cycle with token count exactly 1;
+* **token distance**: write δ(u, t) for the fewest tokens on a directed
+  path u -> t (δ(u, u) = 0).  Along any firing sequence from the initial
+  marking, ``#t - #u <= δ(u, t)`` (every edge of the path keeps a
+  non-negative marking), and in a live MG the maximum is attained;
+* **boundedness**: in a live MG the place of edge t -> u holds at most
+  ``M0 + δ(u, t)`` tokens, and that many in some reachable marking — the
+  minimum token count of the cycles through the edge; the place is
+  unbounded when u cannot reach t (:meth:`MarkedGraph.place_bounds`);
+* **safety** (1-boundedness): a live MG marking is therefore safe iff
+  every edge lies on some cycle with token count exactly 1;
 * **cycle time**: with transition delays, the steady-state cycle time is
   the maximum cycle ratio max_C sum(delay)/sum(tokens) — computed in
   :mod:`repro.petri.analysis`.
+
+Signal consistency of an STG follows from token distances too (see
+:meth:`repro.stg.stg.Stg.check_model`).  The reachability methods of
+:class:`~repro.petri.net.PetriNet` remain as an independent oracle for
+small nets in the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.petri.net import PetriNet
@@ -149,9 +164,66 @@ class MarkedGraph(PetriNet):
                     queue.append(target)
         return visited == len(self.transitions)
 
-    def is_safe(self, max_states: int = 100_000) -> bool:
-        """True iff no reachable marking exceeds one token per place."""
-        return self.is_bounded(bound=1, max_states=max_states)
+    def token_distances(self) -> dict[str, dict[str, int]]:
+        """δ(u, t), the fewest tokens on a directed path u -> t.
+
+        ``result[u]`` maps every transition reachable from ``u`` (``u``
+        itself included, at 0) to its token distance; one Dijkstra run
+        per source transition, since token counts are non-negative.
+        """
+        self.check_structure()
+        out: dict[str, list[tuple[str, int]]] = {
+            t: [] for t in self.transitions}
+        for place in self.places:
+            out[self.place_pre[place][0]].append(
+                (self.place_post[place][0],
+                 self.initial_marking.get(place, 0)))
+        distances: dict[str, dict[str, int]] = {}
+        for source in self.transitions:
+            settled: dict[str, int] = {}
+            heap = [(0, source)]
+            while heap:
+                distance, node = heapq.heappop(heap)
+                if node in settled:
+                    continue
+                settled[node] = distance
+                for target, tokens in out[node]:
+                    if target not in settled:
+                        heapq.heappush(heap, (distance + tokens, target))
+            distances[source] = settled
+        return distances
+
+    def place_bounds(self, distances: dict[str, dict[str, int]] | None = None,
+                     ) -> dict[str, int | None]:
+        """The most tokens each place holds over all reachable markings.
+
+        Exact for a *live* marked graph: ``M0 + δ(u, t)`` for the place of
+        edge t -> u, ``None`` (unbounded) when u cannot reach t.  Pass
+        precomputed :meth:`token_distances` to share them with other
+        checks.
+        """
+        if distances is None:
+            distances = self.token_distances()
+        bounds: dict[str, int | None] = {}
+        for place in self.places:
+            distance = distances[self.place_post[place][0]].get(
+                self.place_pre[place][0])
+            bounds[place] = (None if distance is None else
+                             self.initial_marking.get(place, 0) + distance)
+        return bounds
+
+    def is_safe(self) -> bool:
+        """True iff no reachable marking puts more than one token in a place.
+
+        Decided structurally (every place's :meth:`place_bounds` is at
+        most 1), which needs liveness: raises :class:`PetriError` on a
+        non-live graph.
+        """
+        if not self.is_live():
+            raise PetriError(
+                f"{self.name}: structural safety needs a live marked graph")
+        return all(bound is not None and bound <= 1
+                   for bound in self.place_bounds().values())
 
     def token_count_invariant(self) -> dict[frozenset[str], int]:
         """Token counts of the simple cycles through each transition pair.

@@ -100,6 +100,10 @@ class Stg(MarkedGraph):
         where it is 0) raises :class:`StgError`.  Also fails if two
         distinct signal vectors are observed for one marking (the marking
         does not determine the state).
+
+        The flow validates models with :meth:`check_model`, which decides
+        consistency structurally; this explicit-state walk stays as an
+        independent oracle for small nets in the test suite.
         """
         def freeze(marking: dict[str, int]) -> tuple[tuple[str, int], ...]:
             return tuple(sorted(marking.items()))
@@ -143,7 +147,7 @@ class Stg(MarkedGraph):
                         f"inconsistent STG {self.name}: marking reached with "
                         f"two different signal states")
 
-    def check_model(self, max_states: int = 100_000, bound: int = 2) -> None:
+    def check_model(self, bound: int = 2) -> None:
         """Full validation: marked-graph structure, liveness, boundedness
         and consistency — the properties ref [1] establishes for the
         composed de-synchronization model.
@@ -153,13 +157,54 @@ class Stg(MarkedGraph):
         maximally-reordered interleavings, so the default boundedness
         check allows two tokens per place (see
         :mod:`repro.stg.patterns`).
+
+        Every check is exact and polynomial, from the token distances of
+        :mod:`repro.petri.marked_graph` (no state-space exploration):
+        once the graph is live, each place's exact bound is
+        :meth:`~repro.petri.marked_graph.MarkedGraph.place_bounds`, and a
+        signal starting at 0 alternates iff δ(a-, a+) = 1 and
+        δ(a+, a-) = 0 (mirrored for a signal starting at 1).  Since the
+        firing counts of a live marked graph are determined by its
+        marking up to a constant per connected component, the marking
+        also determines the signal state.  Each signal must own exactly
+        one rising and one falling transition.
         """
         self.check_structure()
         if not self.is_live():
             raise StgError(f"STG {self.name} is not live (token-free cycle)")
-        if not self.is_bounded(bound=bound, max_states=max_states):
-            raise StgError(f"STG {self.name} is not {bound}-bounded")
-        self.check_consistency(max_states=max_states)
+        distances = self.token_distances()
+        for place, most in self.place_bounds(distances).items():
+            if most is None or most > bound:
+                raise StgError(f"STG {self.name} is not {bound}-bounded "
+                               f"(place {place})")
+        edges: dict[str, dict[str, list[str]]] = {
+            signal: {RISE: [], FALL: []} for signal in self.initial_values}
+        for transition in self.transitions:
+            signal, sign = self.signal_of(transition)
+            if signal not in edges:
+                raise StgError(f"transition {transition} on undeclared "
+                               f"signal {signal}")
+            edges[signal][sign].append(transition)
+        for signal, initial in self.initial_values.items():
+            rises, falls = edges[signal][RISE], edges[signal][FALL]
+            if len(rises) != 1 or len(falls) != 1:
+                raise StgError(
+                    f"STG {self.name}: signal {signal} has {len(rises)} "
+                    f"rising and {len(falls)} falling transitions (the "
+                    "model check needs exactly one of each)")
+            # ``lead`` fires first from the initial value; max(#x - #y)
+            # over all firing sequences is δ(y, x).
+            lead, trail = ((rises[0], falls[0]) if initial == 0
+                           else (falls[0], rises[0]))
+            ahead = distances[trail].get(lead)
+            if ahead is None or ahead > 1:
+                raise StgError(
+                    f"inconsistent STG {self.name}: {lead} can fire while "
+                    f"{signal}={1 - initial}")
+            if distances[lead].get(trail) != 0:
+                raise StgError(
+                    f"inconsistent STG {self.name}: {trail} can fire while "
+                    f"{signal}={initial}")
 
 
 def compose(components: list[Stg], name: str) -> Stg:

@@ -173,10 +173,6 @@ class TestOptionsValidation:
         with pytest.raises(OptionsError, match="sync_banks"):
             DesyncOptions(sync_banks="st0")
 
-    def test_bad_model_check_states_rejected(self):
-        with pytest.raises(OptionsError, match="model_check_states"):
-            DesyncOptions(model_check_states=0)
-
 
 # Five corpus configs per strategy (the feed-forward set for
 # per-register, which is structurally invalid on cyclic register
@@ -365,9 +361,13 @@ class TestSweepDriver:
                                                  variants=variants, seeds=(0,),
                                                  cycles=8)
         assert len(rows) == 6
-        assert set(summary) == {"cells", "statuses", "desync_engines",
-                                "fallback_reasons", "executor"}
+        assert set(summary) == {"cells", "statuses", "model_validated",
+                                "desync_engines", "fallback_reasons",
+                                "executor"}
         assert summary["cells"] == 6
+        # The serial and per-register models are checked wherever they
+        # build; the dlap variant turns its check off.
+        assert summary["model_validated"] == 3
         assert summary["executor"]["completed"] == 2  # one task per config
         assert sum(summary["statuses"].values()) == 6
         assert summary["statuses"]["ok"] >= 1

@@ -119,7 +119,7 @@ class TestFlowEquivalenceProperty:
         # serial mode restores equivalence.
         cycles = 16
         result = desynchronize(netlist, DesyncOptions(
-            mode=HandshakeMode.OVERLAP, validate_model=False))
+            mode=HandshakeMode.OVERLAP))
         violated = False
         try:
             report = check_flow_equivalence(result, cycles=cycles)
@@ -136,14 +136,14 @@ class TestFlowEquivalenceProperty:
                     report.divergences[:3])
         if violated:
             serial = desynchronize(netlist, DesyncOptions(
-                mode=HandshakeMode.SERIAL, validate_model=False))
+                mode=HandshakeMode.SERIAL))
             check_flow_equivalence(serial, cycles=12).assert_ok()
 
     @given(random_sync_circuits())
     @settings(max_examples=6, deadline=None)
     def test_serial_mode(self, netlist):
         result = desynchronize(netlist, DesyncOptions(
-            mode=HandshakeMode.SERIAL, validate_model=False))
+            mode=HandshakeMode.SERIAL))
         report = check_flow_equivalence(result, cycles=12)
         assert report.equivalent, report.divergences[:3]
 
@@ -166,7 +166,7 @@ class TestFlowEquivalenceProperty:
         netlist.validate()
         cycles = 16
         result = desynchronize(netlist, DesyncOptions(
-            mode=HandshakeMode.OVERLAP, validate_model=False))
+            mode=HandshakeMode.OVERLAP))
         report = check_flow_equivalence(result, cycles=cycles)
         # The race is deterministic today; if a flow change makes this
         # circuit equivalent, pick a new witness rather than letting the

@@ -136,8 +136,7 @@ class TestEnvironmentDomain:
         # inputs fan out to several controller domains that share no
         # fabric edge, so only environment tokens keep them in step.
         result = desynchronize(generate(config),
-                               DesyncOptions(mode=HandshakeMode.SERIAL,
-                                             validate_model=False))
+                               DesyncOptions(mode=HandshakeMode.SERIAL))
         reports = check_flow_equivalence_batch(result, seeds=(0, 1, 2),
                                                cycles=10)
         for seed, report in reports.items():
