@@ -4,10 +4,11 @@ CI arms the tracer (``REPRO_TRACE=<path>``) on the pipeline smoke sweep
 and then runs this validator on the resulting file: the trace must be
 valid JSON in the Chrome trace-event envelope, non-empty, and carry the
 spans the instrumentation promises — per-pass spans from
-``run_pipeline``, per-cell spans from ``sweep_pipelines``, and at least
-one per-engine simulator span.  A refactor that silently disconnects
-the tracer from any of those layers fails the build here instead of
-producing an empty-but-loadable artifact.
+``run_pipeline``, model-check and cycle-time spans, per-cell spans from
+``sweep_pipelines``, and at least one per-engine simulator span.  A
+refactor that silently disconnects the tracer from any of those layers
+fails the build here instead of producing an empty-but-loadable
+artifact.
 
 Run:  PYTHONPATH=src python benchmarks/check_trace.py <trace.json>
 """
@@ -21,6 +22,7 @@ import sys
 #: by layer.
 REQUIRED_PREFIXES = {
     "pipeline passes": "pass:",
+    "model analysis": "model:",
     "sweep cells": "sweep:cell",
     "equivalence checks": "equiv:",
     "simulator engines": "sim:",

@@ -57,7 +57,7 @@ def dlap_controller_count(stages: int) -> int:
 
 def dlap_model(latched: "Netlist",
                banks: dict[str, "LatchBank"] | None = None,
-               adjacency: set[tuple[str, str]] | None = None,
+               adjacency: frozenset[tuple[str, str]] | None = None,
                delay_fn: Callable[[str, str], float] | None = None,
                controller_delay: float = 0.0) -> Stg:
     """The DLAP model of an arbitrary latchified netlist.

@@ -77,7 +77,7 @@ def nonoverlap_pipeline(names: list[str],
 
 def nonoverlap_model(latched: "Netlist",
                      banks: dict[str, "LatchBank"] | None = None,
-                     adjacency: set[tuple[str, str]] | None = None,
+                     adjacency: frozenset[tuple[str, str]] | None = None,
                      delay_fn: Callable[[str, str], float] | None = None,
                      controller_delay: float = 0.0) -> Stg:
     """The non-overlapping model of an arbitrary latchified netlist.

@@ -30,7 +30,12 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.netlist.core import Instance, Netlist, iter_register_banks
+from repro.netlist.core import (
+    Instance,
+    Netlist,
+    iter_register_banks,
+    sequential_fanin,
+)
 from repro.utils.errors import DesyncError
 
 
@@ -63,8 +68,8 @@ class Clustering:
     """Clusters plus their acyclic adjacency."""
 
     clusters: dict[str, Cluster]
-    edges: set[tuple[str, str]]          # inter-cluster, acyclic
-    register_edges: set[tuple[str, str]]  # original register-level pairs
+    edges: frozenset[tuple[str, str]]           # inter-cluster, acyclic
+    register_edges: frozenset[tuple[str, str]]  # register-level pairs
     cluster_of: dict[str, str]           # register name -> cluster name
 
     def predecessors(self, bank: str) -> list[str]:
@@ -89,45 +94,34 @@ class Clustering:
 
 def register_level_edges(netlist: Netlist,
                          ) -> tuple[dict[str, list[Instance]],
-                                    set[tuple[str, str]]]:
+                                    frozenset[tuple[str, str]]]:
     """Register banks of a flip-flop netlist and their dataflow edges.
 
     An edge ``(p, s)`` means some flip-flop output of register bank ``p``
     reaches a flip-flop D input of bank ``s`` through combinational
-    logic (self-edges included).
+    logic (self-edges included).  Derived once per netlist state
+    (:meth:`~repro.netlist.core.Netlist.memo`): every caller shares the
+    same banks dict, which must only be read.
     """
+    return netlist.memo("register_edges",
+                        lambda: _register_level_edges(netlist))
+
+
+def _register_level_edges(netlist: Netlist):
     banks = {name: insts for name, insts in iter_register_banks(netlist)}
     if not banks:
         raise DesyncError(f"{netlist.name} has no registers")
     bank_of = {inst.name: bank
                for bank, insts in banks.items() for inst in insts}
-    edges: set[tuple[str, str]] = set()
-    for bank, instances in banks.items():
-        for ff in instances:
-            for source in _sequential_fanin(netlist, ff):
-                edges.add((bank_of[source.name], bank))
+    edges = frozenset((bank_of[source.name], bank)
+                      for bank, instances in banks.items()
+                      for ff in instances
+                      for source in sequential_fanin(ff))
     return banks, edges
 
 
-def _sequential_fanin(netlist: Netlist, ff: Instance) -> list[Instance]:
-    sources: list[Instance] = []
-    seen: set[str] = set()
-    stack = [ff.data_net()]
-    while stack:
-        net = stack.pop()
-        driver = net.driver_instance()
-        if driver is None or driver.name in seen:
-            continue
-        seen.add(driver.name)
-        if driver.is_sequential:
-            sources.append(driver)
-        elif driver.is_combinational or driver.is_celement:
-            stack.extend(driver.input_nets())
-    return sources
-
-
 def clustering_from_partition(banks: dict[str, list[Instance]],
-                              reg_edges: set[tuple[str, str]],
+                              reg_edges: frozenset[tuple[str, str]],
                               components: list[list[str]],
                               require_acyclic: bool = True) -> Clustering:
     """Build a :class:`Clustering` from a partition of the register banks.
@@ -175,12 +169,14 @@ def clustering_from_partition(banks: dict[str, list[Instance]],
                 "clustering produces a cyclic controller graph "
                 f"({path}); mutually-reachable registers must share a "
                 "controller (use the 'scc' strategy or merge the banks)")
-    return Clustering(clusters=clusters, edges=edges,
-                      register_edges=reg_edges, cluster_of=cluster_of)
+    return Clustering(clusters=clusters, edges=frozenset(edges),
+                      register_edges=frozenset(reg_edges),
+                      cluster_of=cluster_of)
 
 
 def _scc_components(banks: dict[str, list[Instance]],
-                    reg_edges: set[tuple[str, str]]) -> list[list[str]]:
+                    reg_edges: frozenset[tuple[str, str]],
+                    ) -> list[list[str]]:
     graph = nx.DiGraph()
     graph.add_nodes_from(banks)
     graph.add_edges_from(reg_edges)
@@ -289,6 +285,8 @@ def cluster_registers(netlist: Netlist, strategy: str = "scc",
     ``strategy`` selects an entry of :data:`CLUSTERING_STRATEGIES`;
     ``cap`` is forwarded to the size-capped strategies.  The default is
     the SCC clustering (the historical behaviour of this function).
+    Memoized on ``netlist`` per strategy and cap, so the returned
+    :class:`Clustering` is shared and must only be read.
     """
     try:
         builder = CLUSTERING_STRATEGIES[strategy]
@@ -300,8 +298,10 @@ def cluster_registers(netlist: Netlist, strategy: str = "scc",
         if "cap" not in inspect.signature(builder).parameters:
             raise DesyncError(
                 f"clustering strategy {strategy!r} does not take a size cap")
-        return builder(netlist, cap=cap)
-    return builder(netlist)
+    return netlist.memo(
+        ("cluster", builder, cap),
+        lambda: builder(netlist) if cap is None
+        else builder(netlist, cap=cap))
 
 
 def cluster_stage_delays(timing_max: dict[tuple[str, str], float],

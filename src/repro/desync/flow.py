@@ -45,7 +45,12 @@ from repro.desync.network import (
 from repro.netlist.core import Netlist
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.petri.simulate import simulate
-from repro.stg.desync_model import build_model, extract_banks, latch_adjacency
+from repro.stg.desync_model import (
+    LatchBank,
+    build_model,
+    extract_banks,
+    latch_adjacency,
+)
 from repro.stg.stg import Stg
 from repro.timing.delays import DEFAULT_MARGIN
 from repro.timing.sta import DEFAULT_SETUP, DEFAULT_SKEW, TimingResult, analyze
@@ -230,13 +235,8 @@ class DesyncResult:
         under relative-timing assumptions); the constructed fabric is its
         clustered refinement.
         """
-        banks = extract_banks(self.latched)
-        adjacency = latch_adjacency(self.latched, banks)
-        latch_timing = analyze(self.latched,
-                               banks={name: bank.instances
-                                      for name, bank in banks.items()},
-                               setup=self.options.setup,
-                               skew=self.options.skew)
+        banks, adjacency, latch_timing = latch_analysis(
+            self.latched, setup=self.options.setup, skew=self.options.skew)
 
         def delay_fn(pred: str, succ: str) -> float:
             if not timed:
@@ -350,6 +350,26 @@ class DesyncResult:
                             f"({len(island.registers)} registers kept "
                             "synchronous)")
         return "\n".join(lines)
+
+
+def latch_analysis(latched: Netlist, setup: float = DEFAULT_SETUP,
+                   skew: float = DEFAULT_SKEW,
+                   ) -> tuple[dict[str, LatchBank],
+                              frozenset[tuple[str, str]], TimingResult]:
+    """Controller banks, bank adjacency and bank-to-bank STA of a latch
+    netlist: the inputs of every per-latch model (the paper's Figure-4
+    model in :meth:`DesyncResult.spec_model` and the baselines of
+    :class:`repro.desync.pipeline.BaselineModelPass`).
+
+    All three are memoized on ``latched``, so the models built on one
+    latch netlist share them; callers must only read them.
+    """
+    def structure():
+        banks = extract_banks(latched)
+        return banks, latch_adjacency(latched, banks)
+
+    banks, adjacency = latched.memo("latch_banks", structure)
+    return banks, adjacency, analyze(latched, setup=setup, skew=skew)
 
 
 def desynchronize(netlist: Netlist,

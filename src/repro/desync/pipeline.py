@@ -53,20 +53,15 @@ from repro.desync.clustering import (
     clustering_from_partition,
     register_level_edges,
 )
-from repro.desync.flow import DesyncOptions, DesyncResult
+from repro.desync.flow import DesyncOptions, DesyncResult, latch_analysis
 from repro.desync.latchify import latchify
 from repro.desync.network import DesyncNetwork, HandshakeMode, build_network
-from repro.netlist.core import (
-    Netlist,
-    install_shared_memo,
-    iter_register_banks,
-)
+from repro.netlist.core import Netlist, install_shared_memo
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_ENV, TRACER
 from repro.sim.lanes import resolve_lanes
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.stg.cluster_model import fabric_model
-from repro.stg.desync_model import extract_banks, latch_adjacency
 from repro.stg.stg import Stg
 from repro.timing.sta import INPUTS as STA_INPUTS
 from repro.timing.sta import TimingResult, analyze
@@ -279,11 +274,8 @@ class MatchedDelayPass(Pass):
     def run(self, ctx: FlowContext) -> dict[str, object]:
         ctx.require(clustering=ctx.clustering)
         opts = ctx.options
-        register_banks = {
-            name: instances
-            for name, instances in iter_register_banks(ctx.sync_netlist)}
-        ctx.timing = analyze(ctx.sync_netlist, banks=register_banks,
-                             setup=opts.setup, skew=opts.skew)
+        ctx.timing = analyze(ctx.sync_netlist, setup=opts.setup,
+                             skew=opts.skew)
         ctx.stage_max, ctx.stage_min = cluster_stage_delays(
             ctx.timing.max_delay, ctx.timing.min_delay, ctx.clustering)
         # Worst primary-input-to-D delay per input-fed cluster, for the
@@ -319,7 +311,8 @@ class LatchifyPass(Pass):
     name = "latchify"
 
     def run(self, ctx: FlowContext) -> dict[str, object]:
-        ctx.latched = latchify(ctx.sync_netlist)
+        ctx.latched = ctx.sync_netlist.memo(
+            "latchify", lambda: latchify(ctx.sync_netlist))
         return {"latches": len(ctx.latched.latch_instances())}
 
 
@@ -376,12 +369,8 @@ class BaselineModelPass(Pass):
 
         ctx.require(latched=ctx.latched)
         opts = ctx.options
-        banks = extract_banks(ctx.latched)
-        adjacency = latch_adjacency(ctx.latched, banks)
-        latch_timing = analyze(ctx.latched,
-                               banks={name: bank.instances
-                                      for name, bank in banks.items()},
-                               setup=opts.setup, skew=opts.skew)
+        banks, adjacency, latch_timing = latch_analysis(
+            ctx.latched, setup=opts.setup, skew=opts.skew)
 
         def delay_fn(pred: str, succ: str) -> float:
             return latch_timing.max_delay.get((pred, succ), 0.0)

@@ -31,6 +31,10 @@ from repro.utils.naming import NameScope
 #: :func:`install_shared_memo`.
 _SHARED_MEMO: dict | None = None
 
+#: Cache-miss marker of :meth:`Netlist.memo`, so a computed ``None`` is
+#: a hit like any other value.
+_MISS = object()
+
 
 def install_shared_memo(cache: dict | None) -> dict | None:
     """Install (or, with ``None``, remove) the process-global compile
@@ -144,12 +148,14 @@ class Netlist:
 
     Structural queries that every simulator construction repeats
     (:meth:`topo_order_comb_only`, :meth:`dff_instances`,
-    :meth:`latch_instances`, :meth:`comb_instances`) are cached and
-    invalidated by the mutating builder calls (:meth:`add`,
+    :meth:`latch_instances`, :meth:`comb_instances`), a passing
+    :meth:`validate` and the flow analyses parked in :meth:`memo` are
+    cached and invalidated by the mutating builder calls (:meth:`net`
+    creating a net, :meth:`add_input`, :meth:`add_output`, :meth:`add`,
     :meth:`connect`).  Code that mutates structure *directly* — editing
-    ``Net.driver``/``Net.sinks`` or ``Instance.pins`` without going
-    through ``connect`` — must call :meth:`invalidate_query_caches`
-    afterwards.
+    ``Net.driver``/``Net.sinks``, ``Instance.pins`` or ``clock``
+    without going through the builder — must call
+    :meth:`invalidate_query_caches` afterwards.
     """
 
     def __init__(self, name: str, library: Library | None = None):
@@ -176,7 +182,8 @@ class Netlist:
         park per-netlist compilation artifacts here — e.g. the vector
         simulator's generated evaluation functions — without their own
         invalidation plumbing.  The value is returned as stored: share
-        only immutable (or never-mutated) values.
+        only immutable (or never-mutated) values.  Any value counts as a
+        hit once computed, ``None`` included.
 
         With ``shared=True`` a local miss additionally consults the
         process-global cache installed by :func:`install_shared_memo`,
@@ -188,15 +195,15 @@ class Netlist:
         values holding :class:`Instance`/:class:`Net` objects must stay
         per-netlist.
         """
-        hit = self._query_cache.get(key)
-        if hit is not None:
+        hit = self._query_cache.get(key, _MISS)
+        if hit is not _MISS:
             if _TRACER.enabled:
                 _TRACER.count("netlist.memo_hits")
             return hit
         if shared and _SHARED_MEMO is not None:
             shared_key = (self.fingerprint(), key)
-            hit = _SHARED_MEMO.get(shared_key)
-            if hit is None:
+            hit = _SHARED_MEMO.get(shared_key, _MISS)
+            if hit is _MISS:
                 hit = compute()
                 _SHARED_MEMO[shared_key] = hit
                 if _TRACER.enabled:
@@ -259,6 +266,7 @@ class Netlist:
         created = Net(name)
         self.nets[name] = created
         self._net_scope.reserve(name)
+        self._query_cache.clear()
         return created
 
     def new_net(self, base: str) -> Net:
@@ -276,6 +284,7 @@ class Netlist:
         self.inputs.append(name)
         if clock:
             self.clock = name
+        self._query_cache.clear()
         return net
 
     def add_output(self, name: str) -> Net:
@@ -285,6 +294,7 @@ class Netlist:
             raise NetlistError(f"duplicate output port {name}")
         net.is_output_port = True
         self.outputs.append(name)
+        self._query_cache.clear()
         return net
 
     def add(self, cell: str | Cell, name: str | None = None,
@@ -384,7 +394,14 @@ class Netlist:
             if i.cell.kind in (CellKind.LATCH_HIGH, CellKind.LATCH_LOW)))
 
     def validate(self) -> None:
-        """Check structural sanity; raises :class:`NetlistError` on failure."""
+        """Check structural sanity; raises :class:`NetlistError` on failure.
+
+        A pass is memoized until the next mutation, so the flow can
+        re-validate its input on every run for free.
+        """
+        self.memo("validated", self._check_structure)
+
+    def _check_structure(self) -> None:
         for net in self.nets.values():
             if net.driver is None and not net.is_input_port:
                 if net.fanout:
@@ -490,6 +507,25 @@ def clone(netlist: Netlist, name: str | None = None) -> Netlist:
     for port in netlist.outputs:
         copy.add_output(port)
     return copy
+
+
+def sequential_fanin(inst: Instance) -> list[Instance]:
+    """Sequential instances whose outputs reach the D input of ``inst``
+    through combinational logic (or directly)."""
+    sources: list[Instance] = []
+    seen: set[str] = set()
+    stack = [inst.data_net()]
+    while stack:
+        net = stack.pop()
+        driver = net.driver_instance()
+        if driver is None or driver.name in seen:
+            continue
+        seen.add(driver.name)
+        if driver.is_sequential:
+            sources.append(driver)
+        elif driver.is_combinational or driver.is_celement:
+            stack.extend(driver.input_nets())
+    return sources
 
 
 def iter_register_banks(netlist: Netlist) -> Iterator[tuple[str, list[Instance]]]:

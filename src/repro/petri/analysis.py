@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.obs.trace import TRACER
 from repro.petri.marked_graph import MarkedGraph, MgEdge
 from repro.utils.errors import PetriError
 
@@ -173,8 +174,16 @@ def cycle_time(graph: MarkedGraph) -> CycleTimeResult:
     Raises :class:`PetriError` if the graph has a token-free cycle (not
     live — the ratio would be infinite).  A graph with no cycle of
     positive delay (a finite pipeline with no feedback, or zero-delay
-    feedback) has period 0.
+    feedback) has period 0.  Traced as a ``model:cycle_time`` span.
     """
+    with TRACER.span("model:cycle_time", graph=graph.name,
+                     transitions=len(graph.transitions)) as span:
+        result = _cycle_time(graph)
+        span.set(cycle_time=result.cycle_time)
+    return result
+
+
+def _cycle_time(graph: MarkedGraph) -> CycleTimeResult:
     graph.check_structure()
     if not graph.is_live():
         raise PetriError(

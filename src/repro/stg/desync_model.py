@@ -18,7 +18,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.netlist.cells import CellKind
-from repro.netlist.core import Instance, Netlist, iter_register_banks
+from repro.netlist.core import (
+    Instance,
+    Netlist,
+    iter_register_banks,
+    sequential_fanin,
+)
 from repro.stg.patterns import Parity, add_latch_cycle, add_pair_arcs
 from repro.stg.stg import Stg
 from repro.utils.errors import DesyncError
@@ -70,7 +75,8 @@ def extract_banks(netlist: Netlist) -> dict[str, LatchBank]:
 
 
 def latch_adjacency(netlist: Netlist,
-                    banks: dict[str, LatchBank]) -> set[tuple[str, str]]:
+                    banks: dict[str, LatchBank],
+                    ) -> frozenset[tuple[str, str]]:
     """Bank-level data adjacency: ``(pred, succ)`` pairs such that some
     latch output in ``pred`` reaches a latch D input in ``succ`` through
     combinational logic (or directly)."""
@@ -81,7 +87,7 @@ def latch_adjacency(netlist: Netlist,
     pairs: set[tuple[str, str]] = set()
     for bank in banks.values():
         for latch in bank.instances:
-            for source in _sequential_fanin(netlist, latch):
+            for source in sequential_fanin(latch):
                 pred = bank_of[source.name]
                 if pred != bank.name:
                     pairs.add((pred, bank.name))
@@ -90,32 +96,14 @@ def latch_adjacency(netlist: Netlist,
                         f"latch bank {bank.name} feeds itself combinationally "
                         "(a latch must not drive its own D input without "
                         "passing through the opposite phase)")
-    return pairs
-
-
-def _sequential_fanin(netlist: Netlist, latch: Instance) -> list[Instance]:
-    """Sequential instances whose outputs reach ``latch``'s D input."""
-    sources: list[Instance] = []
-    seen: set[str] = set()
-    stack = [latch.data_net()]
-    while stack:
-        net = stack.pop()
-        driver = net.driver_instance()
-        if driver is None or driver.name in seen:
-            continue
-        seen.add(driver.name)
-        if driver.is_sequential:
-            sources.append(driver)
-        elif driver.is_combinational or driver.is_celement:
-            stack.extend(driver.input_nets())
-    return sources
+    return frozenset(pairs)
 
 
 def build_model(netlist: Netlist,
                 delay_fn: Callable[[str, str], float] | None = None,
                 controller_delay: float | Callable[[str], float] = 0.0,
                 banks: dict[str, LatchBank] | None = None,
-                adjacency: set[tuple[str, str]] | None = None,
+                adjacency: frozenset[tuple[str, str]] | None = None,
                 decoupled: bool = False) -> Stg:
     """Compose the de-synchronization marked graph for ``netlist``.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.trace import TRACER
 from repro.petri.marked_graph import MarkedGraph
 from repro.utils.errors import StgError
 
@@ -167,8 +168,14 @@ class Stg(MarkedGraph):
         firing counts of a live marked graph are determined by its
         marking up to a constant per connected component, the marking
         also determines the signal state.  Each signal must own exactly
-        one rising and one falling transition.
+        one rising and one falling transition.  Traced as a
+        ``model:check`` span.
         """
+        with TRACER.span("model:check", stg=self.name,
+                         transitions=len(self.transitions)):
+            self._check_model(bound)
+
+    def _check_model(self, bound: int) -> None:
         self.check_structure()
         if not self.is_live():
             raise StgError(f"STG {self.name} is not live (token-free cycle)")

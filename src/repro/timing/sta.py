@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.netlist.core import Instance, Net, Netlist
+from repro.netlist.core import Instance, Net, Netlist, iter_register_banks
 from repro.utils.errors import TimingError
 
 # Default sequential overheads in ps (library-calibrated): the DFF cell
@@ -93,19 +93,25 @@ class TimingResult:
 
 
 def analyze(netlist: Netlist,
-            banks: dict[str, list[Instance]] | None = None,
             setup: float = DEFAULT_SETUP,
             skew: float = DEFAULT_SKEW) -> TimingResult:
     """Compute bank-to-bank combinational stage delays for ``netlist``.
 
-    ``banks`` maps bank name to its sequential instances; by default
-    banks follow :func:`repro.netlist.core.iter_register_banks`.  Primary
+    Banks follow :func:`repro.netlist.core.iter_register_banks`.  Primary
     inputs and outputs appear as the pseudo-banks ``<inputs>`` and
     ``<outputs>``.
+
+    The result is memoized on ``netlist`` per ``(setup, skew)``
+    (:meth:`~repro.netlist.core.Netlist.memo`), so every flow run on one
+    netlist shares one :class:`TimingResult`, which callers must only
+    read.
     """
-    if banks is None:
-        from repro.netlist.core import iter_register_banks
-        banks = {name: insts for name, insts in iter_register_banks(netlist)}
+    return netlist.memo(("sta", setup, skew), lambda: _analyze(
+        netlist, dict(iter_register_banks(netlist)), setup, skew))
+
+
+def _analyze(netlist: Netlist, banks: dict[str, list[Instance]],
+             setup: float, skew: float) -> TimingResult:
     seq_instances = [inst for insts in banks.values() for inst in insts]
     if not seq_instances:
         raise TimingError(f"{netlist.name} has no sequential elements")

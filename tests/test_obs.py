@@ -170,6 +170,22 @@ class TestInstrumentation:
                         if event["name"] == "pipeline:desync")
         assert all(pipeline["ts"] <= p["ts"] for p in passes)
 
+    def test_model_analysis_spans(self, global_trace):
+        ctx = run_pipeline(generate("pipe4x1"))
+        ctx.desync_cycle_time()
+        events = global_trace.events()
+        network = next(event for event in events
+                       if event["name"] == "pass:controller-network")
+        check = next(event for event in events
+                     if event["name"] == "model:check")
+        # The model check is its own span, nested in the pass it runs in.
+        assert network["ts"] <= check["ts"]
+        assert check["ts"] + check["dur"] <= network["ts"] + network["dur"]
+        cycle = next(event for event in events
+                     if event["name"] == "model:cycle_time")
+        assert cycle["args"]["cycle_time"] == \
+            ctx.desync_cycle_time().cycle_time
+
     def test_equivalence_check_spans(self, global_trace):
         result = desynchronize(generate("pipe4x1"),
                                DesyncOptions(mode=HandshakeMode.SERIAL))
@@ -491,19 +507,21 @@ class TestSharedCompileMemo:
     def test_shared_memo_reuses_across_identical_netlists(self):
         from repro.corpus import fir_filter
         from repro.netlist import install_shared_memo
-        calls = []
-        previous = install_shared_memo({})
-        try:
-            one = fir_filter(taps=5).memo(
-                "artifact", lambda: calls.append(1) or "compiled",
-                shared=True)
-            two = fir_filter(taps=5).memo(
-                "artifact", lambda: calls.append(2) or "recompiled",
-                shared=True)
-        finally:
-            install_shared_memo(previous)
-        assert one == two == "compiled"
-        assert calls == [1]  # the second netlist hit the shared cache
+        # ``None`` is a value like any other, not a miss.
+        for value in ("compiled", None):
+            calls = []
+            previous = install_shared_memo({})
+            try:
+                one = fir_filter(taps=5).memo(
+                    "artifact", lambda: calls.append(1) or value,
+                    shared=True)
+                two = fir_filter(taps=5).memo(
+                    "artifact", lambda: calls.append(2) or "recompiled",
+                    shared=True)
+            finally:
+                install_shared_memo(previous)
+            assert one == two == value
+            assert calls == [1]  # the second netlist hit the shared cache
 
     def test_unshared_memo_stays_per_netlist(self):
         from repro.corpus import fir_filter
