@@ -56,7 +56,7 @@ from repro.desync.clustering import (
 from repro.desync.flow import DesyncOptions, DesyncResult, latch_analysis
 from repro.desync.latchify import latchify
 from repro.desync.network import DesyncNetwork, HandshakeMode, build_network
-from repro.netlist.core import Netlist, install_shared_memo
+from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_ENV, TRACER
 from repro.sim.lanes import resolve_lanes
@@ -635,11 +635,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     The grid runs on :func:`repro.jobs.run_grid`, one task per config.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
     workers share the configs; at one worker, with no cell timeout and
-    no job dir, the configs run in this process.  Pool workers reuse
-    compiled artifacts through the fingerprint-keyed shared memo
-    (:func:`repro.netlist.install_shared_memo`) and record their own
-    ``sweep:cell`` spans, which this process ingests as per-worker trace
-    tracks; their metric counters are folded into this process's
+    no job dir, the configs run in this process.  Pool workers record
+    their own ``sweep:cell`` spans, which this process ingests as
+    per-worker trace tracks; their metric counters are folded into this process's
     registry, so rows, summary and metrics equal the in-process run's
     (only the wall-time ``build_ms``/``verify_ms`` fields differ).  A
     config that outlives ``REPRO_CELL_TIMEOUT`` or crashes its worker is
@@ -800,17 +798,14 @@ _POOL_WORKER = False
 
 
 def _sweep_worker_init(tracing: bool = False) -> None:
-    """Per-worker setup: sever inherited trace state, arm in-memory
-    tracing when the parent traces, and install the fingerprint-keyed
-    shared compile cache so every cell of every config this worker
-    processes reuses compiled simulator artifacts."""
+    """Per-worker setup: sever inherited trace state and arm in-memory
+    tracing when the parent traces."""
     global _POOL_WORKER
     _POOL_WORKER = True
     os.environ.pop(TRACE_ENV, None)
     TRACER.disarm()
     if tracing:
         TRACER.start()
-    install_shared_memo({})
 
 
 def _counter_values() -> dict[str, int | float]:

@@ -174,11 +174,9 @@ _RESULT_CACHE: dict[str, object] = {}
 
 
 def _campaign_worker_init() -> None:
-    from repro.netlist import install_shared_memo
     from repro.obs.trace import TRACE_ENV
     os.environ.pop(TRACE_ENV, None)
     TRACER.disarm()
-    install_shared_memo({})
     _RESULT_CACHE.clear()
 
 
@@ -221,6 +219,7 @@ def _check(result, cycles: int, seed: int, delay_model=None):
     stimulus = random_stimulus(result.sync_netlist, cycles, seed)
     return check_flow_equivalence(result, cycles=cycles,
                                   inputs_per_cycle=stimulus,
+                                  backend="compiled",
                                   delay_model=delay_model)
 
 

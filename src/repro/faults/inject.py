@@ -27,6 +27,12 @@ waveform: X pulses straddling real transitions (the conservative model
 of a near-threshold transient), pulse swallows (a short-to-ground
 across an entire high phase, which loses the handshake token), and
 premature pulses ahead of natural rises (racing data still in flight).
+One clean run per fabric records every handshake net, so all glitch
+sites of a config are planned from the same profile.
+
+Every simulation here runs on the compiled engine
+(:class:`~repro.sim.compiled.CompiledSimulator`), which carries the
+interpreter's fault hooks event for event.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import random
 from dataclasses import dataclass
 
 from repro.equiv.flow_equivalence import check_flow_equivalence
-from repro.sim.simulator import INVERT, EventSimulator
+from repro.sim.backends import make_simulator
+from repro.sim.simulator import INVERT
 from repro.utils.errors import (
     FaultCampaignError,
     FlowEquivalenceError,
@@ -95,7 +102,12 @@ def control_nets(netlist, prefixes: tuple[str, ...] = CONTROL_PREFIXES,
     interface, and are excluded from the fault model.
     """
     return sorted(name for name in netlist.nets
-                  if name.startswith(prefixes) and "/" not in name)
+                  if _is_protocol_wire(name, prefixes))
+
+
+def _is_protocol_wire(name: str,
+                      prefixes: tuple[str, ...] = CONTROL_PREFIXES) -> bool:
+    return name.startswith(prefixes) and "/" not in name
 
 
 def sample_control_nets(netlist, max_sites: int, seed: int = 0,
@@ -123,6 +135,19 @@ def _gate_delay(netlist) -> float:
     return max(cell.delay for cell in netlist.library.cells.values())
 
 
+def _clean_run(result, nets: list[str], cycles: int,
+               ) -> tuple[dict[str, list[tuple[float, float | None]]],
+                          float]:
+    """Histories of ``nets`` in one unperturbed run, and the deadline."""
+    period = result.desync_cycle_time().cycle_time
+    sim = make_simulator(result.desync_netlist, "compiled", record=nets)
+    sim.run(cycles * period + period)
+    complete = [bank[cycles - 1].time for bank in sim.captures.values()
+                if len(bank) >= cycles]
+    deadline = min(complete) if complete else cycles * period
+    return sim.history, deadline
+
+
 def profile_net(result, net: str, cycles: int,
                 ) -> tuple[list[tuple[float, float | None]], float]:
     """Clean-run waveform of ``net`` and the detection deadline.
@@ -132,14 +157,21 @@ def profile_net(result, net: str, cycles: int,
     the net's ``(time, value)`` history and the earliest time the
     compared capture streams are complete — an injection after the
     deadline cannot influence the checked prefix.
+
+    The clean run does not depend on the net, so one run per fabric and
+    ``cycles`` records every handshake net (:func:`control_nets`) and is
+    memoized on the de-synchronized netlist; recording is passive, so
+    each history equals that of a run recording the net alone.  Any
+    other net gets a run of its own.
     """
-    period = result.desync_cycle_time().cycle_time
-    sim = EventSimulator(result.desync_netlist, record=[net])
-    sim.run(cycles * period + period)
-    complete = [bank[cycles - 1].time for bank in sim.captures.values()
-                if len(bank) >= cycles]
-    deadline = min(complete) if complete else cycles * period
-    return list(sim.history[net]), deadline
+    netlist = result.desync_netlist
+    if _is_protocol_wire(net):
+        histories, deadline = netlist.memo(
+            ("fault-profile", cycles),
+            lambda: _clean_run(result, control_nets(netlist), cycles))
+    else:
+        histories, deadline = _clean_run(result, [net], cycles)
+    return list(histories.get(net, ())), deadline
 
 
 def glitch_trials(history, deadline: float, gate: float,
@@ -194,6 +226,7 @@ def _classify(result, cycles, stimulus, arm, delay_model=None) -> str | None:
     try:
         report = check_flow_equivalence(result, cycles=cycles,
                                         inputs_per_cycle=stimulus,
+                                        backend="compiled",
                                         delay_model=delay_model, arm=arm)
     except FlowEquivalenceError as exc:
         return f"stall: {exc}"[:160]

@@ -13,7 +13,6 @@ from repro.netlist.core import (
     Net,
     Netlist,
     clone,
-    install_shared_memo,
     iter_register_banks,
 )
 from repro.netlist.dot import netlist_to_dot
@@ -30,7 +29,6 @@ __all__ = [
     "Net",
     "Netlist",
     "clone",
-    "install_shared_memo",
     "iter_register_banks",
     "netlist_to_dot",
     "NetlistStats",

@@ -27,31 +27,9 @@ from repro.obs.trace import TRACER as _TRACER
 from repro.utils.errors import NetlistError
 from repro.utils.naming import NameScope
 
-#: Process-global cross-netlist artifact cache; see
-#: :func:`install_shared_memo`.
-_SHARED_MEMO: dict | None = None
-
 #: Cache-miss marker of :meth:`Netlist.memo`, so a computed ``None`` is
 #: a hit like any other value.
 _MISS = object()
-
-
-def install_shared_memo(cache: dict | None) -> dict | None:
-    """Install (or, with ``None``, remove) the process-global compile
-    cache consulted by :meth:`Netlist.memo` calls made with
-    ``shared=True``.
-
-    Entries are keyed ``(netlist.fingerprint(), memo_key)``, so distinct
-    :class:`Netlist` objects with identical structure — the same corpus
-    config regenerated in every sweep cell, or in every cell a sweep
-    *worker* processes — share one compiled artifact instead of
-    recompiling per object.  Returns the previously installed cache (so
-    callers can restore it).
-    """
-    global _SHARED_MEMO
-    previous = _SHARED_MEMO
-    _SHARED_MEMO = cache
-    return previous
 
 
 @dataclass
@@ -174,7 +152,7 @@ class Netlist:
         """Drop cached structural queries after a direct mutation."""
         self._query_cache.clear()
 
-    def memo(self, key, compute, shared: bool = False):
+    def memo(self, key, compute):
         """Memoize a structure-derived value in the query cache.
 
         Invalidated together with the structural queries (any ``add``/
@@ -184,33 +162,11 @@ class Netlist:
         invalidation plumbing.  The value is returned as stored: share
         only immutable (or never-mutated) values.  Any value counts as a
         hit once computed, ``None`` included.
-
-        With ``shared=True`` a local miss additionally consults the
-        process-global cache installed by :func:`install_shared_memo`,
-        keyed by ``(fingerprint(), key)`` — so *structurally identical*
-        netlist objects (e.g. the same corpus config regenerated per
-        sweep cell) reuse one compiled artifact.  Only pass
-        ``shared=True`` for values that reference the netlist purely
-        through structure-derived data (slot indices, generated source);
-        values holding :class:`Instance`/:class:`Net` objects must stay
-        per-netlist.
         """
         hit = self._query_cache.get(key, _MISS)
         if hit is not _MISS:
             if _TRACER.enabled:
                 _TRACER.count("netlist.memo_hits")
-            return hit
-        if shared and _SHARED_MEMO is not None:
-            shared_key = (self.fingerprint(), key)
-            hit = _SHARED_MEMO.get(shared_key, _MISS)
-            if hit is _MISS:
-                hit = compute()
-                _SHARED_MEMO[shared_key] = hit
-                if _TRACER.enabled:
-                    _TRACER.count("netlist.memo_misses")
-            elif _TRACER.enabled:
-                _TRACER.count("netlist.memo_shared_hits")
-            self._query_cache[key] = hit
             return hit
         hit = compute()
         self._query_cache[key] = hit

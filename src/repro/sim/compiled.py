@@ -3,10 +3,11 @@
 :class:`CompiledSimulator` is a drop-in replacement for
 :class:`~repro.sim.simulator.EventSimulator` — same constructor, same
 ``set_input``/``add_clock``/``run``/``captures``/``toggle_counts``/
-``history`` surface, and **event-for-event identical behaviour**: the
-same capture streams (times included), net values, toggle counts and
-event counts on any netlist and stimulus.  What changes is the inner
-loop.
+``history`` surface, the same fault hooks (``force_net``/
+``release_net``/``inject_glitch``/``forced_nets``), and
+**event-for-event identical behaviour**: the same capture streams
+(times included), net values, toggle counts and event counts on any
+netlist, stimulus and armed fault.  What changes is the inner loop.
 
 The interpreter-style simulator resolves, for every event, the net name
 to a ``Net`` object, the sink list to ``(Instance, pin)`` pairs, the
@@ -25,15 +26,18 @@ construction:
   an event is: index two lists, compare, call the closures.
 
 Events are ``(time, sequence, slot, value)`` tuples in a plain binary
-heap.  The sequence numbers are allocated in the same order as the
-interpreter's pushes, which is what makes the two engines tie-break
-simultaneous events identically and therefore agree exactly — the
-property the differential harness in :mod:`repro.testing` asserts.
+heap; a fault-injection control action is ``(time, sequence, -1,
+action)``.  The sequence numbers are allocated in the same order as the
+interpreter's pushes (control pushes included), which is what makes the
+two engines tie-break simultaneous events identically and therefore
+agree exactly — the property the differential harness in
+:mod:`repro.testing` asserts.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import count
 
 from repro.netlist.cells import (
@@ -46,11 +50,16 @@ from repro.netlist.core import Instance, Netlist
 from repro.obs.trace import TRACER as _TRACER
 from repro.sim.events import resolve_delays
 from repro.sim.logic import Value
-from repro.sim.simulator import Capture, SimStats
+from repro.sim.simulator import INVERT, Capture, SimStats
 from repro.utils.errors import SimulationError
 
 _STATEFUL_KINDS = (CellKind.CELEMENT, CellKind.ACK, CellKind.REQ,
                    CellKind.ASYM)
+
+
+def _named_counts(names: list[str], counts: list[int]) -> dict[str, int]:
+    """Slot-indexed counters as ``{net name: count}``, zeros dropped."""
+    return {names[slot]: n for slot, n in enumerate(counts) if n}
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +198,10 @@ def _asym_eval(vals, heap, seq, state, i, delay, r_slot, a_slot, out_slot):
     return ev
 
 
-def _dff_clock_eval(vals, heap, seq, state, i, caps, name, delay,
+def _dff_clock_eval(vals, heap, seq, state, i, streams, name, delay,
                     d_slot, ck_slot, rn_slot, out_slot):
     heappush = heapq.heappush
+    caps: list[Capture] = []
     if rn_slot < 0:
         # No asynchronous reset (the common flip-flop): the clock-pin
         # closure skips the reset check entirely — this runs once per
@@ -200,6 +210,8 @@ def _dff_clock_eval(vals, heap, seq, state, i, caps, name, delay,
             new_clock = vals[ck_slot]
             if old == 0 and new_clock == 1:
                 data = vals[d_slot]
+                if not caps:
+                    streams[name] = caps
                 caps.append(Capture(now, data))
                 if data != state[i]:
                     state[i] = data
@@ -218,6 +230,8 @@ def _dff_clock_eval(vals, heap, seq, state, i, caps, name, delay,
         new_clock = vals[ck_slot]
         if old == 0 and new_clock == 1:
             data = vals[d_slot]
+            if not caps:
+                streams[name] = caps
             caps.append(Capture(now, data))
             if data != state[i]:
                 state[i] = data
@@ -238,9 +252,10 @@ def _seq_reset_eval(vals, heap, seq, state, i, delay, rn_slot, out_slot):
     return ev
 
 
-def _latch_clock_eval(vals, heap, seq, state, i, caps, name, delay,
+def _latch_clock_eval(vals, heap, seq, state, i, streams, name, delay,
                       transparent, d_slot, en_slot, rn_slot, out_slot):
     heappush = heapq.heappush
+    caps: list[Capture] = []
     if rn_slot < 0:
         # No asynchronous reset (every latch the desync flow builds):
         # one closure per enable edge per latch, reset check hoisted.
@@ -255,6 +270,8 @@ def _latch_clock_eval(vals, heap, seq, state, i, caps, name, delay,
                 closing = old == 0 and enable == 1
             if closing:
                 captured = vals[d_slot]
+                if not caps:
+                    streams[name] = caps
                 caps.append(Capture(now, captured))
                 if captured != state[i]:
                     state[i] = captured
@@ -284,6 +301,8 @@ def _latch_clock_eval(vals, heap, seq, state, i, caps, name, delay,
             closing = old == 0 and enable == 1
         if closing:
             captured = vals[d_slot]
+            if not caps:
+                streams[name] = caps
             caps.append(Capture(now, captured))
             if captured != state[i]:
                 state[i] = captured
@@ -388,6 +407,12 @@ class CompiledSimulator:
 
         self._heap: list[tuple[float, int, int, Value]] = []
         self._seq = count()
+        # Fault-injection overrides, slot -> pinned value: forced slots
+        # ignore driver events until released.
+        self._forced: dict[int, Value] = {}
+        # Set by the first scheduled control action; from then on
+        # ``run`` takes the loop that handles control entries and forces.
+        self._armed = False
         # Stored output value per stateful instance, slot-indexed.
         self._state: list[int] = []
         self._state_idx: dict[str, int] = {}
@@ -395,9 +420,9 @@ class CompiledSimulator:
             if inst.is_sequential or inst.is_celement:
                 self._state_idx[inst.name] = len(self._state)
                 self._state.append(inst.init)
-        self._caps: dict[str, list[Capture]] = {
-            inst.name: [] for inst in netlist.instances.values()
-            if inst.is_sequential}
+        # Capture stream per register, entered on its first capture (so
+        # in the interpreter's order and with no empty streams).
+        self._captured: dict[str, list[Capture]] = {}
         self._sinks: list[tuple] = self._compile()
         self._settle_reset()
 
@@ -407,15 +432,15 @@ class CompiledSimulator:
     def _pin_slot(self, inst: Instance, pin: str) -> int:
         return self._slot_of[inst.pins[pin].name]
 
+    def _delay_of(self, inst: Instance) -> float:
+        return self._delays[inst.name] if self._delays is not None \
+            else inst.cell.delay
+
     def _compile(self) -> list[tuple]:
         """Build the per-pin closures and resolve sink lists to slots."""
         vals, heap, seq = self._vals, self._heap, self._seq
         state, state_idx = self._state, self._state_idx
-        delays = self._delays
-
-        def resolved_delay(inst: Instance) -> float:
-            return delays[inst.name] if delays is not None \
-                else inst.cell.delay
+        resolved_delay = self._delay_of
         # Pin-independent eval per instance; kept on self because the
         # reset settle kicks the state-holding cells through it.
         shared = self._shared_evals = {}
@@ -459,7 +484,7 @@ class CompiledSimulator:
                 rn_slot = (self._pin_slot(inst, PIN_RESET_N)
                            if PIN_RESET_N in cell.inputs else -1)
                 clock_fns[inst.name] = _dff_clock_eval(
-                    vals, heap, seq, state, i, self._caps[inst.name],
+                    vals, heap, seq, state, i, self._captured,
                     inst.name, resolved_delay(inst),
                     self._pin_slot(inst, PIN_D),
                     self._pin_slot(inst, cell.clock_pin), rn_slot, out_slot)
@@ -475,7 +500,7 @@ class CompiledSimulator:
                 d_slot = self._pin_slot(inst, PIN_D)
                 en_slot = self._pin_slot(inst, PIN_ENABLE)
                 clock_fns[inst.name] = _latch_clock_eval(
-                    vals, heap, seq, state, i, self._caps[inst.name],
+                    vals, heap, seq, state, i, self._captured,
                     inst.name, resolved_delay(inst), transparent, d_slot,
                     en_slot, rn_slot, out_slot)
                 data_fns[inst.name] = _latch_data_eval(
@@ -539,12 +564,9 @@ class CompiledSimulator:
                     i = state_idx[inst.name]
                     if data != state[i]:
                         state[i] = data
-                        kick_delay = (self._delays[inst.name]
-                                      if self._delays is not None
-                                      else inst.cell.delay)
                         heapq.heappush(
                             heap,
-                            (kick_delay, next(seq),
+                            (self._delay_of(inst), next(seq),
                              slot_of[inst.output_net().name], data))
 
     # ------------------------------------------------------------------
@@ -574,6 +596,103 @@ class CompiledSimulator:
             time += half
 
     # ------------------------------------------------------------------
+    # fault injection
+    # ------------------------------------------------------------------
+    def force_net(self, net: str, value: Value,
+                  time: float | None = None) -> None:
+        """Stuck-at fault: pin ``net`` to ``value`` from ``time`` on.
+
+        While forced, driver events targeting the net are dropped; the
+        forced transition itself propagates to sinks like any event.
+        """
+        slot = self._fault_slot(net, "force")
+        self._control(self.now if time is None else time,
+                      lambda now: self._apply_force(slot, value, now))
+
+    def release_net(self, net: str, time: float | None = None) -> None:
+        """Lift a force; the driver re-asserts its value one cell delay
+        after the release matures."""
+        slot = self._fault_slot(net, "release")
+        self._control(self.now if time is None else time,
+                      lambda now: self._apply_release(slot, now))
+
+    def inject_glitch(self, net: str, at: float, duration: float,
+                      value: Value | object = INVERT) -> None:
+        """Transient fault: pulse ``net`` for ``duration`` starting at
+        ``at`` — the default :data:`~repro.sim.simulator.INVERT` pulses
+        to the opposite of the net's value at injection time (X counts
+        as 0), ``None`` drives it to X.  Same semantics as
+        :meth:`EventSimulator.inject_glitch`."""
+        slot = self._fault_slot(net, "glitch")
+        if duration <= 0:
+            raise SimulationError(f"glitch duration must be > 0, "
+                                  f"got {duration}")
+
+        def fire(now: float) -> None:
+            pulse = value
+            if pulse is INVERT:
+                pulse = 0 if self._vals[slot] == 1 else 1
+            self._apply_force(slot, pulse, now)
+
+        self._control(at, fire)
+        self._control(at + duration,
+                      lambda now: self._apply_release(slot, now))
+
+    @property
+    def forced_nets(self) -> dict[str, Value]:
+        """Currently active forces (net name -> pinned value)."""
+        return {self._names[slot]: value
+                for slot, value in self._forced.items()}
+
+    def _fault_slot(self, net: str, verb: str) -> int:
+        slot = self._slot_of.get(net)
+        if slot is None:
+            raise SimulationError(f"cannot {verb} unknown net {net}")
+        return slot
+
+    def _control(self, time: float, action) -> None:
+        """Queue ``action(now)`` at ``time``, ordered with value events
+        by the shared sequence counter."""
+        self._armed = True
+        heapq.heappush(self._heap, (time, next(self._seq), -1, action))
+
+    def _apply_force(self, slot: int, value: Value, now: float) -> None:
+        self._forced[slot] = value
+        self._set_net(slot, value, now)
+
+    def _apply_release(self, slot: int, now: float) -> None:
+        self._forced.pop(slot, None)
+        driver = self.netlist.nets[self._names[slot]].driver_instance()
+        if driver is None:
+            return  # input port: holds the forced value until re-driven
+        kind = driver.cell.kind
+        if kind is CellKind.COMB:
+            self._shared_evals[driver.name](None, now)
+            return
+        value = (driver.cell.tt & 1 if kind is CellKind.TIE
+                 else self._state[self._state_idx[driver.name]])
+        heapq.heappush(self._heap, (now + self._delay_of(driver),
+                                    next(self._seq), slot, value))
+
+    def _set_net(self, slot: int, value: Value, now: float) -> None:
+        """Apply a forced value change outside the run loop.
+
+        Mirrors the loop's per-event bookkeeping except for ``n_events``
+        and energy, exactly as ``EventSimulator._set_net`` does: forced
+        transitions don't count as events.
+        """
+        old = self._vals[slot]
+        if value == old:
+            return
+        self._vals[slot] = value
+        if old is not None and value is not None:
+            self._toggles[slot] += 1
+        if self._rec[slot]:
+            self._hist[slot].append((now, value))
+        for fn in self._sinks[slot]:
+            fn(old, now)
+
+    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, until: float) -> SimStats:
@@ -594,13 +713,14 @@ class CompiledSimulator:
         energy = self._energy
         energy_events = self.energy_events
         record_any = self._record_any
+        forced = self._forced
         heappop = heapq.heappop
         n_events = self.n_events
         now = self.now
-        # The common configuration (no history, no energy accounting)
-        # gets its own copy of the loop with those branches hoisted out
-        # entirely; the general loop carries them.
-        plain = not record_any and energy is None
+        # The common configuration (no history, no energy accounting, no
+        # fault armed) gets its own copy of the loop with those branches
+        # hoisted out entirely; the general loop carries them.
+        plain = not record_any and energy is None and not self._armed
         try:
             while heap:
                 time = heap[0][0]
@@ -625,8 +745,13 @@ class CompiledSimulator:
                     continue
                 while True:
                     _, _, slot, value = heappop(heap)
+                    if slot < 0:
+                        value(now)  # a control action
+                        if not heap or heap[0][0] != time:
+                            break
+                        continue
                     old = vals[slot]
-                    if value != old:
+                    if value != old and (not forced or slot not in forced):
                         vals[slot] = value
                         n_events += 1
                         if old is not None and value is not None:
@@ -651,8 +776,10 @@ class CompiledSimulator:
         if until > now:
             now = until
         self.now = now
+        # Snapshot the counters, but name them only if the caller asks.
         return SimStats(end_time=now, n_events=n_events,
-                        toggles=self.toggle_counts)
+                        toggles=partial(_named_counts, self._names,
+                                        list(toggles)))
 
     def run_until_quiet(self, max_time: float) -> SimStats:
         """Run until the event queue drains or ``max_time`` is reached."""
@@ -677,14 +804,16 @@ class CompiledSimulator:
 
     @property
     def captures(self) -> dict[str, list[Capture]]:
-        """Capture streams of every register that captured, by instance."""
-        return {name: caps for name, caps in self._caps.items() if caps}
+        """Capture streams of every register that captured, by instance.
+
+        The live dict, as the interpreter's attribute is: the paced
+        environment loop reads it on every poll."""
+        return self._captured
 
     @property
     def toggle_counts(self) -> dict[str, int]:
         """Real-transition count of every net that toggled, by name."""
-        names = self._names
-        return {names[slot]: n for slot, n in enumerate(self._toggles) if n}
+        return _named_counts(self._names, self._toggles)
 
     @property
     def history(self) -> dict[str, list[tuple[float, Value]]]:

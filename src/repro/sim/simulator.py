@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.netlist.cells import (
     CellKind,
@@ -60,13 +61,30 @@ class Capture:
     value: Value
 
 
-@dataclass
 class SimStats:
-    """Aggregate results of a simulation run."""
+    """Aggregate results of a simulation run.
 
-    end_time: float = 0.0
-    n_events: int = 0
-    toggles: dict[str, int] = field(default_factory=dict)
+    ``toggles`` is the real-transition count per net name as of the end
+    of the run.  An engine may pass it as a zero-argument callable over
+    a snapshot it took; the dict is then built on first access, so a
+    caller that polls ``run`` and never reads it (the paced environment
+    loop of flow-equivalence checking) pays no per-net work for it.
+    """
+
+    __slots__ = ("end_time", "n_events", "_toggles")
+
+    def __init__(self, end_time: float = 0.0, n_events: int = 0,
+                 toggles: dict[str, int] | Callable[[], dict[str, int]]
+                 | None = None):
+        self.end_time = end_time
+        self.n_events = n_events
+        self._toggles = {} if toggles is None else toggles
+
+    @property
+    def toggles(self) -> dict[str, int]:
+        if callable(self._toggles):
+            self._toggles = self._toggles()
+        return self._toggles
 
 
 class EventSimulator:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.corpus import generate
 from repro.desync import DesyncOptions, HandshakeMode, desynchronize
+from repro.faults.inject import control_nets
 from repro.netlist import Netlist
 from repro.sim import (
     CompiledSimulator,
@@ -17,6 +18,7 @@ from repro.sim import (
     backend_names,
     make_simulator,
 )
+from repro.sim.simulator import INVERT
 from repro.testing import drive_clocked, random_stimulus
 from repro.timing.sta import analyze
 from repro.utils.errors import SimulationError
@@ -96,7 +98,163 @@ class TestExactParity:
         assert sims[0].energy_events  # non-trivial run
 
 
+_FABRICS: dict[str, object] = {}
+
+
+def serial_fabric(config):
+    if config not in _FABRICS:
+        _FABRICS[config] = desynchronize(
+            generate(config), DesyncOptions(mode=HandshakeMode.SERIAL))
+    return _FABRICS[config]
+
+
+def fault_site(netlist, prefix):
+    """First interior handshake net with ``prefix``; for ``"input"``,
+    the first data input port; for ``"tie"``, a tie-cell output."""
+    if prefix == "input":
+        return next(name for name, net in netlist.nets.items()
+                    if net.is_input_port)
+    if prefix == "tie":
+        return next(name for name, net in netlist.nets.items()
+                    if net.driver_instance() is not None
+                    and net.driver_instance().cell.kind.name == "TIE")
+    return next(name for name in control_nets(netlist)
+                if name.startswith(prefix) and "<env>" not in name)
+
+
+def stuck(prefix, value):
+    def arm(sim, netlist, period):
+        sim.force_net(fault_site(netlist, prefix), value, time=0.0)
+    return arm
+
+
+def force_then_release(prefix):
+    def arm(sim, netlist, period):
+        net = fault_site(netlist, prefix)
+        sim.force_net(net, 0, time=1.5 * period)
+        sim.release_net(net, time=3.0 * period)
+    return arm
+
+
+def glitch(prefix, value):
+    def arm(sim, netlist, period):
+        gate = max(c.delay for c in netlist.library.cells.values())
+        sim.inject_glitch(fault_site(netlist, prefix), at=2.3 * period,
+                          duration=2.0 * gate, value=value)
+    return arm
+
+
+def same_instant(sim, netlist, period):
+    """Controls and value events at one instant fire in push order."""
+    port, at = fault_site(netlist, "input"), 2.0 * period
+    sim.set_input(port, 1, at)   # applied, then overridden by the force
+    sim.force_net(port, 0, at)
+    sim.set_input(port, 1, at)   # dropped: the port is forced
+    sim.release_net(port, 3.0 * period)
+    sim.set_input(port, 1, 3.0 * period)
+
+
+FAULT_CASES = {
+    "same-instant-input": same_instant,
+    **{f"{kind}-{prefix.rstrip(':')}": stuck(prefix, value)
+       for prefix in ("lt:", "req:", "ack:", "input")
+       for kind, value in (("stuck0", 0), ("stuck1", 1))},
+    **{f"release-{prefix.rstrip(':')}": force_then_release(prefix)
+       for prefix in ("lt:", "req:", "ack:", "input", "tie")},
+    **{f"glitch-{label}-{prefix.rstrip(':')}": glitch(prefix, value)
+       for prefix in ("lt:", "req:")
+       for label, value in (("invert", INVERT), ("zero", 0), ("x", None))},
+}
+
+
+def faulted_run(cls, result, arm, record):
+    """Drive ``result``'s fabric on engine ``cls`` with ``arm`` applied:
+    vector 0 during reset, one new vector per slice of the horizon, so
+    the run crosses several ``run`` calls.  Returns the simulator and
+    the message of the ``SimulationError`` it raised, if any."""
+    netlist = result.desync_netlist
+    period = result.desync_cycle_time().cycle_time
+    stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
+    sim = cls(netlist, record=record, initial_inputs=stimulus[0])
+    arm(sim, netlist, period)
+    horizon = 12 * period
+    try:
+        for k, vector in enumerate(stimulus[1:], 1):
+            sim.run(horizon * k / len(stimulus))
+            for port, value in vector.items():
+                sim.set_input(port, value)
+        sim.run(horizon)
+    except SimulationError as exc:
+        return sim, str(exc)
+    return sim, None
+
+
+class TestFaultParity:
+    """The fault hooks are event-for-event identical across engines:
+    same captures (with times), events, toggles, histories and active
+    forces under every stuck-at, release and glitch shape."""
+
+    @pytest.mark.parametrize("case", sorted(FAULT_CASES))
+    @pytest.mark.parametrize("config", ["pipe4x1", "fir8"])
+    def test_armed_parity(self, config, case):
+        result = serial_fabric(config)
+        record = control_nets(result.desync_netlist) + [
+            fault_site(result.desync_netlist, "input")]
+        (event, raised_e), (compiled, raised_c) = (
+            faulted_run(cls, result, FAULT_CASES[case], record)
+            for cls in (EventSimulator, CompiledSimulator))
+        assert raised_e == raised_c
+        assert event.n_events == compiled.n_events
+        assert dict(event.captures) == dict(compiled.captures)
+        assert dict(event.toggle_counts) == dict(compiled.toggle_counts)
+        assert dict(event.history) == dict(compiled.history)
+        assert dict(event.values) == dict(compiled.values)
+        assert event.forced_nets == compiled.forced_nets
+        assert event.n_events  # the fabric did run
+
+    def test_stuck_at_stays_forced(self):
+        result = serial_fabric("pipe4x1")
+        net = fault_site(result.desync_netlist, "ack:")
+        sim, _ = faulted_run(CompiledSimulator, result,
+                             stuck("ack:", 1), [net])
+        assert sim.forced_nets == {net: 1}
+        assert sim.value(net) == 1
+
+    @pytest.mark.parametrize("cls", [EventSimulator, CompiledSimulator])
+    def test_unknown_net_and_bad_duration_raise(self, cls):
+        sim = cls(serial_fabric("pipe4x1").desync_netlist)
+        with pytest.raises(SimulationError, match="cannot force unknown"):
+            sim.force_net("nope", 1)
+        with pytest.raises(SimulationError, match="cannot release unknown"):
+            sim.release_net("nope")
+        with pytest.raises(SimulationError, match="cannot glitch unknown"):
+            sim.inject_glitch("nope", at=10.0, duration=5.0)
+        with pytest.raises(SimulationError, match="duration must be > 0"):
+            sim.inject_glitch("lt:st0", at=10.0, duration=0.0)
+        with pytest.raises(SimulationError, match="duration must be > 0"):
+            sim.inject_glitch("lt:st0", at=10.0, duration=-1.0)
+        assert sim.forced_nets == {}
+
+
 class TestDropInSurface:
+    def test_run_stats_are_snapshots(self):
+        # run() hands back the toggle counts as of its return, even when
+        # the simulator runs on before the caller reads them.
+        sims = [cls(generate("counter6"))
+                for cls in (EventSimulator, CompiledSimulator)]
+        netlist = sims[0].netlist
+        period = 2.0 * analyze(netlist).sync_period()
+        snapshots = []
+        for sim in sims:
+            sim.add_clock(netlist.clock, period, until=8 * period)
+            early = sim.run(3 * period)
+            expected = dict(sim.toggle_counts)
+            sim.run(9 * period)
+            assert early.toggles == expected
+            assert dict(sim.toggle_counts) != expected
+            snapshots.append(early.toggles)
+        assert snapshots[0] == snapshots[1]
+
     def test_set_input_rejects_non_port(self):
         sim = CompiledSimulator(lfsr3())
         with pytest.raises(SimulationError, match="not an input port"):

@@ -41,6 +41,7 @@ from repro.faults.inject import (
     sample_control_nets,
 )
 from repro.netlist import Netlist
+from repro.sim.backends import EVENT_BACKENDS
 from repro.sim.simulator import INVERT, EventSimulator
 from repro.testing import random_stimulus
 from repro.timing import DelayModel, matched_delay_target, plan_delay_line
@@ -284,6 +285,67 @@ class TestInjection:
         assert all(at > 0 and width > 0 for at, width, _ in trials)
 
 
+def dedicated_profile(result, net, cycles):
+    """The clean profile of ``net`` from an interpreter run recording
+    that net alone — what :func:`profile_net` must reproduce."""
+    period = result.desync_cycle_time().cycle_time
+    sim = EventSimulator(result.desync_netlist, record=[net])
+    sim.run(cycles * period + period)
+    complete = [bank[cycles - 1].time for bank in sim.captures.values()
+                if len(bank) >= cycles]
+    deadline = min(complete) if complete else cycles * period
+    return list(sim.history[net]), deadline
+
+
+@pytest.fixture
+def count_runs(monkeypatch):
+    """Record the ``record=`` list of every simulator profile_net builds."""
+    import repro.faults.inject as inject
+    built = []
+    real = inject.make_simulator
+
+    def counting(netlist, backend, **kwargs):
+        built.append((backend, list(kwargs.get("record") or ())))
+        return real(netlist, backend, **kwargs)
+    monkeypatch.setattr(inject, "make_simulator", counting)
+    return built
+
+
+class TestSharedProfile:
+    def test_every_control_net_matches_a_dedicated_run(self):
+        result = desynchronize(generate("pipe4x1"),
+                               DesyncOptions(mode="serial"))
+        nets = control_nets(result.desync_netlist)
+        assert nets
+        for net in nets:
+            assert profile_net(result, net, CYCLES) == \
+                dedicated_profile(result, net, CYCLES), net
+
+    def test_one_clean_run_per_config(self, count_runs):
+        result = desynchronize(generate("counter6"),
+                               DesyncOptions(mode="serial"))
+        first = profile_net(result, "lt:cnt", CYCLES)
+        second = profile_net(result, "req:cnt>cnt", CYCLES)
+        assert first[0] and second[0]
+        assert first[1] == second[1]
+        assert count_runs == [
+            ("compiled", control_nets(result.desync_netlist))]
+        # A caller may edit what it gets back; the memo stays intact.
+        first[0].clear()
+        assert profile_net(result, "lt:cnt", CYCLES) == \
+            dedicated_profile(result, "lt:cnt", CYCLES)
+        assert len(count_runs) == 1
+
+    def test_other_nets_get_their_own_run(self, count_runs):
+        result = desynchronize(generate("pipe4x1"),
+                               DesyncOptions(mode="serial"))
+        net = "din"
+        assert net not in control_nets(result.desync_netlist)
+        assert profile_net(result, net, CYCLES) == \
+            dedicated_profile(result, net, CYCLES)
+        assert count_runs == [("compiled", [net])]
+
+
 def small_spec(**overrides) -> CampaignSpec:
     base = dict(configs=("pipe4x1",), seeds=(0,), cycles=6,
                 scales=(3.0,), jitter_sigmas=(), adversarial_eps=(),
@@ -333,6 +395,25 @@ class TestCampaign:
         resumed = run_campaign(spec, jobs=1, job_dir=job_dir)
         assert resumed.summary["executor"]["completed"] == 0
         assert resumed.rows == first.rows
+
+    def test_compiled_campaign_matches_the_interpreter(self, monkeypatch):
+        # The campaign runs on the compiled engine; with the interpreter
+        # substituted under the same name, every row but the wall time
+        # must come out the same.
+        spec = CampaignSpec(configs=("counter6", "pipe4x1"), cycles=6,
+                            scales=(3.0,), jitter_sigmas=(0.01,),
+                            adversarial_eps=(0.02,), max_fault_sites=2,
+                            margin_configs=("counter6",), margin_steps=3)
+        wall = CAMPAIGN_COLUMNS.index("wall_ms")
+
+        def rows():
+            report = run_campaign(spec, jobs=1)
+            return [row[:wall] + row[wall + 1:] for row in report.rows]
+        compiled = rows()
+        monkeypatch.setitem(EVENT_BACKENDS, "compiled", EventSimulator)
+        assert rows() == compiled
+        kinds = {row[CAMPAIGN_COLUMNS.index("kind")] for row in compiled}
+        assert kinds == {"delay", "fault", "margin"}
 
     def test_glitch_cell_without_trials_is_skipped(self, monkeypatch):
         # Nothing injected is not a detection miss: the cell is skipped

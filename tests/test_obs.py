@@ -487,8 +487,9 @@ class TestWorkerTraceHandoff:
         assert parent.events() == []
 
 
-class TestSharedCompileMemo:
-    """Fingerprint-keyed cross-netlist artifact reuse (sweep workers)."""
+class TestNetlistFingerprint:
+    """The structural fingerprint behind result-cache keys; the netlist
+    memo is keyed by object, not by it."""
 
     def test_fingerprint_identifies_structure_not_name(self):
         from repro.corpus import fir_filter
@@ -504,32 +505,9 @@ class TestSharedCompileMemo:
         netlist.add_gate("INV", [netlist.net("din")], name="extra")
         assert netlist.fingerprint() != before
 
-    def test_shared_memo_reuses_across_identical_netlists(self):
+    def test_memo_stays_per_netlist(self):
+        # Structurally identical netlists do not share memoized values.
         from repro.corpus import fir_filter
-        from repro.netlist import install_shared_memo
-        # ``None`` is a value like any other, not a miss.
-        for value in ("compiled", None):
-            calls = []
-            previous = install_shared_memo({})
-            try:
-                one = fir_filter(taps=5).memo(
-                    "artifact", lambda: calls.append(1) or value,
-                    shared=True)
-                two = fir_filter(taps=5).memo(
-                    "artifact", lambda: calls.append(2) or "recompiled",
-                    shared=True)
-            finally:
-                install_shared_memo(previous)
-            assert one == two == value
-            assert calls == [1]  # the second netlist hit the shared cache
-
-    def test_unshared_memo_stays_per_netlist(self):
-        from repro.corpus import fir_filter
-        from repro.netlist import install_shared_memo
-        previous = install_shared_memo({})
-        try:
-            one = fir_filter(taps=5).memo("artifact", lambda: "a")
-            two = fir_filter(taps=5).memo("artifact", lambda: "b")
-        finally:
-            install_shared_memo(previous)
+        one = fir_filter(taps=5).memo("artifact", lambda: "a")
+        two = fir_filter(taps=5).memo("artifact", lambda: "b")
         assert (one, two) == ("a", "b")
