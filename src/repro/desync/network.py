@@ -225,39 +225,34 @@ def build_network(latched: Netlist, clustering: Clustering,
             continue
         result.add_input(port)
 
-    # Latches keep their cells; the enable net changes to the cluster
-    # clock.  Latch instance names are ``<register>.M/<leaf>`` /
-    # ``<register>.S/<leaf>`` (see latchify), so the owning register is
-    # the name up to the phase suffix.
-    clk_to_q = 0.0
-    for inst in latched.instances.values():
-        if inst.is_sequential:
-            if inst.cell.kind is CellKind.DFF:
-                raise DesyncError(
-                    f"{latched.name} still contains flip-flop {inst.name}")
-            register = _register_of_latch(inst.name)
-            bank = clustering.cluster_of.get(register)
+    # The datapath is copied unchanged except each latch's enable net,
+    # which moves to its cluster's clock.  Every fabric of a latched
+    # netlist shares one copy plan; only the enables differ.
+    registers, clk_to_q = latched.memo("desync-datapath",
+                                       lambda: _datapath_plan(latched))
+    cluster_of = clustering.cluster_of
+
+    def copies():
+        for inst, register in zip(latched.instances.values(), registers,
+                                  strict=True):
+            pins = inst.pins
+            if register is None:
+                yield inst.name, inst.cell, inst.init, [
+                    (pin, net.name) for pin, net in pins.items()]
+                continue
+            bank = cluster_of.get(register)
             if bank is None:
                 raise DesyncError(
                     f"latch {inst.name}: register {register} missing from "
                     "the clustering")
-            clk_to_q = max(clk_to_q, inst.cell.delay)
-            pins: dict[str, str] = {
-                PIN_D: inst.pins[PIN_D].name,
-                PIN_ENABLE: clock_net_name(bank),
-                "Q": inst.output_net().name,
-            }
+            output = inst.cell.output
+            bound = [(PIN_D, pins[PIN_D].name),
+                     (PIN_ENABLE, clock_net_name(bank)),
+                     (output, pins[output].name)]
             if PIN_RESET_N in inst.cell.inputs:
-                pins[PIN_RESET_N] = inst.pins[PIN_RESET_N].name
-            result.add(inst.cell, name=inst.name, init=inst.init, **pins)
-        else:
-            for pin, net in inst.pins.items():
-                if net.name == clock_port and pin in inst.cell.inputs:
-                    raise DesyncError(
-                        f"{inst.name} reads the clock combinationally; "
-                        "de-synchronization requires a clean clock network")
-            result.add(inst.cell, name=inst.name, init=inst.init,
-                       **{pin: net.name for pin, net in inst.pins.items()})
+                bound.append((PIN_RESET_N, pins[PIN_RESET_N].name))
+            yield inst.name, inst.cell, inst.init, bound
+    result.add_copies(copies())
 
     network = DesyncNetwork(netlist=result, clustering=clustering,
                             mode=mode, hold_slack=hold_slack)
@@ -432,6 +427,37 @@ def build_network(latched: Netlist, clustering: Clustering,
         result.add_output(port)
     result.validate()
     return network
+
+
+def _datapath_plan(latched: Netlist) -> tuple[tuple[str | None, ...],
+                                              float]:
+    """What every fabric built from ``latched`` needs of its datapath.
+
+    The register of each instance, in insertion order (``None`` for
+    anything but a latch), and the worst latch clock-to-Q delay.  Latch
+    instance names are ``<register>.M/<leaf>`` / ``<register>.S/<leaf>``
+    (see latchify), so the owning register is the name up to the phase
+    suffix.  Raises for what no clustering can fix: a flip-flop left
+    over, or a gate reading the clock.
+    """
+    clock_port = latched.clock
+    registers: list[str | None] = []
+    clk_to_q = 0.0
+    for inst in latched.instances.values():
+        if inst.is_sequential:
+            if inst.cell.kind is CellKind.DFF:
+                raise DesyncError(
+                    f"{latched.name} still contains flip-flop {inst.name}")
+            clk_to_q = max(clk_to_q, inst.cell.delay)
+            registers.append(_register_of_latch(inst.name))
+            continue
+        for pin, net in inst.pins.items():
+            if net.name == clock_port and pin in inst.cell.inputs:
+                raise DesyncError(
+                    f"{inst.name} reads the clock combinationally; "
+                    "de-synchronization requires a clean clock network")
+        registers.append(None)
+    return tuple(registers), clk_to_q
 
 
 def _register_of_latch(latch_name: str) -> str:

@@ -31,7 +31,7 @@ from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.sim.backends import (DEFAULT_BACKEND, make_cycle_simulator,
-                                make_simulator)
+                                reused_simulator)
 from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
@@ -91,12 +91,31 @@ def reference_streams(netlist: Netlist, cycles: int,
                       inputs: dict[str, Value] | None = None,
                       inputs_per_cycle: list[dict[str, Value]] | None = None,
                       ) -> dict[str, list[Value]]:
-    """Per-flip-flop capture streams from the synchronous reference."""
+    """Per-flip-flop capture streams from the synchronous reference.
+
+    Memoized on ``netlist`` per (cycles, inputs, stimulus): every delay
+    and fault cell of a campaign config checks against the same
+    reference.  Each call gets lists of its own.
+    """
+    key = ("reference-streams", cycles, _frozen(inputs),
+           tuple(_frozen(vector) for vector in inputs_per_cycle or ()))
+    streams = netlist.memo(key, lambda: _simulate_reference(
+        netlist, cycles, inputs, inputs_per_cycle))
+    return {name: list(values) for name, values in streams}
+
+
+def _frozen(vector: dict[str, Value] | None) -> tuple:
+    return tuple(sorted((vector or {}).items()))
+
+
+def _simulate_reference(netlist, cycles, inputs, inputs_per_cycle,
+                        ) -> tuple[tuple[str, tuple[Value, ...]], ...]:
     sim = CycleSimulator(netlist, record_toggles=False)
     if inputs:
         sim.set_inputs(inputs)
     sim.run(cycles, inputs_per_cycle)
-    return {name: list(values) for name, values in sim.captures.items()}
+    return tuple((name, tuple(values))
+                 for name, values in sim.captures.items())
 
 
 def reference_streams_batch(netlist: Netlist, cycles: int,
@@ -185,6 +204,14 @@ def _paced_run(sim, result: DesyncResult | FlowContext, cycles: int,
     passes first (a stalled handshake is a real failure).  Pacing reads
     capture *counts* only, which are facts of the firing schedule, so
     the protocol is identical for every stimulus lane.
+
+    Polls fall on a fixed grid (``now += chunk`` up to the horizon), but
+    a poll that would process no event is skipped: until the next
+    pending event (``sim.peek_time()``) matures, the captures cannot
+    change, so neither can the pacing decisions.  A wedged fabric then
+    costs one ``run`` call instead of one per grid point up to the
+    horizon, with the same events, captures, final ``sim.now`` and
+    stall error as polling every grid point.
     """
     with TRACER.span("sim:paced-run",
                      engine=type(sim).__name__, cycles=cycles) as span:
@@ -231,13 +258,28 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
         now = min(horizon, now + chunk)
         sim.run(now)
         captures = sim.captures
+        fed = False
         if feeds and next_vector < min(cycles, len(inputs_per_cycle)):
             if all(len(captures.get(m, [])) >= next_vector for m in feeds):
                 for port, value in inputs_per_cycle[next_vector].items():
                     sim.set_input(port, value)
                 next_vector += 1
+                fed = True
         if all(len(captures.get(m, [])) >= cycles for m in masters):
             break
+        if fed:
+            continue  # the next vector may be due at the next poll
+        # Grid points before the next pending event would poll an idle
+        # fabric and re-read these captures: step over them.
+        pending = sim.peek_time()
+        skipped = False
+        while now < horizon:
+            step = min(horizon, now + chunk)
+            if pending is not None and step >= pending:
+                break
+            now, skipped = step, True
+        if skipped and now >= horizon:
+            sim.run(now)  # end at the horizon, as the last poll would
     captures = sim.captures
     shortfall = {m for m in masters
                  if len(captures.get(m, [])) < cycles}
@@ -282,24 +324,33 @@ def desync_streams(result: DesyncResult | FlowContext, cycles: int,
 
     ``delay_model`` perturbs the fabric's per-instance delays (the
     pacing horizon and granularity scale with its bounds); ``arm`` is a
-    fault-injection hook called with the constructed simulator before
-    the run — e.g. to schedule a stuck-at force or a glitch.
+    fault-injection hook called with the simulator before the run —
+    e.g. to schedule a stuck-at force or a glitch.
+
+    The simulator comes from :func:`~repro.sim.backends.reused_simulator`:
+    a call with the same engine, delay model and initial inputs as the
+    previous one on this fabric resets that call's engine instead of
+    compiling a new one, so the fault cells of a campaign config, which
+    all check one fabric under one stimulus, share one engine.  A reset
+    engine runs event for event like a fresh one.  The engine handed to
+    ``arm`` belongs to this call only: a later check may reset it.
     """
     initial = dict(inputs or {})
     if inputs_per_cycle:
         initial.update(inputs_per_cycle[0])
-    sim = make_simulator(result.desync_netlist, backend,
-                         initial_inputs=initial, delay_model=delay_model)
-    if arm is not None:
-        arm(sim)
     masters = _masters(result)
-    _paced_run(sim, result, cycles, inputs_per_cycle, masters,
-               time_limit=time_limit, delay_model=delay_model)
-    captures = sim.captures
-    return {
-        masters[m]: [capture.value for capture in captures[m][:cycles]]
-        for m in masters
-    }
+    with reused_simulator(result.desync_netlist, backend,
+                          initial_inputs=initial,
+                          delay_model=delay_model) as sim:
+        if arm is not None:
+            arm(sim)
+        _paced_run(sim, result, cycles, inputs_per_cycle, masters,
+                   time_limit=time_limit, delay_model=delay_model)
+        captures = sim.captures
+        return {
+            masters[m]: [capture.value for capture in captures[m][:cycles]]
+            for m in masters
+        }
 
 
 def replay_simulator(result: DesyncResult | FlowContext,

@@ -160,8 +160,11 @@ class Netlist:
         park per-netlist compilation artifacts here — e.g. the vector
         simulator's generated evaluation functions — without their own
         invalidation plumbing.  The value is returned as stored: share
-        only immutable (or never-mutated) values.  Any value counts as a
-        hit once computed, ``None`` included.
+        only immutable (or never-mutated) values — with one kind of
+        exception, simulation engines parked for reuse that are checked
+        out by one caller at a time and reset before every use (see
+        :func:`repro.sim.backends.reused_simulator`).  Any value counts
+        as a hit once computed, ``None`` included.
         """
         hit = self._query_cache.get(key, _MISS)
         if hit is not _MISS:
@@ -298,6 +301,42 @@ class Netlist:
         inst.pins[pin] = net
         self._query_cache.clear()
         return net
+
+    def add_copies(self, entries: Iterable[
+            tuple[str, Cell, int, Sequence[tuple[str, str]]]]) -> None:
+        """Instantiate cells copied from an already-built netlist.
+
+        ``entries`` are ``(name, cell, init, ((pin, net name), ...))``;
+        nets are created on first use.  Equivalent to one :meth:`add`
+        per entry — same instance, pin and net-creation order, and the
+        same duplicate-name and double-driver errors — without its
+        per-pin checks that the source netlist already passed (each pin
+        exists on the cell and is bound once).
+        """
+        nets, instances = self.nets, self.instances
+        net_scope, inst_scope = self._net_scope, self._inst_scope
+        for name, cell, init, pins in entries:
+            if name in inst_scope:
+                raise NetlistError(f"duplicate instance name {name}")
+            inst_scope.reserve(name)
+            inst = Instance(name, cell, init=init)
+            instances[name] = inst
+            bound = inst.pins
+            for pin, net_name in pins:
+                net = nets.get(net_name)
+                if net is None:
+                    net = nets[net_name] = Net(net_name)
+                    net_scope.reserve(net_name)
+                if pin == cell.output:
+                    if net.driver is not None or net.is_input_port:
+                        raise NetlistError(
+                            f"net {net_name} cannot also be driven from "
+                            f"{name}")
+                    net.driver = (inst, pin)
+                else:
+                    net.sinks.append((inst, pin))
+                bound[pin] = net
+        self._query_cache.clear()
 
     def add_gate(self, cell: str | Cell, inputs: Sequence[Net | str],
                  output: Net | str | None = None,
@@ -457,9 +496,10 @@ def clone(netlist: Netlist, name: str | None = None) -> Netlist:
                    netlist.library)
     for port in netlist.inputs:
         copy.add_input(port, clock=(port == netlist.clock))
-    for inst in netlist.instances.values():
-        copy.add(inst.cell, name=inst.name, init=inst.init,
-                 **{pin: net.name for pin, net in inst.pins.items()})
+    copy.add_copies(
+        (inst.name, inst.cell, inst.init,
+         [(pin, net.name) for pin, net in inst.pins.items()])
+        for inst in netlist.instances.values())
     for port in netlist.outputs:
         copy.add_output(port)
     return copy

@@ -32,6 +32,11 @@ interpreter's pushes (control pushes included), which is what makes the
 two engines tie-break simultaneous events identically and therefore
 agree exactly — the property the differential harness in
 :mod:`repro.testing` asserts.
+
+:meth:`CompiledSimulator.reset` returns an engine to the state its
+construction left without recompiling, so callers that simulate one
+fabric many times (the fault campaign, through
+:func:`repro.sim.backends.reused_simulator`) compile it once.
 """
 
 from __future__ import annotations
@@ -425,6 +430,11 @@ class CompiledSimulator:
         self._captured: dict[str, list[Capture]] = {}
         self._sinks: list[tuple] = self._compile()
         self._settle_reset()
+        # What :meth:`reset` restores: values, state, kick events and
+        # the t = 0 history of the recorded nets.
+        self._reset_point = (list(vals), list(self._state), list(self._heap),
+                             [(slot, list(h))
+                              for slot, h in enumerate(self._hist) if h])
 
     # ------------------------------------------------------------------
     # compilation
@@ -695,6 +705,43 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def reset(self) -> None:
+        """Return to the state construction left, in place.
+
+        Restores the settled values, stored state, pending kick events
+        and t = 0 history, and clears captures, toggles, events, energy
+        events, forces and time, so the next run equals a fresh
+        engine's event for event.  The compiled closures stay bound,
+        which is the point: a reset costs a few list copies, a
+        construction recompiles the netlist.  The sequence counter
+        keeps counting; every later push still orders after the
+        restored events, as it would in a fresh engine.  The capture
+        lists are emptied in place (the closures own them), so copy a
+        run's captures before resetting.
+        """
+        vals, state, heap, hist = self._reset_point
+        self._vals[:] = vals
+        self._state[:] = state
+        self._heap[:] = heap
+        for caps in self._captured.values():
+            caps.clear()
+        self._captured.clear()
+        self._toggles = [0] * len(self._names)
+        if self._record_any:
+            self._hist = [[] for _ in self._names]
+            for slot, h in hist:
+                self._hist[slot] = list(h)
+        self._forced.clear()
+        self._armed = False
+        self.energy_events = []
+        self.now = 0.0
+        self.n_events = 0
+
+    def peek_time(self) -> float | None:
+        """Time of the next pending event, or None when none is."""
+        heap = self._heap
+        return heap[0][0] if heap else None
+
     def run(self, until: float) -> SimStats:
         """Process events up to and including time ``until``.
 

@@ -139,6 +139,11 @@ class EventSimulator:
             if inst.is_sequential or inst.is_celement:
                 self._state[inst.name] = inst.init
         self._initialize()
+        # What :meth:`reset` restores.
+        self._reset_point = (dict(self.values), dict(self._state),
+                             list(self._queue.heap),
+                             {name: list(h)
+                              for name, h in self.history.items()})
 
     # ------------------------------------------------------------------
     # stimulus
@@ -220,6 +225,33 @@ class EventSimulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def reset(self) -> None:
+        """Return to the state construction left.
+
+        Restores the settled values, stored state, pending kick events
+        and t = 0 history, and clears captures, toggles, events, energy
+        events, forces and time, so the next run equals a fresh
+        engine's event for event.  The queue's sequence counter keeps
+        counting; every later push still orders after the restored
+        events.
+        """
+        values, state, heap, history = self._reset_point
+        self.values = dict(values)
+        self._state = dict(state)
+        self._queue.heap[:] = heap
+        self.history = defaultdict(
+            list, {name: list(h) for name, h in history.items()})
+        self.captures = defaultdict(list)
+        self.toggle_counts = defaultdict(int)
+        self._forced = {}
+        self.energy_events = []
+        self.now = 0.0
+        self.n_events = 0
+
+    def peek_time(self) -> float | None:
+        """Time of the next pending event, or None when none is."""
+        return self._queue.peek_time()
+
     def run(self, until: float) -> SimStats:
         """Process events up to and including time ``until``.
 

@@ -397,6 +397,10 @@ class ScheduleReplaySimulator:
         """Advance the recording simulation (lane 0) to ``until``."""
         return self._recorder.run(until)
 
+    def peek_time(self) -> float | None:
+        """Next pending event time of the recording simulation."""
+        return self._recorder.peek_time()
+
     def set_input(self, port: str, value: Lanes | Value,
                   time: float | None = None) -> None:
         """Drive ``port`` on every lane with packed ``(value, known)``

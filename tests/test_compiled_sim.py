@@ -18,6 +18,7 @@ from repro.sim import (
     backend_names,
     make_simulator,
 )
+from repro.sim.backends import EVENT_BACKENDS, reused_simulator
 from repro.sim.simulator import INVERT
 from repro.testing import drive_clocked, random_stimulus
 from repro.timing.sta import analyze
@@ -167,17 +168,12 @@ FAULT_CASES = {
 }
 
 
-def faulted_run(cls, result, arm, record):
-    """Drive ``result``'s fabric on engine ``cls`` with ``arm`` applied:
-    vector 0 during reset, one new vector per slice of the horizon, so
-    the run crosses several ``run`` calls.  Returns the simulator and
-    the message of the ``SimulationError`` it raised, if any."""
-    netlist = result.desync_netlist
-    period = result.desync_cycle_time().cycle_time
-    stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
-    sim = cls(netlist, record=record, initial_inputs=stimulus[0])
-    arm(sim, netlist, period)
-    horizon = 12 * period
+def drive_fabric(sim, result, stimulus):
+    """Drive ``result``'s fabric on ``sim``, whose reset saw vector 0:
+    one new vector per slice of the horizon, so the run crosses several
+    ``run`` calls.  Returns the message of the ``SimulationError`` it
+    raised, if any."""
+    horizon = 12 * result.desync_cycle_time().cycle_time
     try:
         for k, vector in enumerate(stimulus[1:], 1):
             sim.run(horizon * k / len(stimulus))
@@ -185,8 +181,19 @@ def faulted_run(cls, result, arm, record):
                 sim.set_input(port, value)
         sim.run(horizon)
     except SimulationError as exc:
-        return sim, str(exc)
-    return sim, None
+        return str(exc)
+    return None
+
+
+def faulted_run(cls, result, arm, record):
+    """Drive ``result``'s fabric on engine ``cls`` with ``arm`` applied.
+    Returns the simulator and the message of the ``SimulationError`` it
+    raised, if any."""
+    netlist = result.desync_netlist
+    stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
+    sim = cls(netlist, record=record, initial_inputs=stimulus[0])
+    arm(sim, netlist, result.desync_cycle_time().cycle_time)
+    return sim, drive_fabric(sim, result, stimulus)
 
 
 class TestFaultParity:
@@ -234,6 +241,125 @@ class TestFaultParity:
         with pytest.raises(SimulationError, match="duration must be > 0"):
             sim.inject_glitch("lt:st0", at=10.0, duration=-1.0)
         assert sim.forced_nets == {}
+
+
+def every_fault(sim, netlist, period):
+    """A glitch, a force/release and a late stuck-at in one run."""
+    glitch("lt:", INVERT)(sim, netlist, period)
+    force_then_release("req:")(sim, netlist, period)
+    sim.force_net(fault_site(netlist, "ack:"), 1, time=8.0 * period)
+
+
+#: Runs before the reset: every fault hook, and an X enable glitch that
+#: aborts the run midway with a ``SimulationError``.
+RESET_ARMS = {"every-fault": every_fault, "x-enable": glitch("lt:", None)}
+
+
+@pytest.mark.parametrize("cls", [EventSimulator, CompiledSimulator],
+                         ids=lambda cls: cls.__name__)
+class TestResetParity:
+    """A reset engine runs like a fresh one, event for event, whatever
+    the run before the reset did: captures with times, events, toggles,
+    histories, energy, values, time and forces."""
+
+    @pytest.mark.parametrize("arm", sorted(RESET_ARMS))
+    def test_reset_run_equals_fresh_run(self, cls, arm):
+        result = serial_fabric("pipe4x1")
+        netlist = result.desync_netlist
+        stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
+
+        def build():
+            return cls(netlist, record=control_nets(netlist),
+                       record_energy=True, initial_inputs=stimulus[0])
+        reused = build()
+        RESET_ARMS[arm](reused, netlist,
+                        result.desync_cycle_time().cycle_time)
+        drive_fabric(reused, result, stimulus)
+        assert reused.captures and reused.n_events  # state to reset
+        reused.reset()
+        fresh = build()
+        raised = [drive_fabric(sim, result, stimulus)
+                  for sim in (reused, fresh)]
+        assert raised == [None, None]
+        assert reused.n_events == fresh.n_events
+        assert reused.now == fresh.now
+        assert dict(reused.captures) == dict(fresh.captures)
+        assert dict(reused.toggle_counts) == dict(fresh.toggle_counts)
+        assert dict(reused.history) == dict(fresh.history)
+        assert reused.energy_events == fresh.energy_events
+        assert dict(reused.values) == dict(fresh.values)
+        assert reused.forced_nets == fresh.forced_nets == {}
+
+    def test_reset_returns_to_time_zero(self, cls):
+        result = serial_fabric("pipe4x1")
+        sim = cls(result.desync_netlist)
+        settled = dict(sim.values)
+        pending = sim.peek_time()
+        sim.run(5 * result.desync_cycle_time().cycle_time)
+        sim.reset()
+        assert (sim.now, sim.n_events, dict(sim.captures)) == (0.0, 0, {})
+        assert dict(sim.values) == settled
+        assert pending is not None and sim.peek_time() == pending
+
+
+class TestReusedSimulator:
+    """The engine pool behind ``desync_streams``."""
+
+    def test_same_key_reuses_one_engine(self):
+        netlist = serial_fabric("pipe4x1").desync_netlist
+        with reused_simulator(netlist, "compiled") as first:
+            first.run(500.0)
+        with reused_simulator(netlist, "compiled") as second:
+            assert second is first
+            assert (second.now, second.n_events) == (0.0, 0)
+            with reused_simulator(netlist, "compiled") as nested:
+                assert nested is not second  # checked out, not shared
+
+    def test_keyed_on_engine_class(self, monkeypatch):
+        netlist = serial_fabric("pipe4x1").desync_netlist
+        with reused_simulator(netlist, "compiled"):
+            pass
+        monkeypatch.setitem(EVENT_BACKENDS, "compiled", EventSimulator)
+        with reused_simulator(netlist, "compiled") as swapped:
+            assert type(swapped) is EventSimulator
+        with reused_simulator(netlist, "compiled") as sim:
+            assert sim is swapped
+        monkeypatch.undo()
+        with reused_simulator(netlist, "compiled") as sim:
+            assert type(sim) is CompiledSimulator
+
+    def test_keyed_on_delay_model_and_initial_inputs(self):
+        from repro.timing import DelayModel
+        netlist = serial_fabric("pipe4x1").desync_netlist
+        port = fault_site(netlist, "input")
+        for kwargs, shared in (
+                ({"delay_model": DelayModel.scaled(1.0)}, True),  # identity
+                ({"delay_model": DelayModel.scaled(2.0)}, False),
+                ({"initial_inputs": {port: 1}}, False)):
+            with reused_simulator(netlist, "compiled") as nominal:
+                pass
+            with reused_simulator(netlist, "compiled", **kwargs) as sim:
+                assert (sim is nominal) == shared
+
+    def test_mutation_drops_the_engine(self):
+        netlist = generate("counter6")
+        with reused_simulator(netlist, "compiled") as before:
+            pass
+        netlist.add_input("spare")
+        with reused_simulator(netlist, "compiled") as after:
+            assert after is not before
+            assert "spare" in after.values
+
+    def test_one_engine_parked_per_netlist(self):
+        netlist = generate("counter6")
+        port = netlist.inputs[0]
+        for value in (0, 1, None):
+            for backend in ("event", "compiled"):
+                with reused_simulator(netlist, backend,
+                                      initial_inputs={port: value}) as sim:
+                    pass
+        assert netlist.memo("parked-simulator", dict) == {
+            (CompiledSimulator, None, ((port, None),)): sim}
 
 
 class TestDropInSurface:

@@ -1,10 +1,13 @@
 """Tests for the end-to-end de-synchronization flow and its pieces."""
 
+import dataclasses
+
 import pytest
 
 from repro.desync import (
     DesyncOptions,
     HandshakeMode,
+    build_network,
     cluster_registers,
     desynchronize,
     latchify,
@@ -238,3 +241,32 @@ class TestPerformanceShape:
         ratio = (deep.desync_cycle_time().cycle_time
                  / shallow.desync_cycle_time().cycle_time)
         assert ratio < 1.5
+
+
+class TestBuildNetworkErrors:
+    """``build_network`` refuses what no fabric can be built from, on
+    every call: a failed copy plan is not memoized."""
+
+    def test_flip_flop_left(self):
+        netlist = inverter_pipeline(2)
+        for _ in range(2):
+            with pytest.raises(DesyncError, match="still contains flip-flop"):
+                build_network(netlist, cluster_registers(netlist), {})
+
+    def test_register_missing_from_the_clustering(self):
+        netlist = inverter_pipeline(2)
+        clustering = cluster_registers(netlist)
+        latched = latchify(netlist)
+        partial = dataclasses.replace(clustering, cluster_of={})
+        for _ in range(2):
+            with pytest.raises(DesyncError,
+                               match="missing from the clustering"):
+                build_network(latched, partial, {})
+
+    def test_combinational_clock_read(self):
+        netlist = inverter_pipeline(2)
+        netlist.add_gate("INV", [netlist.clock], name="ckinv")
+        latched = latchify(netlist)
+        for _ in range(2):
+            with pytest.raises(DesyncError, match="reads the clock"):
+                build_network(latched, cluster_registers(netlist), {})

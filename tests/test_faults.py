@@ -42,6 +42,7 @@ from repro.faults.inject import (
 )
 from repro.netlist import Netlist
 from repro.sim.backends import EVENT_BACKENDS
+from repro.sim.compiled import CompiledSimulator
 from repro.sim.simulator import INVERT, EventSimulator
 from repro.testing import random_stimulus
 from repro.timing import DelayModel, matched_delay_target, plan_delay_line
@@ -411,6 +412,10 @@ class TestCampaign:
             return [row[:wall] + row[wall + 1:] for row in report.rows]
         compiled = rows()
         monkeypatch.setitem(EVENT_BACKENDS, "compiled", EventSimulator)
+
+        def not_the_interpreter(self, until):
+            raise AssertionError("a compiled engine ran after the swap")
+        monkeypatch.setattr(CompiledSimulator, "run", not_the_interpreter)
         assert rows() == compiled
         kinds = {row[CAMPAIGN_COLUMNS.index("kind")] for row in compiled}
         assert kinds == {"delay", "fault", "margin"}

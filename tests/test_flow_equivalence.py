@@ -7,8 +7,12 @@ from repro.corpus import generate
 from repro.desync import DesyncOptions, HandshakeMode, desynchronize
 from repro.equiv import check_flow_equivalence, desync_streams, \
     reference_streams
+from repro.equiv.flow_equivalence import (_input_fed_masters, _masters,
+                                          _paced_run)
 from repro.netlist import Netlist
+from repro.sim import make_simulator
 from repro.testing import random_stimulus
+from repro.timing import DelayModel
 from repro.utils.errors import FlowEquivalenceError
 
 from tests.circuits import (
@@ -246,3 +250,202 @@ class TestMutationDetection:
         assert not report.equivalent
         first = report.divergences[0]
         assert (first.register, first.cycle) == ("r1/b", 1)
+
+
+def poll_every_chunk(sim, result, cycles, inputs_per_cycle, masters,
+                     time_limit=None, delay_model=None):
+    """Oracle: the paced environment loop with one ``run`` per grid
+    point, idle or not — ``_paced_run`` before it skipped idle polls."""
+    period = result.desync_cycle_time().cycle_time
+    stretch, shrink = 1.0, 1.0
+    if delay_model is not None and not delay_model.is_identity:
+        stretch = max(1.0, delay_model.max_factor())
+        shrink = min(1.0, max(delay_model.min_factor(), 1e-3))
+    horizon = time_limit if time_limit is not None else \
+        max(1.0, period) * (cycles + 8) * 2 * stretch
+    feeds = []
+    if inputs_per_cycle and any(vector for vector in inputs_per_cycle[1:]):
+        feeds = _input_fed_masters(result.desync_netlist, masters) \
+            or sorted(masters)
+        max_cell_delay = max(
+            cell.delay
+            for cell in result.desync_netlist.library.cells.values())
+        chunk = max(1.0, min(period / 8.0, max_cell_delay) * shrink)
+    else:
+        chunk = max(1.0, period) * 2
+    next_vector = 1
+    now = 0.0
+    while now < horizon:
+        now = min(horizon, now + chunk)
+        sim.run(now)
+        captures = sim.captures
+        if feeds and next_vector < min(cycles, len(inputs_per_cycle)):
+            if all(len(captures.get(m, [])) >= next_vector for m in feeds):
+                for port, value in inputs_per_cycle[next_vector].items():
+                    sim.set_input(port, value)
+                next_vector += 1
+        if all(len(captures.get(m, [])) >= cycles for m in masters):
+            break
+    captures = sim.captures
+    shortfall = {m for m in masters
+                 if len(captures.get(m, [])) < cycles}
+    if shortfall:
+        raise FlowEquivalenceError(
+            f"de-synchronized circuit stalled: {sorted(shortfall)[:5]} "
+            f"captured fewer than {cycles} values within {horizon:.0f} ps")
+
+
+def stuck_local_clock(sim, netlist):
+    sim.force_net(next(name for name in netlist.nets
+                       if name.startswith("lt:") and "<env>" not in name),
+                  0, time=0.0)
+
+
+#: ``(delay model, arm)`` per case: a live fabric under a varying
+#: stimulus, the same under a dilating delay model (its events spread
+#: out, leaving polls idle), and one wedged by a stuck-at until the
+#: stall horizon.
+SKIP_CASES = {
+    "varying": (None, None),
+    "delay-model": (DelayModel.scaled(3.0), None),
+    "wedged": (None, stuck_local_clock),
+}
+
+
+class TestIdlePollSkip:
+    """``_paced_run`` skips only polls that process no event: it ends
+    exactly where polling every grid point does, and skips all but at
+    most one of the oracle's idle polls."""
+
+    @pytest.mark.parametrize("backend", ["event", "compiled"])
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    def test_matches_polling_every_chunk(self, case, backend):
+        result = desynchronize(generate("crc5"),
+                               DesyncOptions(mode=HandshakeMode.SERIAL))
+        cycles = 8
+        stimulus = random_stimulus(result.sync_netlist, cycles, seed=1)
+        delay_model, arm = SKIP_CASES[case]
+        masters = _masters(result)
+        outcomes = []
+        for loop in (poll_every_chunk, _paced_run):
+            sim = make_simulator(result.desync_netlist, backend,
+                                 initial_inputs=stimulus[0],
+                                 delay_model=delay_model)
+            if arm is not None:
+                arm(sim, result.desync_netlist)
+            calls = []
+            run = sim.run
+
+            def counted(until, sim=sim, run=run):
+                pending = sim.peek_time()
+                calls.append(pending is None or pending > until)
+                return run(until)
+            sim.run = counted
+            try:
+                loop(sim, result, cycles, stimulus, masters,
+                     delay_model=delay_model)
+                error = None
+            except FlowEquivalenceError as exc:
+                error = str(exc)
+            outcomes.append((dict(sim.captures), sim.n_events, sim.now,
+                             error, calls))
+        polled, skipped = outcomes
+        assert skipped[:4] == polled[:4]
+        assert (polled[3] is not None) == (case == "wedged")
+        idle = sum(polled[4])
+        assert len(skipped[4]) <= len(polled[4]) - idle + 1
+        assert sum(skipped[4]) <= 1
+        if case != "varying":  # a live nominal fabric is never idle
+            assert idle > 1 and len(skipped[4]) < len(polled[4])
+
+
+class ScriptedFabric:
+    """An engine stand-in whose masters capture at scripted times and
+    whose inputs drive nothing; it logs every ``set_input``."""
+
+    def __init__(self, captures):
+        self.pending = sorted(captures)  # (time, master)
+        self.captures = {}
+        self.driven = []
+        self.now = 0.0
+        self.n_events = 0
+
+    def peek_time(self):
+        return self.pending[0][0] if self.pending else None
+
+    def run(self, until):
+        while self.pending and self.pending[0][0] <= until:
+            time, master = self.pending.pop(0)
+            self.captures.setdefault(master, []).append(time)
+            self.n_events += 1
+        self.now = max(self.now, until)
+
+    def set_input(self, port, value):
+        self.driven.append((self.now, port, value))
+
+
+def scripted_result(period, gate):
+    """The parts of a desync result the paced loop reads."""
+    from types import SimpleNamespace
+    return SimpleNamespace(
+        desync_cycle_time=lambda: SimpleNamespace(cycle_time=period),
+        desync_netlist=SimpleNamespace(
+            instances={},
+            library=SimpleNamespace(cells={"g": SimpleNamespace(
+                delay=gate)})))
+
+
+def test_idle_skip_keeps_feed_times_on_a_scripted_fabric():
+    # Polls fall every 10 ps.  Two captures land in the first poll, so
+    # vector 1 (empty: the inputs hold) and vector 2 are due at
+    # consecutive polls with nothing pending in between; the third
+    # capture lands exactly on the grid point at 50 ps; the fourth never
+    # comes, so the loop stalls at the horizon.
+    result = scripted_result(period=80.0, gate=10.0)
+    stimulus = [{"a": 0}, {}, {"a": 1}, {"a": 0}]
+    runs = []
+    for loop in (poll_every_chunk, _paced_run):
+        sim = ScriptedFabric([(3.0, "m"), (4.0, "m"), (50.0, "m")])
+        with pytest.raises(FlowEquivalenceError, match="stalled") as exc:
+            loop(sim, result, 4, stimulus, {"m": "r"})
+        runs.append((sim.driven, sim.captures, sim.now, str(exc.value)))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == [(20.0, "a", 1), (50.0, "a", 0)]
+
+
+class TestSharedWork:
+    """What the checks of one fabric share: the reference streams per
+    stimulus, and one engine per (engine, delay model, stimulus)."""
+
+    def test_reference_streams_memoized_per_stimulus(self):
+        netlist = generate("crc5")
+        stimuli = [random_stimulus(netlist, 6, seed=seed) for seed in (0, 1)]
+        first = reference_streams(netlist, 6, inputs_per_cycle=stimuli[0])
+        for stream in first.values():
+            stream.clear()  # the caller's lists are its own
+        for stimulus in stimuli:
+            assert reference_streams(netlist, 6,
+                                     inputs_per_cycle=stimulus) == \
+                reference_streams(generate("crc5"), 6,
+                                  inputs_per_cycle=stimulus)
+        assert reference_streams(netlist, 6, inputs={"din": 1}) == \
+            reference_streams(generate("crc5"), 6, inputs={"din": 1})
+
+    def test_faulted_checks_share_a_reset_engine(self):
+        result = desynchronize(generate("pipe4x1"),
+                               DesyncOptions(mode=HandshakeMode.SERIAL))
+        stimulus = random_stimulus(result.sync_netlist, 6, seed=0)
+        clean = desync_streams(result, 6, inputs_per_cycle=stimulus,
+                               backend="compiled")
+        engines = []
+
+        def arm(sim):
+            engines.append(sim)
+            stuck_local_clock(sim, result.desync_netlist)
+        for _ in range(2):
+            with pytest.raises(FlowEquivalenceError, match="stalled"):
+                desync_streams(result, 6, inputs_per_cycle=stimulus,
+                               backend="compiled", arm=arm)
+        assert engines[0] is engines[1]
+        assert desync_streams(result, 6, inputs_per_cycle=stimulus,
+                              backend="compiled") == clean

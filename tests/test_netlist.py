@@ -156,6 +156,21 @@ class TestQueriesAndClone:
         assert copy.clock == "clk"
         assert copy.outputs == ["q"]
 
+    def test_clone_keeps_the_construction_order(self):
+        from repro.corpus import generate
+        netlist = generate("fir8")
+        assert clone(netlist).fingerprint() == netlist.fingerprint()
+
+    def test_add_copies_checks_names_and_drivers(self):
+        n = small_circuit()
+        inv = GENERIC["INV"]
+        with pytest.raises(NetlistError, match="duplicate instance name"):
+            n.add_copies([("g1", inv, 0, [("A", "a"), (inv.output, "x")])])
+        with pytest.raises(NetlistError, match="cannot also be driven"):
+            n.add_copies([("g2", inv, 0, [("A", "a"), (inv.output, "q")])])
+        with pytest.raises(NetlistError, match="cannot also be driven"):
+            n.add_copies([("g3", inv, 0, [("A", "q"), (inv.output, "b")])])
+
     def test_clone_preserves_init(self):
         n = Netlist("t")
         clk = n.add_input("clk", clock=True)
