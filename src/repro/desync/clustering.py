@@ -34,7 +34,7 @@ from repro.netlist.core import (
     Instance,
     Netlist,
     iter_register_banks,
-    sequential_fanin,
+    register_fanin,
 )
 from repro.utils.errors import DesyncError
 
@@ -111,12 +111,10 @@ def _register_level_edges(netlist: Netlist):
     banks = {name: insts for name, insts in iter_register_banks(netlist)}
     if not banks:
         raise DesyncError(f"{netlist.name} has no registers")
-    bank_of = {inst.name: bank
-               for bank, insts in banks.items() for inst in insts}
-    edges = frozenset((bank_of[source.name], bank)
-                      for bank, instances in banks.items()
-                      for ff in instances
-                      for source in sequential_fanin(ff))
+    sources = register_fanin(netlist).bank_sources(banks)
+    edges = frozenset((source, bank)
+                      for bank, preds in sources.items()
+                      for source in preds)
     return banks, edges
 
 

@@ -38,16 +38,23 @@ scheduler loop covers every way a grid runs:
 
 Everything is surfaced: an ``executor:run`` tracer span, ``<prefix>.*``
 metric counters, and an :class:`ExecutorStats` summary.
+
+While the grid runs, the heap that existed before it is frozen
+(:func:`gc.freeze`, unless the caller already froze one), so full
+collections during the grid skip the objects created at import, and
+forked workers do not touch the parent's pages to collect them.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable
@@ -386,9 +393,10 @@ def run_grid(tasks: list[tuple[str, Any]],
             max_workers=policy.jobs, mp_context=get_context("fork"),
             initializer=initializer, initargs=initargs)
 
-    with TRACER.span("executor:run", cells=len(tasks), jobs=policy.jobs,
-                     worker=ledger.worker, in_process=policy.in_process,
-                     timeout=policy.timeout or 0.0):
+    with _frozen_heap(), \
+            TRACER.span("executor:run", cells=len(tasks), jobs=policy.jobs,
+                        worker=ledger.worker, in_process=policy.in_process,
+                        timeout=policy.timeout or 0.0):
         pool = make_pool()
         # future -> (key, attempt, wall-clock deadline or None)
         inflight: dict[Any, tuple[str, int, float | None]] = {}
@@ -518,6 +526,25 @@ def run_grid(tasks: list[tuple[str, Any]],
                 + (cache.stats()["quarantined"] if cache is not None else 0)),
         }
     return outcomes, stats
+
+
+@contextmanager
+def _frozen_heap():
+    """Freeze the current heap for the block, unless already frozen.
+
+    A caller's own :func:`gc.freeze` is left alone; otherwise the heap
+    is collected, frozen, and unfrozen on the way out (exceptions
+    included).
+    """
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        gc.collect()
+        gc.freeze()
+    try:
+        yield
+    finally:
+        if froze:
+            gc.unfreeze()
 
 
 def _kill_workers(pool) -> None:

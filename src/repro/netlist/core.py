@@ -19,10 +19,10 @@ Conventions:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.netlist.cells import Cell, CellKind, Library, GENERIC
+from repro.netlist.cells import Cell, CellKind, Library, GENERIC, PIN_D
 from repro.obs.trace import TRACER as _TRACER
 from repro.utils.errors import NetlistError
 from repro.utils.naming import NameScope
@@ -108,7 +108,6 @@ class Instance:
 
     def data_net(self) -> Net:
         """The D input net of a sequential instance."""
-        from repro.netlist.cells import PIN_D
         return self.pins[PIN_D]
 
     def clock_net(self) -> Net:
@@ -505,23 +504,81 @@ def clone(netlist: Netlist, name: str | None = None) -> Netlist:
     return copy
 
 
-def sequential_fanin(inst: Instance) -> list[Instance]:
-    """Sequential instances whose outputs reach the D input of ``inst``
-    through combinational logic (or directly)."""
-    sources: list[Instance] = []
-    seen: set[str] = set()
-    stack = [inst.data_net()]
-    while stack:
-        net = stack.pop()
-        driver = net.driver_instance()
-        if driver is None or driver.name in seen:
-            continue
-        seen.add(driver.name)
-        if driver.is_sequential:
-            sources.append(driver)
-        elif driver.is_combinational or driver.is_celement:
-            stack.extend(driver.input_nets())
-    return sources
+@dataclass(frozen=True)
+class RegisterFanin:
+    """Which sequential instances reach each sequential D input.
+
+    Attributes:
+        index: sequential instance name -> its bit position in a mask.
+        fanin: sequential instance name -> bit mask of the sequential
+            instances whose outputs reach its D input through
+            combinational logic (or directly).
+    """
+
+    index: dict[str, int]
+    fanin: dict[str, int]
+
+    def bank_sources(self, banks: Mapping[str, Sequence[Instance]],
+                     ) -> dict[str, list[str]]:
+        """Per bank, the banks with a member that reaches one of its
+        members' D inputs (the bank itself included).  ``banks`` must
+        cover every sequential source that reaches a member."""
+        owner: dict[int, str] = {}
+        members: dict[str, int] = {}
+        for bank, insts in banks.items():
+            bits = 0
+            for inst in insts:
+                position = self.index[inst.name]
+                owner[position] = bank
+                bits |= 1 << position
+            members[bank] = bits
+        sources: dict[str, list[str]] = {}
+        for bank, insts in banks.items():
+            mask = 0
+            for inst in insts:
+                mask |= self.fanin[inst.name]
+            found = sources[bank] = []
+            while mask:
+                source = owner[(mask & -mask).bit_length() - 1]
+                found.append(source)
+                mask &= ~members[source]
+        return sources
+
+
+def register_fanin(netlist: Netlist) -> RegisterFanin:
+    """The sequential fanin of every flip-flop and latch of ``netlist``.
+
+    One pass over :meth:`Netlist.topo_order_comb_only` carries, per
+    net, the set of sequential sources reaching it as an int bit mask.
+    Memoized on ``netlist`` (:meth:`Netlist.memo`); callers must only
+    read the result.  Flip-flop and latch netlists only: raises
+    :class:`NetlistError` on C-elements and on a combinational cycle.
+    """
+    return netlist.memo("register_fanin",
+                        lambda: _register_fanin(netlist))
+
+
+def _register_fanin(netlist: Netlist) -> RegisterFanin:
+    handshake = netlist.celement_instances()
+    if handshake:
+        raise NetlistError(
+            f"{netlist.name} has handshake cell {handshake[0].name}: "
+            "register fanin covers flip-flop and latch netlists only")
+    sequential = netlist.seq_instances()
+    index = {inst.name: position
+             for position, inst in enumerate(sequential)}
+    reach: dict[str, int] = {
+        inst.output_net().name: 1 << position
+        for position, inst in enumerate(sequential)}
+    for gate in netlist.topo_order_comb_only():
+        mask = 0
+        for net in gate.input_nets():
+            mask |= reach.get(net.name, 0)
+        if mask:
+            reach[gate.output_net().name] = mask
+    return RegisterFanin(index, {
+        inst.name: reach.get(inst.data_net().name, 0)
+        for inst in sequential})
 
 
 def iter_register_banks(netlist: Netlist) -> Iterator[tuple[str, list[Instance]]]:

@@ -29,11 +29,19 @@ Design constraints, in order:
 Span timestamps are microseconds relative to the tracer's start (the
 trace-event ``ts`` convention); durations come from
 :func:`time.perf_counter`.
+
+While armed, a tracer also records every cyclic garbage collection as a
+``gc`` complete event (with the ``generation`` collected and the number
+of objects ``collected``) through a :data:`gc.callbacks` hook, so GC
+pauses show as their own slices instead of hiding inside whichever span
+allocated.  The hook is registered by :meth:`Tracer.start` and removed
+by :meth:`Tracer.stop` and :meth:`Tracer.disarm`.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import json
 import os
 import threading
@@ -134,6 +142,7 @@ class Tracer:
         self._local = threading.local()
         self._tids: dict[int, int] = {}
         self._totals: dict[str, int | float] = {}
+        self._gc_start_us: float | None = None
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -155,11 +164,15 @@ class Tracer:
         self._totals = {}
         self._epoch = perf_counter()
         self._path = path
+        self._gc_start_us = None
         self._enabled = True
+        if self._on_gc not in gc.callbacks:
+            gc.callbacks.append(self._on_gc)
 
     def stop(self) -> list[dict[str, object]]:
         """Disarm, write to the armed path (if any), return the events."""
         self._enabled = False
+        self._unhook_gc()
         if self._path and self._events:
             self.write(self._path)
         return list(self._events)
@@ -174,6 +187,7 @@ class Tracer:
         events back for the parent to :meth:`ingest`.
         """
         self._enabled = False
+        self._unhook_gc()
         self._path = None
         self._events = []
         self._totals = {}
@@ -268,6 +282,26 @@ class Tracer:
         if tid is None:
             tid = self._tids[ident] = len(self._tids) + 1
         return tid
+
+    def _unhook_gc(self) -> None:
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase: str, info: dict[str, int]) -> None:
+        if not self._enabled:
+            return
+        now = self._now_us()
+        if phase == "start":
+            self._gc_start_us = now
+        elif self._gc_start_us is not None:
+            self._events.append({
+                "name": "gc", "ph": "X", "ts": self._gc_start_us,
+                "dur": now - self._gc_start_us,
+                "pid": 1, "tid": self._tid(),
+                "args": {"generation": info["generation"],
+                         "collected": info["collected"]},
+            })
+            self._gc_start_us = None
 
     def _emit_complete(self, span: Span) -> None:
         if not self._enabled:

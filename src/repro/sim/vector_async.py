@@ -96,8 +96,10 @@ def check_schedule_replayable(netlist: Netlist) -> str | None:
 
     Returns ``None`` when the schedule is provably data-independent, or
     a human-readable reason when it is not (the caller's fallback
-    record).  Each proof attempt leaves a ``replay:proof`` instant event
-    on the tracer carrying the outcome.  The proof is structural:
+    record).  The reason is memoized on ``netlist``
+    (:meth:`~repro.netlist.core.Netlist.memo`), and every call leaves a
+    ``replay:proof`` instant event on the tracer carrying the outcome.
+    The proof is structural:
 
     * the netlist is a latch fabric (no flip-flops, at least one latch,
       no asynchronously-resettable latch — an async clear can fire
@@ -113,7 +115,7 @@ def check_schedule_replayable(netlist: Netlist) -> str | None:
     * every cell delay is a constant number (matched delays cannot vary
       with data).
     """
-    reason = _proof(netlist)
+    reason = netlist.memo("replay_proof", lambda: _proof(netlist))
     if _TRACER.enabled:
         _TRACER.instant("replay:proof", netlist=netlist.name,
                         replayable=reason is None, reason=reason)

@@ -22,7 +22,7 @@ from repro.netlist.core import (
     Instance,
     Netlist,
     iter_register_banks,
-    sequential_fanin,
+    register_fanin,
 )
 from repro.stg.patterns import Parity, add_latch_cycle, add_pair_arcs
 from repro.stg.stg import Stg
@@ -80,22 +80,16 @@ def latch_adjacency(netlist: Netlist,
     """Bank-level data adjacency: ``(pred, succ)`` pairs such that some
     latch output in ``pred`` reaches a latch D input in ``succ`` through
     combinational logic (or directly)."""
-    bank_of: dict[str, str] = {}
-    for bank in banks.values():
-        for inst in bank.instances:
-            bank_of[inst.name] = bank.name
+    sources = register_fanin(netlist).bank_sources(
+        {bank.name: bank.instances for bank in banks.values()})
     pairs: set[tuple[str, str]] = set()
-    for bank in banks.values():
-        for latch in bank.instances:
-            for source in sequential_fanin(latch):
-                pred = bank_of[source.name]
-                if pred != bank.name:
-                    pairs.add((pred, bank.name))
-                else:
-                    raise DesyncError(
-                        f"latch bank {bank.name} feeds itself combinationally "
-                        "(a latch must not drive its own D input without "
-                        "passing through the opposite phase)")
+    for bank, preds in sources.items():
+        if bank in preds:
+            raise DesyncError(
+                f"latch bank {bank} feeds itself combinationally "
+                "(a latch must not drive its own D input without "
+                "passing through the opposite phase)")
+        pairs.update((pred, bank) for pred in preds)
     return frozenset(pairs)
 
 

@@ -8,8 +8,9 @@ the best case bounds the hold-style assumption that the handshake
 response is faster than the shortest data path.
 
 The analysis is levelized: one forward longest/shortest-path pass per
-source bank over the topologically-ordered combinational gates, so the
-cost is O(banks x gates) — comfortable for DLX-scale netlists.
+source bank, restricted to that bank's combinational fanout cone and
+visited in the netlist's topological order (a heap of topological
+positions), so each source costs its cone rather than the whole netlist.
 
 Delay model: fixed pin-to-output delay per cell (from the library) plus a
 fanout increment, standing in for load-dependent delay from extracted
@@ -18,6 +19,7 @@ parasitics.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -115,9 +117,17 @@ def _analyze(netlist: Netlist, banks: dict[str, list[Instance]],
     seq_instances = [inst for insts in banks.values() for inst in insts]
     if not seq_instances:
         raise TimingError(f"{netlist.name} has no sequential elements")
-    bank_of = {inst.name: bank
-               for bank, insts in banks.items() for inst in insts}
     order = netlist.topo_order_comb_only()
+    position = {inst.name: index for index, inst in enumerate(order)}
+
+    def cone_sinks(net: Net) -> list[int]:
+        return [position[sink.name] for sink, _ in net.sinks
+                if sink.name in position]
+
+    gates = [(inst.output_net().name,
+              [net.name for net in inst.input_nets()],
+              gate_delay(inst), cone_sinks(inst.output_net()))
+             for inst in order]
     clk_to_q = max(inst.cell.delay for inst in seq_instances)
     result = TimingResult(clk_to_q=clk_to_q, setup=setup, skew=skew)
 
@@ -129,51 +139,64 @@ def _analyze(netlist: Netlist, banks: dict[str, list[Instance]],
                   if p != netlist.clock]
     if input_nets:
         sources[INPUTS] = input_nets
+    data_nets = {bank: [inst.data_net().name for inst in insts]
+                 for bank, insts in banks.items()}
 
     for bank, source_nets in sorted(sources.items()):
-        longest, shortest = _propagate(netlist, order, source_nets)
-        _collect_endpoints(netlist, banks, bank_of, bank, longest, shortest,
+        longest, shortest = _propagate(
+            gates, [(net.name, cone_sinks(net)) for net in source_nets])
+        _collect_endpoints(netlist, data_nets, bank, longest, shortest,
                            result)
     return result
 
 
-def _propagate(netlist: Netlist, order: list[Instance],
-               source_nets: list[Net],
+def _propagate(gates: list[tuple[str, list[str], float, list[int]]],
+               sources: list[tuple[str, list[int]]],
                ) -> tuple[dict[str, float], dict[str, float]]:
-    """Longest/shortest arrival per net reachable from ``source_nets``."""
-    longest: dict[str, float] = {net.name: 0.0 for net in source_nets}
-    shortest: dict[str, float] = {net.name: 0.0 for net in source_nets}
-    for inst in order:
+    """Longest/shortest arrival per net reachable from ``sources``.
+
+    ``gates`` lists, in topological order, each combinational gate's
+    output net, input nets, delay and the positions of the gates its
+    output feeds; ``sources`` pairs each source net with the positions
+    it feeds.  Only the sources' fanout cone is visited, in topological
+    order: a gate outside the cone has no input with an arrival, and a
+    gate is evaluated only after every cone gate before it.
+    """
+    longest: dict[str, float] = {name: 0.0 for name, _ in sources}
+    shortest: dict[str, float] = {name: 0.0 for name, _ in sources}
+    queued = {index for _, sinks in sources for index in sinks}
+    heap = list(queued)
+    heapq.heapify(heap)
+    while heap:
+        out, inputs, delay, sinks = gates[heapq.heappop(heap)]
         worst = -math.inf
         best = math.inf
-        for net in inst.input_nets():
-            if net.name in longest:
-                worst = max(worst, longest[net.name])
-                best = min(best, shortest[net.name])
-        if worst == -math.inf:
-            continue
-        delay = gate_delay(inst)
-        out = inst.output_net().name
+        for name in inputs:
+            if name in longest:
+                worst = max(worst, longest[name])
+                best = min(best, shortest[name])
         candidate_long = worst + delay
         candidate_short = best + delay
         if candidate_long > longest.get(out, -math.inf):
             longest[out] = candidate_long
         if candidate_short < shortest.get(out, math.inf):
             shortest[out] = candidate_short
+        for index in sinks:
+            if index not in queued:
+                queued.add(index)
+                heapq.heappush(heap, index)
     return longest, shortest
 
 
 def _collect_endpoints(netlist: Netlist,
-                       banks: dict[str, list[Instance]],
-                       bank_of: dict[str, str], source_bank: str,
+                       data_nets: dict[str, list[str]], source_bank: str,
                        longest: dict[str, float],
                        shortest: dict[str, float],
                        result: TimingResult) -> None:
-    for bank, insts in banks.items():
+    for bank, names in data_nets.items():
         worst = -math.inf
         best = math.inf
-        for inst in insts:
-            data = inst.data_net().name
+        for data in names:
             if data in longest:
                 worst = max(worst, longest[data])
                 best = min(best, shortest[data])

@@ -11,6 +11,7 @@ durable job-dir mode is covered in ``tests/test_jobs.py``.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -63,6 +64,14 @@ def sleep_then_return(payload):
 
 def pid_of_runner(payload):
     return os.getpid()
+
+
+def freeze_count(payload):
+    return gc.get_freeze_count()
+
+
+def interrupt(payload):
+    raise KeyboardInterrupt
 
 
 class TestRunGrid:
@@ -165,6 +174,39 @@ class TestRunGrid:
         with pytest.raises(ExecutorError, match="cache_key"):
             run_grid([("a", 1)], double, FAST,
                      cache_dir=str(tmp_path / "cache"))
+
+
+class TestFrozenHeap:
+    """``run_grid`` freezes the pre-grid heap for the grid's duration."""
+
+    @pytest.fixture(autouse=True)
+    def unfrozen(self):
+        # Every earlier grid of this session must have unfrozen.
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_run_frozen_and_the_count_is_restored(self, jobs):
+        outcomes, _ = run_grid([("a", None), ("b", None)], freeze_count,
+                               ExecutorPolicy(jobs=jobs))
+        assert all(o.value > 0 for o in outcomes.values())
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_freeze_is_left_alone(self):
+        gc.freeze()
+        try:
+            held = gc.get_freeze_count()
+            outcomes, _ = run_grid([("a", None)], freeze_count,
+                                   ExecutorPolicy(jobs=1))
+            # Nothing more was frozen (frozen objects may still die).
+            assert 0 < outcomes["a"].value <= held
+            assert 0 < gc.get_freeze_count() <= held
+        finally:
+            gc.unfreeze()
+
+    def test_an_escaping_exception_restores_the_count(self):
+        with pytest.raises(KeyboardInterrupt):
+            run_grid([("a", None)], interrupt, ExecutorPolicy(jobs=1))
+        assert gc.get_freeze_count() == 0
 
 
 class TestPolicyAndEnv:

@@ -1,5 +1,6 @@
 """Tests for the observability layer: tracing, metrics, VCD export."""
 
+import gc
 import json
 import os
 import subprocess
@@ -28,7 +29,20 @@ from repro.utils.errors import ReproError
 
 
 @pytest.fixture
-def tracer():
+def quiet_gc():
+    """Pause automatic collections, so an armed tracer records only the
+    events a test makes (an armed tracer also records ``gc`` slices)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def tracer(quiet_gc):
     """A private, armed tracer (never the process-global one)."""
     tracer = Tracer()
     tracer.start()
@@ -133,7 +147,7 @@ class TestTracer:
         with open(path) as handle:
             assert json.load(handle) == json.loads(json.dumps(exported))
 
-    def test_stop_writes_to_armed_path(self, tmp_path):
+    def test_stop_writes_to_armed_path(self, tmp_path, quiet_gc):
         tracer = Tracer()
         path = str(tmp_path / "armed.json")
         tracer.start(path)
@@ -149,6 +163,56 @@ class TestTracer:
             pass
         tracer.start()
         assert tracer.events() == []
+
+
+class TestGcSlices:
+    """Collections show in the trace as ``gc`` complete events."""
+
+    @staticmethod
+    def gc_events(tracer):
+        return [event for event in tracer.events() if event["name"] == "gc"]
+
+    def test_forced_collection_is_one_gc_event_while_armed(self, quiet_gc):
+        tracer = Tracer()
+        tracer.start()
+        try:
+            collected = gc.collect()
+            (event,) = self.gc_events(tracer)
+        finally:
+            tracer.stop()
+        assert event["ph"] == "X" and event["dur"] >= 0
+        assert {"ts", "pid", "tid"} <= set(event)
+        assert event["args"] == {"generation": 2, "collected": collected}
+
+    def test_nothing_recorded_or_hooked_while_disarmed(self, quiet_gc):
+        tracer = Tracer()
+        hooks = len(gc.callbacks)
+        gc.collect()
+        assert tracer.events() == []
+        tracer.start()
+        assert len(gc.callbacks) == hooks + 1
+        tracer.stop()
+        assert len(gc.callbacks) == hooks
+        gc.collect()
+        assert self.gc_events(tracer) == []
+        tracer.start()
+        tracer.disarm()
+        assert len(gc.callbacks) == hooks
+        gc.collect()
+        assert tracer.events() == []
+
+    def test_repeated_start_never_stacks_callbacks(self, quiet_gc):
+        tracer = Tracer()
+        hooks = len(gc.callbacks)
+        try:
+            for _ in range(3):
+                tracer.start()
+            assert len(gc.callbacks) == hooks + 1
+            gc.collect()
+            assert len(self.gc_events(tracer)) == 1
+        finally:
+            tracer.stop()
+        assert len(gc.callbacks) == hooks
 
 
 class TestInstrumentation:

@@ -422,6 +422,24 @@ class TestShardedSweep:
         assert not sharded_summary["executor"]["quarantined"]
         assert sharded_summary == solo_summary
 
+    def test_rows_do_not_depend_on_the_grid_freeze(self, monkeypatch):
+        import contextlib
+
+        from repro.desync.pipeline import SWEEP_COLUMNS
+        from repro.jobs import grid
+
+        timing = {SWEEP_COLUMNS.index("build_ms"),
+                  SWEEP_COLUMNS.index("verify_ms")}
+
+        def stable_rows(jobs):
+            _, rows, _ = sweep_pipelines(jobs=jobs, **self.SWEEP_KWARGS)
+            return [[value for index, value in enumerate(row)
+                     if index not in timing] for row in rows]
+
+        frozen = {jobs: stable_rows(jobs) for jobs in (1, 2)}
+        monkeypatch.setattr(grid, "_frozen_heap", contextlib.nullcontext)
+        assert {jobs: stable_rows(jobs) for jobs in (1, 2)} == frozen
+
     def test_traced_in_process_and_pooled_runs_agree(self):
         # At jobs=1 the configs run in this process; at jobs=2 on a
         # pool whose counters and spans are folded back.  Neither may

@@ -185,6 +185,43 @@ class TestDataDependenceFallback:
             result = serial_desync(config)
             assert check_schedule_replayable(result.desync_netlist) is None
 
+    def test_proof_runs_once_per_netlist_until_a_mutation(
+            self, monkeypatch):
+        from repro.obs import Tracer
+        from repro.sim import vector_async
+
+        proofs = []
+        real_proof = vector_async._proof
+
+        def counting(netlist):
+            proofs.append(netlist.name)
+            return real_proof(netlist)
+
+        monkeypatch.setattr(vector_async, "_proof", counting)
+        tracer = Tracer()
+        monkeypatch.setattr(vector_async, "_TRACER", tracer)
+        result = serial_desync("pipe4x1")
+        stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
+                   for seed in range(2)]
+        tracer.start()
+        try:
+            _, engines = desync_streams_batch(result, CYCLES, stimuli)
+            assert check_schedule_replayable(result.desync_netlist) is None
+            events = [event for event in tracer.events()
+                      if event["name"] == "replay:proof"]
+        finally:
+            tracer.stop()
+        assert engines == [("replay", None)] * 2
+        assert proofs == [result.desync_netlist.name]
+        # Every call still leaves its instant, proved or memoized: the
+        # batch's, the replay engine's and the direct one.
+        assert len(events) == 3
+        assert all(event["args"]["replayable"] for event in events)
+        data_name = gate_request_with_data(result)
+        reason = check_schedule_replayable(result.desync_netlist)
+        assert reason is not None and data_name in reason
+        assert len(proofs) == 2
+
     def test_sync_netlist_is_not_replayable(self):
         netlist = generate("counter6")
         reason = check_schedule_replayable(netlist)
