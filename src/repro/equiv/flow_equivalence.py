@@ -21,6 +21,7 @@ comparison is a plain per-register prefix check.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import repeat
 
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from repro.sim.vector import pack_stimuli
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
+    control_cone,
 )
 from repro.utils.errors import FlowEquivalenceError, SimulationError
 
@@ -212,16 +214,68 @@ def _paced_run(sim, result: DesyncResult | FlowContext, cycles: int,
     costs one ``run`` call instead of one per grid point up to the
     horizon, with the same events, captures, final ``sim.now`` and
     stall error as polling every grid point.
+
+    A *live* stall — some masters stop short while the rest of the
+    fabric keeps firing — ends as soon as it is provably final.  The
+    watch runs when the engine offers ``control_state`` (the compiled
+    engine) and the fabric passes
+    :func:`~repro.sim.vector_async.check_schedule_replayable`: the
+    latch-enable fanin cone (:func:`~repro.sim.vector_async.control_cone`)
+    then reads no data and no input port, so it is a closed,
+    deterministic system, and the engine's key of its state (values,
+    stored state, pending events relative to the earliest, forces)
+    fixes its whole future.  When two polls see equal keys at anchors
+    T < T' and no master still short of ``cycles`` captured between
+    them, the enable waveforms are periodic from T with period T' - T,
+    and every short master, having skipped one period, never captures
+    again: the shortfall at the horizon is the current one, so the loop
+    raises the horizon's stall error at once, word for word.  The keys
+    are dropped whenever a short master captures.  Keys are exact only
+    on a grid of whole-ps event times, which the engine checks; with
+    fractional delays, a pending fault action or no pending control
+    event it offers no key and the run goes on to the horizon.
+    :class:`~repro.sim.simulator.EventSimulator` has no such key and
+    stays the oracle that always runs to the horizon.
     """
     with TRACER.span("sim:paced-run",
                      engine=type(sim).__name__, cycles=cycles) as span:
-        _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
-                         time_limit, delay_model)
+        horizon, periodic = _paced_run_inner(
+            sim, result, cycles, inputs_per_cycle, masters, time_limit,
+            delay_model)
         span.count("sim.events_popped", getattr(sim, "n_events", 0))
+        captures = sim.captures
+        shortfall = {m for m in masters
+                     if len(captures.get(m, [])) < cycles}
+        if not shortfall:
+            return
+        if periodic is None:
+            span.set(stall="horizon")
+        else:
+            span.set(stall="periodic", period_ps=periodic[0],
+                     stopped_ps=periodic[1])
+            METRICS.counter("equiv.stall.periodic").inc()
+        raise FlowEquivalenceError(
+            f"de-synchronized circuit stalled: {sorted(shortfall)[:5]} "
+            f"captured fewer than {cycles} values within {horizon:.0f} ps")
+
+
+def _stall_watch(sim, result: DesyncResult | FlowContext):
+    """The control cone to watch on ``sim``, or None when the periodic
+    stall rule does not apply (see :func:`_paced_run`).  The verdict is
+    memoized per fabric, so the replay proof runs, and is traced, once.
+    """
+    if getattr(sim, "control_state", None) is None:
+        return None
+    netlist = result.desync_netlist
+    return netlist.memo("stall_watch", lambda: (
+        control_cone(netlist) if check_schedule_replayable(netlist) is None
+        else None))
 
 
 def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
                      time_limit, delay_model=None):
+    """The paced loop; returns the horizon and, for a stall proved
+    periodic, ``(period, stop time)``."""
     period = result.desync_cycle_time().cycle_time
     # The pacing horizon and polling granularity derive from the
     # *nominal* cycle time; a delay model dilates real time without
@@ -252,6 +306,10 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
         chunk = max(1.0, min(period / 8.0, max_cell_delay) * shrink)
     else:
         chunk = max(1.0, period) * 2
+    cone = _stall_watch(sim, result)
+    short = list(masters)  # masters short of ``cycles`` at the last count
+    counts: list[int] = []  # their capture counts then
+    seen: dict = {}        # control-state key -> anchor since then
     next_vector = 1
     now = 0.0
     while now < horizon:
@@ -267,6 +325,22 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
                 fed = True
         if all(len(captures.get(m, [])) >= cycles for m in masters):
             break
+        if cone is not None:
+            now_counts = list(map(len, map(captures.get, short, repeat(()))))
+            if now_counts != counts:  # a short master captured
+                if max(now_counts) >= cycles:
+                    short = [m for m, n in zip(short, now_counts)
+                             if n < cycles]
+                    now_counts = [n for n in now_counts if n < cycles]
+                counts = now_counts
+                seen.clear()
+            else:
+                state = sim.control_state(cone)
+                if state is not None:
+                    key, anchor = state
+                    first = seen.setdefault(key, anchor)
+                    if first != anchor:
+                        return horizon, (anchor - first, now)
         if fed:
             continue  # the next vector may be due at the next poll
         # Grid points before the next pending event would poll an idle
@@ -280,13 +354,7 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
             now, skipped = step, True
         if skipped and now >= horizon:
             sim.run(now)  # end at the horizon, as the last poll would
-    captures = sim.captures
-    shortfall = {m for m in masters
-                 if len(captures.get(m, [])) < cycles}
-    if shortfall:
-        raise FlowEquivalenceError(
-            f"de-synchronized circuit stalled: {sorted(shortfall)[:5]} "
-            f"captured fewer than {cycles} values within {horizon:.0f} ps")
+    return horizon, None
 
 
 def desync_streams(result: DesyncResult | FlowContext, cycles: int,

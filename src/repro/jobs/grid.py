@@ -15,7 +15,9 @@ scheduler loop covers every way a grid runs:
 * **worker-crash recovery**: a :class:`BrokenProcessPool` (segfault,
   OOM-kill, ``os._exit``) poisons every in-flight future without naming
   the guilty cell, so each in-flight cell is charged one attempt, the
-  pool is rebuilt, and everything is retried;
+  pool is rebuilt, and the charged cells are retried one at a time
+  with nothing else in flight — a second crash then convicts only the
+  cell that ran alone, never a bystander;
 * **bounded retry with exponential backoff**: a failing cell is rerun
   ``retries`` times, waiting ``backoff * 2**(attempt-1)`` seconds
   before each rerun;
@@ -327,12 +329,14 @@ def run_grid(tasks: list[tuple[str, Any]],
     rng = random.Random(ledger.worker)  # jitter stream, seeded per worker
 
     # Claim order: a failed cell moves to the back, so every cell that
-    # has not failed runs before any retry (after a pool crash, the
-    # untouched cells are not queued behind the crash's suspects).
+    # has not failed runs before any retry — except the suspects of a
+    # pool crash, which rerun first, one at a time and alone, so the
+    # untouched cells are never in the pool when a suspect crashes it.
     order = dict.fromkeys(keys)
     contention: dict[str, int] = {}    # key -> consecutive contended claims
     not_before: dict[str, float] = {}  # key -> next local claim attempt
     leased: dict[str, float] = {}      # in-flight key -> last lease renewal
+    suspects: dict[str, None] = {}     # charged by a pool break: run alone
     renew_every = max(ledger.ttl / 3.0, policy.poll)
     beat_every = max(min(ledger.ttl / 3.0, 1.0), policy.poll)
     last_beat = float("-inf")
@@ -417,8 +421,10 @@ def run_grid(tasks: list[tuple[str, Any]],
                     if now - renewed >= renew_every:
                         ledger.renew(key)
                         leased[key] = now
-                for key in order:
-                    if len(inflight) >= policy.jobs:
+                for key in [key for key in suspects if key in outcomes]:
+                    del suspects[key]
+                for key in suspects or order:
+                    if len(inflight) >= (1 if suspects else policy.jobs):
                         break
                     if key in outcomes or key in leased \
                             or not_before.get(key, 0.0) > now:
@@ -453,14 +459,16 @@ def run_grid(tasks: list[tuple[str, Any]],
 
                 done, _ = wait(set(inflight), timeout=policy.poll,
                                return_when=FIRST_COMPLETED)
-                broken = False
+                broken = []
                 for future in done:
                     key, attempt, _ = inflight.pop(future)
-                    broken |= settle(future, key, attempt)
+                    if settle(future, key, attempt):
+                        broken.append(key)
                 if broken:
                     # The pool is poisoned and the guilty cell cannot be
                     # told apart from the bystanders, so every in-flight
-                    # cell is charged one attempt and retried.
+                    # cell is charged one attempt and becomes a suspect:
+                    # suspects rerun one at a time, alone.
                     stats.crashes += 1
                     METRICS.counter(f"{metric_prefix}.crashes").inc()
                     TRACER.instant("executor:pool-crash",
@@ -468,6 +476,8 @@ def run_grid(tasks: list[tuple[str, Any]],
                     for key, attempt, _ in inflight.values():
                         charge_failure(key, attempt,
                                        "worker process crashed (pool broken)")
+                        broken.append(key)
+                    suspects.update(dict.fromkeys(broken))
                     inflight.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = make_pool()

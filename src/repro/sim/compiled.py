@@ -428,6 +428,9 @@ class CompiledSimulator:
         # Capture stream per register, entered on its first capture (so
         # in the interpreter's order and with no empty streams).
         self._captured: dict[str, list[Capture]] = {}
+        # (cone, net slots, state indices, slot set, exact) of the last
+        # control cone :meth:`control_state` was asked about.
+        self._cone_binding: tuple | None = None
         self._sinks: list[tuple] = self._compile()
         self._settle_reset()
         # What :meth:`reset` restores: values, state, kick events and
@@ -741,6 +744,64 @@ class CompiledSimulator:
         """Time of the next pending event, or None when none is."""
         heap = self._heap
         return heap[0][0] if heap else None
+
+    def control_state(self, cone) -> tuple[tuple, float] | None:
+        """The state of a closed control cone, relative to its next event.
+
+        ``cone`` is a :class:`~repro.sim.vector_async.ControlCone` whose
+        instances read only cone nets.  Returns ``(key, anchor)``:
+        ``anchor`` is the time of the earliest pending event on a cone
+        net, and ``key`` is hashable and covers everything the cone's
+        future depends on — the cone nets' values, the stored state of
+        its stateful cells, the pending cone-net events as ``(time -
+        anchor, slot, value)`` in the order the heap serves them, and
+        the forced cone nets.  Two equal keys therefore start the same
+        cone waveform, shifted by the difference of their anchors.
+
+        Returns ``None`` when that argument does not hold or the key
+        would be meaningless: a fault action (a force, release or
+        glitch edge) is still pending, no cone event is pending, or a
+        cone delay or pending cone event time is not a whole number of
+        ps (event times are then not exact, so a shifted run need not
+        repeat bit for bit).
+        """
+        binding = self._cone_binding
+        if binding is None or binding[0] is not cone:
+            binding = self._cone_binding = self._bind_cone(cone)
+        _, net_slots, state_ids, members, exact = binding
+        if not exact:
+            return None
+        pending = []
+        for entry in self._heap:
+            slot = entry[2]
+            if slot < 0:
+                return None  # a fault action is still to come
+            if slot in members:
+                if entry[0] % 1.0:
+                    return None
+                pending.append(entry)
+        if not pending:
+            return None
+        pending.sort()
+        anchor = pending[0][0]
+        vals, state = self._vals, self._state
+        key = (tuple([vals[slot] for slot in net_slots]),
+               tuple([state[i] for i in state_ids]),
+               tuple([(time - anchor, slot, value)
+                      for time, _, slot, value in pending]),
+               tuple(sorted((slot, value)
+                            for slot, value in self._forced.items()
+                            if slot in members)))
+        return key, anchor
+
+    def _bind_cone(self, cone) -> tuple:
+        instances = self.netlist.instances
+        net_slots = tuple(self._slot_of[name] for name in cone.nets)
+        state_ids = tuple(self._state_idx[name] for name in cone.instances
+                          if name in self._state_idx)
+        exact = all(float(self._delay_of(instances[name])).is_integer()
+                    for name in cone.instances)
+        return cone, net_slots, state_ids, frozenset(net_slots), exact
 
     def run(self, until: float) -> SimStats:
         """Process events up to and including time ``until``.

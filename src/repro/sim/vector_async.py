@@ -91,6 +91,50 @@ HalfKey = tuple[str, int]
 # phase 2: the data-independence proof
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ControlCone:
+    """The transitive fanin of every latch enable of a netlist.
+
+    ``nets`` lists the cone's nets in walk order (each once), starting
+    from the latch enables; ``instances`` lists their drivers.  The walk
+    stops at primary inputs, undriven nets and sequential drivers, so in
+    a fabric that passes :func:`check_schedule_replayable` the cone is
+    closed: every input of a cone instance is a cone net, and the cone's
+    future is a function of its own values, stored state and pending
+    events.
+    """
+
+    nets: tuple[str, ...]
+    instances: tuple[str, ...]
+
+
+def control_cone(netlist: Netlist) -> ControlCone:
+    """The netlist's :class:`ControlCone`, memoized on ``netlist``.
+
+    One analysis for every reader, so the replay proof and the paced
+    loop's stall watch agree on what counts as control.
+    """
+    return netlist.memo("control_cone", lambda: _walk_control_cone(netlist))
+
+
+def _walk_control_cone(netlist: Netlist) -> ControlCone:
+    nets: dict[str, None] = {}
+    instances: dict[str, None] = {}
+    stack = [latch.clock_net() for latch in netlist.latch_instances()]
+    while stack:
+        net = stack.pop()
+        if net.name in nets:
+            continue
+        nets[net.name] = None
+        driver = net.driver_instance()
+        if driver is None:
+            continue
+        instances[driver.name] = None
+        if not driver.is_sequential:
+            stack.extend(driver.input_nets())
+    return ControlCone(tuple(nets), tuple(instances))
+
+
 def check_schedule_replayable(netlist: Netlist) -> str | None:
     """Why the firing schedule of ``netlist`` transfers across stimuli.
 
@@ -138,25 +182,19 @@ def _proof(netlist: Netlist) -> str | None:
             return (f"cell {inst.cell.name} of {inst.name} has a "
                     f"non-constant delay {delay!r}: the schedule would "
                     "be data-dependent")
-    control: set[str] = set()
-    stack = [latch.clock_net() for latch in latches]
-    while stack:
-        net = stack.pop()
+    cone = control_cone(netlist)
+    for name in cone.nets:
+        net = netlist.nets[name]
         driver = net.driver_instance()
         if driver is None:
             if net.is_input_port:
                 return (f"control cone of the latch enables reads input "
                         f"port {net.name!r}: the firing schedule is "
                         "data-dependent")
-            continue
-        if driver.name in control:
-            continue
-        if driver.is_sequential:
+        elif driver.is_sequential:
             return (f"control cone of the latch enables observes "
                     f"sequential data state {driver.name!r}: the firing "
                     "schedule is data-dependent")
-        control.add(driver.name)
-        stack.extend(driver.input_nets())
     data: set[str] = set()
     stack = [latch.data_net() for latch in latches]
     stack.extend(netlist.nets[port] for port in netlist.outputs)
@@ -174,7 +212,7 @@ def _proof(netlist: Netlist) -> str | None:
             return (f"data cone contains handshake cell {driver.name!r} "
                     f"({driver.cell.name}): state-holding cells in the "
                     "data path are not replayable")
-    shared = control & data
+    shared = data.intersection(cone.instances)
     if shared:
         return ("control and data cones share "
                 f"{sorted(shared)[:3]}: the firing schedule is "

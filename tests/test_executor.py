@@ -56,6 +56,16 @@ def crash_or_double(payload):
     return payload * 2
 
 
+def crash_or_sleep(payload):
+    """The crash cell dies once its pool neighbour is surely running;
+    every other cell is still running when it does."""
+    if payload == "crash":
+        time.sleep(0.05)
+        os._exit(13)
+    time.sleep(0.3)
+    return payload
+
+
 def sleep_then_return(payload):
     seconds, value = payload
     time.sleep(seconds)
@@ -123,6 +133,22 @@ class TestRunGrid:
             assert outcomes[f"c{i}"].value == 2 * i
         assert stats.crashes >= 1
         assert stats.quarantined == ["crash"]
+
+    def test_crash_suspects_rerun_alone(self):
+        # A slow bystander is in flight beside the crash, so the break
+        # charges it one attempt.  Its retry must not share the pool
+        # with the crash cell's retry: at retries=1 a second charge
+        # would quarantine a cell that never crashed.
+        tasks = [("crash", "crash")] + [(f"c{i}", i) for i in range(3)]
+        outcomes, stats = run_grid(
+            tasks, crash_or_sleep,
+            ExecutorPolicy(jobs=2, retries=1, backoff=0.01))
+        assert stats.quarantined == ["crash"]
+        assert outcomes["crash"].attempts == 2
+        for i in range(3):
+            assert outcomes[f"c{i}"].status == "ok"
+            assert outcomes[f"c{i}"].value == i
+            assert outcomes[f"c{i}"].attempts <= 2
 
     def test_timeout_kills_wedged_cell_keeps_bystander(self):
         tasks = [("wedged", (30.0, None)), ("quick", (0.0, 5))]

@@ -295,20 +295,26 @@ def poll_every_chunk(sim, result, cycles, inputs_per_cycle, masters,
             f"captured fewer than {cycles} values within {horizon:.0f} ps")
 
 
-def stuck_local_clock(sim, netlist):
+def stuck_local_clock(sim, netlist, value=0):
     sim.force_net(next(name for name in netlist.nets
                        if name.startswith("lt:") and "<env>" not in name),
-                  0, time=0.0)
+                  value, time=0.0)
+
+
+def stuck_open_local_clock(sim, netlist):
+    stuck_local_clock(sim, netlist, value=1)
 
 
 #: ``(delay model, arm)`` per case: a live fabric under a varying
 #: stimulus, the same under a dilating delay model (its events spread
-#: out, leaving polls idle), and one wedged by a stuck-at until the
-#: stall horizon.
+#: out, leaving polls idle), one wedged by a stuck-at until the stall
+#: horizon, and one whose stuck-open bank stalls while the rest of the
+#: fabric keeps firing.
 SKIP_CASES = {
     "varying": (None, None),
     "delay-model": (DelayModel.scaled(3.0), None),
     "wedged": (None, stuck_local_clock),
+    "live-stall": (None, stuck_open_local_clock),
 }
 
 
@@ -350,8 +356,18 @@ class TestIdlePollSkip:
             outcomes.append((dict(sim.captures), sim.n_events, sim.now,
                              error, calls))
         polled, skipped = outcomes
+        assert (polled[3] is not None) == (case in ("wedged", "live-stall"))
+        if case == "live-stall" and backend == "compiled":
+            # The stall watch ends the run once the control state
+            # repeats: same error, same captures up to the stop.
+            captures, _, stop, error, _ = skipped
+            assert error == polled[3] and stop < polled[2]
+            assert captures == {
+                name: [c for c in caps if c.time <= stop]
+                for name, caps in polled[0].items()
+                if caps[0].time <= stop}
+            return
         assert skipped[:4] == polled[:4]
-        assert (polled[3] is not None) == (case == "wedged")
         idle = sum(polled[4])
         assert len(skipped[4]) <= len(polled[4]) - idle + 1
         assert sum(skipped[4]) <= 1
