@@ -26,7 +26,7 @@ timed over all ``LANES`` stimuli.
 Artifacts: ``benchmarks/out/BENCH_async.txt`` (table) and
 ``benchmarks/out/BENCH_async.json`` (versioned series for the perf
 trajectory, uploaded by the CI ``async`` job).  Set
-``REPRO_ASYNC_GRID=smoke`` for the CI subset (the two floor-carrying
+``REPRO_GRID=smoke`` for the CI subset (the two floor-carrying
 configurations).
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_async_throughput.py -q
@@ -35,12 +35,11 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_async_throughput.py -q
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import out_path, write_out
+from benchmarks.conftest import out_path, smoke_grid, write_out
 from repro.corpus import generate
 from repro.desync import DesyncOptions, desynchronize, master_name
 from repro.equiv import desync_streams, replay_simulator
@@ -62,7 +61,7 @@ COLUMNS = ["name", "instances", "nets", "registers", "cycles", "lanes",
 
 
 def _grid() -> list[str]:
-    if os.environ.get("REPRO_ASYNC_GRID") == "smoke":
+    if smoke_grid():
         return list(SMOKE_CONFIGS)
     return list(CONFIGS)
 

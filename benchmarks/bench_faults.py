@@ -17,7 +17,7 @@ Artifacts: ``benchmarks/out/BENCH_faults.txt`` (paper-style table) and
 ``benchmarks/out/BENCH_faults.json`` (versioned series, validated by
 ``check_envelopes.py`` like every other envelope).
 
-Grid size: set ``REPRO_FAULTS_GRID=smoke`` for the CI smoke subset; the
+Grid size: set ``REPRO_GRID=smoke`` for the CI smoke subset; the
 default campaigns the whole core tier.  ``REPRO_JOBS=N`` shards cells
 across a process pool.
 
@@ -26,11 +26,10 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_faults.py -q
 
 from __future__ import annotations
 
-import os
 
 import pytest
 
-from benchmarks.conftest import out_path, write_out
+from benchmarks.conftest import out_path, smoke_grid, write_out
 from repro.corpus import names
 from repro.faults import CampaignSpec, run_campaign
 from repro.obs import METRICS
@@ -43,7 +42,7 @@ SMOKE_CONFIGS = ("pipe4x1", "counter6")
 
 
 def _spec() -> CampaignSpec:
-    if os.environ.get("REPRO_FAULTS_GRID") == "smoke":
+    if smoke_grid():
         configs = SMOKE_CONFIGS
     else:
         configs = tuple(names("core"))

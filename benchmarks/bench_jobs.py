@@ -20,7 +20,7 @@ Artifacts: ``benchmarks/out/BENCH_jobs.txt`` and
 which requires the ``cache_hit_rate``/``reclaimed``/``duplicates``
 columns).
 
-Grid size: set ``REPRO_JOBS_GRID=smoke`` for the CI smoke subset; the
+Grid size: set ``REPRO_GRID=smoke`` for the CI smoke subset; the
 default campaigns the whole core tier.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_jobs.py -q
@@ -28,13 +28,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_jobs.py -q
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 
 import pytest
 
-from benchmarks.conftest import out_path, write_out
+from benchmarks.conftest import out_path, smoke_grid, write_out
 from repro.corpus import names
 from repro.faults import CampaignSpec, run_campaign
 from repro.obs import METRICS
@@ -52,7 +51,7 @@ COLUMNS = [
 
 
 def _spec() -> CampaignSpec:
-    if os.environ.get("REPRO_JOBS_GRID") == "smoke":
+    if smoke_grid():
         configs = SMOKE_CONFIGS
     else:
         configs = tuple(names("core"))

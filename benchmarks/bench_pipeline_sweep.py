@@ -18,7 +18,7 @@ Artifacts: ``benchmarks/out/BENCH_pipeline.txt`` (paper-style table)
 and ``benchmarks/out/BENCH_pipeline.json`` (versioned series for the
 perf trajectory, alongside BENCH_corpus / BENCH_sim / BENCH_vector).
 
-Grid size: set ``REPRO_PIPELINE_GRID=smoke`` for the CI smoke subset
+Grid size: set ``REPRO_GRID=smoke`` for the CI smoke subset
 (small configs only); the default sweeps the whole registry — core plus
 the 10x scale tier (fir16/fir32, mult16, deep/wide pipelines, seeded
 random netlists, the DLX datapath via the Verilog frontend).  Set
@@ -31,11 +31,10 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_pipeline_sweep.py -q
 
 from __future__ import annotations
 
-import os
 
 import pytest
 
-from benchmarks.conftest import out_path, write_out
+from benchmarks.conftest import out_path, smoke_grid, write_out
 from repro.corpus import generate, names
 from repro.desync import desynchronize, sweep_pipelines
 from repro.desync.pipeline import SWEEP_SEEDS
@@ -51,7 +50,7 @@ SMOKE_CONFIGS = ["pipe4x1", "pipe4x4", "counter6", "diamond2x4"]
 
 
 def _grid() -> list[str] | None:
-    if os.environ.get("REPRO_PIPELINE_GRID") == "smoke":
+    if smoke_grid():
         return [name for name in SMOKE_CONFIGS]
     return None  # the whole registry
 

@@ -1,14 +1,13 @@
-"""Lane-width sweep — seeds/sec versus word width, bigint vs numpy.
+"""Lane-width sweep — seeds/sec versus word width.
 
-Sweeps the lane-parallel cycle engines over W in ``WIDTHS`` lanes per
-word, for both the bigint backend (``vector``) and the numpy bit-plane
-backend (``vector-np``), on representative core- and scale-tier corpus
+Sweeps the lane-parallel ``vector`` cycle engine over W in ``WIDTHS``
+lanes per word on representative core- and scale-tier corpus
 configurations.  Each cell reports per-stimulus cost and seeds/sec at
-full occupancy, normalized against the same config's bigint W=64 row —
-the pre-tuning default — so the table reads directly as "what does
+full occupancy, normalized against the same config's W=64 row — the
+pre-tuning default — so the table reads directly as "what does
 widening the word buy".  Lane 0 of every run must demux to the scalar
 :class:`~repro.sim.sync.CycleSimulator` capture streams, so every
-(backend, width) cell is also a correctness check at workload size.
+width cell is also a correctness check at workload size.
 
 This bench is the measurement behind
 :data:`repro.sim.lanes.TUNING_TABLE`: the txt artifact ends with the
@@ -16,7 +15,7 @@ per-config full-occupancy optimum and the shipped table's knee-point
 rationale (resolved width is paid by every batch, full or not — see
 ``src/repro/sim/lanes.py``).
 
-Set ``REPRO_WIDTH_GRID=smoke`` for the reduced CI grid (two configs,
+Set ``REPRO_GRID=smoke`` for the reduced CI grid (two configs,
 two widths).  Artifacts: ``benchmarks/out/BENCH_width.{txt,json}``.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_width.py -q
@@ -25,15 +24,14 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_width.py -q
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import out_path, write_out
+from benchmarks.conftest import out_path, smoke_grid, write_out
 from repro.corpus import generate, get
 from repro.report import JSON_SCHEMA, TextTable, write_json
-from repro.sim import HAVE_NUMPY, make_cycle_simulator
+from repro.sim import VectorCycleSimulator
 from repro.sim.sync import CycleSimulator
 from repro.sim.vector import pack_stimuli
 from repro.testing import DEFAULT_SEED, random_stimulus
@@ -58,7 +56,7 @@ COLUMNS = ["name", "tier", "instances", "backend", "cycles", "lanes",
 
 
 def _grid() -> tuple[list[tuple[str, str]], tuple[int, ...]]:
-    if os.environ.get("REPRO_WIDTH_GRID", "").strip() == "smoke":
+    if smoke_grid():
         return SMOKE_CONFIGS, SMOKE_WIDTHS
     return FULL_CONFIGS, FULL_WIDTHS
 
@@ -75,7 +73,6 @@ def _best_of(repeats: int, build_and_run) -> tuple[float, object]:
 
 def _sweep() -> list[list[object]]:
     configs, widths = _grid()
-    backends = ["vector"] + (["vector-np"] if HAVE_NUMPY else [])
     rows: list[list[object]] = []
     for name, tier in configs:
         netlist = generate(name)
@@ -87,40 +84,37 @@ def _sweep() -> list[list[object]]:
         scalar_streams = {port: list(stream)
                           for port, stream in scalar.captures.items()}
 
-        base_per_stim: float | None = None  # bigint W=64 (or widths[0])
+        base_per_stim: float | None = None  # W=64 (or widths[0])
         for width in widths:
             packed = pack_stimuli(stimuli[:width])
-            for backend in backends:
-                def run():
-                    sim = make_cycle_simulator(netlist, backend, lanes=width)
-                    sim.run(CYCLES, packed)
-                    return sim
 
-                wall_s, sim = _best_of(REPEATS, run)
-                # Every (backend, width) cell must agree with the
-                # scalar engine on lane 0 — the bench doubles as the
-                # at-width correctness check.
-                assert sim.lane_captures(0) == scalar_streams, (
-                    f"{name}/{backend}/W={width}")
-                per_stim_s = wall_s / width
-                if base_per_stim is None:
-                    base_per_stim = per_stim_s
-                rows.append([
-                    name, tier, len(netlist), backend, CYCLES, width,
-                    wall_s * 1e3, per_stim_s * 1e6, 1.0 / per_stim_s,
-                    base_per_stim / per_stim_s,
-                ])
+            def run():
+                sim = VectorCycleSimulator(netlist, lanes=width)
+                sim.run(CYCLES, packed)
+                return sim
+
+            wall_s, sim = _best_of(REPEATS, run)
+            # Every width cell must agree with the scalar engine on
+            # lane 0 — the bench doubles as the at-width correctness
+            # check.
+            assert sim.lane_captures(0) == scalar_streams, (
+                f"{name}/W={width}")
+            per_stim_s = wall_s / width
+            if base_per_stim is None:
+                base_per_stim = per_stim_s
+            rows.append([
+                name, tier, len(netlist), "vector", CYCLES, width,
+                wall_s * 1e3, per_stim_s * 1e6, 1.0 / per_stim_s,
+                base_per_stim / per_stim_s,
+            ])
     return rows
 
 
 def _suggested_table(rows: list[list[object]]) -> str:
-    """The per-config full-occupancy optimum (bigint rows only —
-    ``resolve_lanes`` sizes the bigint default paths)."""
+    """The per-config full-occupancy optimum."""
     by_name: dict[str, dict] = {}
     for row in rows:
         data = dict(zip(COLUMNS, row))
-        if data["backend"] != "vector":
-            continue
         best = by_name.get(data["name"])
         if best is None or data["seeds_per_s"] > best["seeds_per_s"]:
             by_name[data["name"]] = data
@@ -139,8 +133,7 @@ def _suggested_table(rows: list[list[object]]) -> str:
 def test_bench_width(benchmark):
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
 
-    table = TextTable("BENCH width - lane-width sweep, "
-                      "bigint vs numpy bit-plane", COLUMNS)
+    table = TextTable("BENCH width - lane-width sweep", COLUMNS)
     for row in rows:
         head, values = row[:6], row[6:]
         table.add_row(*head, *(f"{value:,.0f}" if value >= 100 else
@@ -159,21 +152,19 @@ def test_bench_width(benchmark):
     assert payload["columns"] == COLUMNS
     assert len(payload["rows"]) == len(rows)
 
-    by_cell = {(r[0], r[3], r[5]): dict(zip(COLUMNS, r)) for r in rows}
+    by_cell = {(r[0], r[5]): dict(zip(COLUMNS, r)) for r in rows}
     assert len(by_cell) == len(rows)
-    # Acceptance: on the scale tier, W=256 bigint words must buy at
-    # least SPEEDUP_FLOOR seeds/sec over the W=64 default.
+    # Acceptance: on the scale tier, W=256 words must buy at least
+    # SPEEDUP_FLOOR seeds/sec over the W=64 default.
     scale_gains = [data["speedup_vs_64"]
-                   for (name, backend, lanes), data in by_cell.items()
-                   if data["tier"] == "scale" and backend == "vector"
-                   and lanes == 256]
-    assert scale_gains, "no scale-tier W=256 bigint cell in the grid"
+                   for (name, lanes), data in by_cell.items()
+                   if data["tier"] == "scale" and lanes == 256]
+    assert scale_gains, "no scale-tier W=256 cell in the grid"
     assert max(scale_gains) >= SPEEDUP_FLOOR, (
         f"best scale-tier W=256 speedup {max(scale_gains):.2f}x under "
         f"the {SPEEDUP_FLOOR}x floor")
-    # Widening must never make the bigint engine slower than its own
-    # W=64 baseline on any config.
-    for (name, backend, lanes), data in by_cell.items():
-        if backend == "vector":
-            assert data["speedup_vs_64"] >= 0.95, (
-                f"{name} W={lanes}: {data['speedup_vs_64']:.2f}x")
+    # Widening must never make the engine slower than its own W=64
+    # baseline on any config.
+    for (name, lanes), data in by_cell.items():
+        assert data["speedup_vs_64"] >= 0.95, (
+            f"{name} W={lanes}: {data['speedup_vs_64']:.2f}x")

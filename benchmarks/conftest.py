@@ -27,6 +27,11 @@ def write_out(name: str, text: str) -> None:
         handle.write(text + "\n")
 
 
+def smoke_grid() -> bool:
+    """True when ``REPRO_GRID=smoke`` asks every bench for its CI subset."""
+    return os.environ.get("REPRO_GRID", "").strip() == "smoke"
+
+
 @pytest.fixture(scope="session")
 def dlx_paper_scale():
     """The paper-scale DLX: 32-bit datapath, 32 registers."""

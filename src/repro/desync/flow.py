@@ -45,6 +45,7 @@ from repro.desync.network import (
 from repro.netlist.core import Netlist
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.petri.simulate import simulate
+from repro.sim.backends import DEFAULT_BACKEND
 from repro.stg.desync_model import (
     LatchBank,
     build_model,
@@ -248,7 +249,7 @@ class DesyncResult:
                            banks=banks, adjacency=adjacency)
 
     def verify_hold(self, rounds: int = 10, use_model: bool = True,
-                    backend: str = "event") -> list[HoldCheck]:
+                    backend: str = DEFAULT_BACKEND) -> list[HoldCheck]:
         """Check the overlap-mode relative-timing (hold) conditions.
 
         For every inter-cluster edge ``g -> p``, measures the worst
@@ -297,7 +298,7 @@ class DesyncResult:
         return checks
 
     def dump_vcd(self, path: str, rounds: int = 10,
-                 backend: str = "event",
+                 backend: str = DEFAULT_BACKEND,
                  nets: list[str] | None = None) -> str:
         """Simulate the de-synchronized fabric and write a VCD file.
 

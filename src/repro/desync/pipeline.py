@@ -59,6 +59,7 @@ from repro.desync.network import DesyncNetwork, HandshakeMode, build_network
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_ENV, TRACER
+from repro.sim.backends import DEFAULT_BACKEND
 from repro.sim.lanes import resolve_lanes
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.stg.cluster_model import fabric_model
@@ -586,7 +587,7 @@ def sweep_pipelines(configs: list[str] | None = None,
                     variants: list[PipelineVariant] | None = None,
                     seeds: tuple[int, ...] = SWEEP_SEEDS,
                     cycles: int = 10,
-                    backend: str = "compiled",
+                    backend: str = DEFAULT_BACKEND,
                     max_equiv_instances: int = 200,
                     hold_rounds: int = 8,
                     desync_engine: str = "replay",

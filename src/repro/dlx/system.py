@@ -24,7 +24,7 @@ from repro.dlx.cpu import DlxCore
 from repro.dlx.golden import CommitRecord, GoldenDlx, GoldenResult
 from repro.dlx.isa import NOP
 from repro.netlist.core import Netlist
-from repro.sim.backends import make_simulator
+from repro.sim.backends import DEFAULT_BACKEND, make_simulator
 from repro.sim.logic import int_to_bits
 from repro.sim.sync import CycleSimulator
 from repro.utils.errors import SimulationError
@@ -136,7 +136,7 @@ class DlxSystem:
     # ------------------------------------------------------------------
     def run_desync(self, desync_netlist, cycle_time_ps: float | None = None,
                    max_cycles: int = 400, slice_ps: float = 150.0,
-                   backend: str = "event") -> RunResult:
+                   backend: str = DEFAULT_BACKEND) -> RunResult:
         """Run on the de-synchronized netlist with an event-driven
         engine (``backend`` selects interpreter or compiled).
 

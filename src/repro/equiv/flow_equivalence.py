@@ -31,12 +31,11 @@ from repro.desync.pipeline import FlowContext
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.sim.backends import (DEFAULT_BACKEND, make_cycle_simulator,
-                                reused_simulator)
+from repro.sim.backends import DEFAULT_BACKEND, reused_simulator
 from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
-from repro.sim.vector import pack_stimuli
+from repro.sim.vector import VectorCycleSimulator, pack_stimuli
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
@@ -123,12 +122,10 @@ def _simulate_reference(netlist, cycles, inputs, inputs_per_cycle,
 def reference_streams_batch(netlist: Netlist, cycles: int,
                             stimuli: list[list[dict[str, Value]]],
                             lanes: int | None = None,
-                            cycle_backend: str = "vector",
                             ) -> list[dict[str, list[Value]]]:
     """Per-flip-flop reference streams for N stimuli, lane-parallel.
 
-    Runs a lane-parallel cycle engine (``cycle_backend``: ``"vector"``
-    for bigint words, ``"vector-np"`` for the numpy bit-plane backend)
+    Runs the lane-parallel :class:`~repro.sim.vector.VectorCycleSimulator`
     in ``ceil(N / lanes)`` passes — stimulus *i* rides lane ``i % lanes``
     of pass ``i // lanes`` — and demuxes one scalar stream dict per
     stimulus, in input order.  ``lanes=None`` asks the
@@ -143,7 +140,7 @@ def reference_streams_batch(netlist: Netlist, cycles: int,
     if not stimuli:
         return []
     lanes = resolve_lanes(netlist, lanes)
-    sim = make_cycle_simulator(netlist, cycle_backend, lanes=lanes)
+    sim = VectorCycleSimulator(netlist, lanes=lanes)
     streams: list[dict[str, list[Value]]] = []
     for start in range(0, len(stimuli), lanes):
         block = stimuli[start:start + lanes]
@@ -617,7 +614,6 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
                                  lanes: int | None = None,
                                  desync_engine: str = "replay",
                                  delay_model=None,
-                                 cycle_backend: str = "vector",
                                  ) -> dict[int, FlowEquivalenceReport]:
     """Flow-equivalence sweep over N seeded random stimuli, batched on
     **both** sides.
@@ -627,12 +623,10 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
     asks :func:`repro.sim.lanes.resolve_lanes` — explicit width, then
     the ``REPRO_LANES`` env knob, then the measured per-size tuning
     table — resolved once against the synchronous netlist so both sides
-    run the same width; ``cycle_backend`` selects the reference-side
-    engine (``"vector"`` bigint words, ``"vector-np"`` numpy
-    bit-planes).  The synchronous
-    reference side runs lane-parallel in ``ceil(N / lanes)`` vector
-    passes (:func:`reference_streams_batch`); the de-synchronized side
-    runs on the schedule-replay engine (:func:`desync_streams_batch`) —
+    run the same width.  The synchronous reference side runs
+    lane-parallel in ``ceil(N / lanes)`` vector passes
+    (:func:`reference_streams_batch`); the de-synchronized side runs on
+    the schedule-replay engine (:func:`desync_streams_batch`) —
     one scalar recording plus one lane-parallel replay per block —
     falling back to per-seed event simulation, with the reason recorded
     on the reports, when the fabric fails the data-independence proof.
@@ -654,8 +648,7 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
         stimuli = [random_stimulus(result.sync_netlist, cycles, seed)
                    for seed in seeds]
         sync_streams = reference_streams_batch(result.sync_netlist, cycles,
-                                               stimuli, lanes=lanes,
-                                               cycle_backend=cycle_backend)
+                                               stimuli, lanes=lanes)
         desync_list, engines = desync_streams_batch(
             result, cycles, stimuli, backend=backend, lanes=lanes,
             engine=desync_engine, delay_model=delay_model)

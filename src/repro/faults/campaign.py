@@ -219,7 +219,6 @@ def _check(result, cycles: int, seed: int, delay_model=None):
     stimulus = random_stimulus(result.sync_netlist, cycles, seed)
     return check_flow_equivalence(result, cycles=cycles,
                                   inputs_per_cycle=stimulus,
-                                  backend="compiled",
                                   delay_model=delay_model)
 
 

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 
 from repro.equiv.flow_equivalence import check_flow_equivalence
-from repro.sim.backends import make_simulator
+from repro.sim.backends import DEFAULT_BACKEND, make_simulator
 from repro.sim.simulator import INVERT
 from repro.utils.errors import (
     FaultCampaignError,
@@ -140,7 +140,7 @@ def _clean_run(result, nets: list[str], cycles: int,
                           float]:
     """Histories of ``nets`` in one unperturbed run, and the deadline."""
     period = result.desync_cycle_time().cycle_time
-    sim = make_simulator(result.desync_netlist, "compiled", record=nets)
+    sim = make_simulator(result.desync_netlist, DEFAULT_BACKEND, record=nets)
     sim.run(cycles * period + period)
     complete = [bank[cycles - 1].time for bank in sim.captures.values()
                 if len(bank) >= cycles]
@@ -226,7 +226,6 @@ def _classify(result, cycles, stimulus, arm, delay_model=None) -> str | None:
     try:
         report = check_flow_equivalence(result, cycles=cycles,
                                         inputs_per_cycle=stimulus,
-                                        backend="compiled",
                                         delay_model=delay_model, arm=arm)
     except FlowEquivalenceError as exc:
         return f"stall: {exc}"[:160]

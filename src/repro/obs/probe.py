@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.sim.backends import DEFAULT_BACKEND, make_simulator
 from repro.sim.waves import WaveGroup, overlap_intervals
 from repro.utils.naming import (
     clock_net_name,
@@ -116,7 +117,8 @@ class HandshakeProbe:
         return self.registry.snapshot(prefix=self.prefix)
 
 
-def probe_handshakes(result, rounds: int = 8, backend: str = "event",
+def probe_handshakes(result, rounds: int = 8,
+                     backend: str = DEFAULT_BACKEND,
                      registry: MetricsRegistry | None = None
                      ) -> dict[str, dict]:
     """Simulate ``result``'s fabric with the probe attached.
@@ -127,8 +129,6 @@ def probe_handshakes(result, rounds: int = 8, backend: str = "event",
     collected metrics snapshot is returned (also left in ``registry``,
     the global one by default).
     """
-    from repro.sim.backends import make_simulator
-
     probe = HandshakeProbe(result.clustering, result.desync_netlist,
                            registry=registry)
     sim = make_simulator(result.desync_netlist, backend,

@@ -26,7 +26,6 @@ from repro.sim.simulator import (
 from repro.sim.lanes import DEFAULT_LANES, LANES_ENV, resolve_lanes
 from repro.sim.sync import CycleSimulator, LatchCycleSimulator
 from repro.sim.vector import (
-    VECTOR_LANES,
     VectorCycleSimulator,
     VectorLatchCycleSimulator,
     pack_lanes,
@@ -36,11 +35,6 @@ from repro.sim.vector import (
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
-)
-from repro.sim.vector_np import (
-    HAVE_NUMPY,
-    NpVectorCycleSimulator,
-    NpVectorLatchCycleSimulator,
 )
 from repro.sim.waves import WaveGroup, Waveform, overlap_intervals
 
@@ -70,12 +64,8 @@ __all__ = [
     "DEFAULT_LANES",
     "LANES_ENV",
     "resolve_lanes",
-    "VECTOR_LANES",
     "VectorCycleSimulator",
     "VectorLatchCycleSimulator",
-    "HAVE_NUMPY",
-    "NpVectorCycleSimulator",
-    "NpVectorLatchCycleSimulator",
     "pack_lanes",
     "pack_stimuli",
     "unpack_lanes",

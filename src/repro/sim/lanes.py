@@ -2,16 +2,14 @@
 
 The vector and schedule-replay engines pack one stimulus stream per bit
 of their lane words, and nothing in the generated kernels caps the
-width: Python integers are arbitrary-precision, and the numpy bit-plane
-backend (:mod:`repro.sim.vector_np`) holds ``ceil(W / 64)`` uint64
-words per net.  Width is therefore a *tuning parameter*, not a
-structural constant — wider words amortize the per-statement dispatch
-overhead that dominates every tier (an AND over 1024 lanes costs
-little more to interpret than one over 64), so at full occupancy the
-per-stimulus cost keeps dropping through W=1024 on every measured
-configuration.  The catch is that a batch pays for the resolved width
-whether it fills the word or not, which is what keeps the default
-moderate.
+width: the words are arbitrary-precision Python integers.  Width is
+therefore a *tuning parameter*, not a structural constant — wider
+words amortize the per-statement dispatch overhead that dominates
+every tier (an AND over 1024 lanes costs little more to interpret than
+one over 64), so at full occupancy the per-stimulus cost keeps
+dropping through W=1024 on every measured configuration.  The catch is
+that a batch pays for the resolved width whether it fills the word or
+not, which is what keeps the default moderate.
 
 :func:`resolve_lanes` is the single resolution point every batch API
 defaults to:

@@ -55,12 +55,6 @@ from repro.sim.logic import Value
 from repro.sim.sync import phase_order
 from repro.utils.errors import SimulationError
 
-#: One machine word: the historical default lane count, now just the
-#: base entry of the :mod:`repro.sim.lanes` tuning policy.  Any positive
-#: count works (the words are plain Python integers); constructors take
-#: ``lanes=None`` to mean "ask :func:`repro.sim.lanes.resolve_lanes`".
-VECTOR_LANES = 64
-
 #: A packed lane word pair: (value bits, known bits).
 Lanes = tuple[int, int]
 
@@ -124,14 +118,12 @@ def pack_stimuli(stimuli: list[list[dict[str, Value]]],
 # ----------------------------------------------------------------------
 
 def _emit_cell(cell: Cell, ins: list[tuple[str, str]],
-               vo: str, ko: str, zero: str = "0") -> list[str]:
+               vo: str, ko: str) -> list[str]:
     """Source lines computing ``(vo, ko)`` = ternary eval of ``cell``.
 
     ``ins`` holds the ``(value, known)`` variable names per input pin,
-    in pin order.  ``M`` (the all-lanes mask) is in scope; ``zero``
-    names the all-lanes zero (the literal ``0`` for bigint words, the
-    ``Z`` array for the numpy bit-plane kernel).  Relies on the
-    ``value & ~known == 0`` invariant and preserves it.
+    in pin order.  ``M`` (the all-lanes mask) is in scope.  Relies on
+    the ``value & ~known == 0`` invariant and preserves it.
     """
     n = cell.n_inputs
     size = 1 << n
@@ -140,7 +132,7 @@ def _emit_cell(cell: Cell, ins: list[tuple[str, str]],
     vs = [v for v, _ in ins]
     ks = [k for _, k in ins]
     if tt == 0:  # constant 0 regardless of inputs
-        return [f"{vo} = {zero}", f"{ko} = M"]
+        return [f"{vo} = 0", f"{ko} = M"]
     if tt == full:  # constant 1
         return [f"{vo} = M", f"{ko} = M"]
     if n == 1:
@@ -196,27 +188,16 @@ def _emit_cell(cell: Cell, ins: list[tuple[str, str]],
 
 
 def compile_pass(netlist: Netlist, order: list[Instance],
-                 slot_of: dict[str, int], lanes: int,
-                 kernel: str = "int"):
+                 slot_of: dict[str, int], lanes: int):
     """Compile one evaluation pass over ``order`` into a function.
 
     Returns ``(fn, source)``: ``fn(V, K)`` reads the slot-indexed value/
     known word lists, evaluates every instance of ``order`` (gates
     through :func:`_emit_cell`, transparent latches as buffers, TIEs as
     constants) with all intermediates held in locals, and writes every
-    computed net back.  ``source`` is kept for debugging.
-
-    ``kernel`` selects the word representation the generated source
-    runs over: ``"int"`` binds ``M`` to the ``lanes``-bit bigint mask,
-    ``"np"`` binds ``M``/``Z`` to ``ceil(lanes / 64)``-word uint64
-    bit-plane arrays (numpy broadcasting makes the same bitwise source
-    elementwise) — the constant-zero emissions use ``Z`` there so every
-    value flowing through the kernel stays an array.
+    computed net back.  ``source`` is kept for debugging.  ``M`` is
+    bound to the ``lanes``-bit all-lanes mask.
     """
-    if kernel not in ("int", "np"):
-        raise SimulationError(f"unknown kernel {kernel!r} "
-                              "(have: int, np)")
-    zero = "Z" if kernel == "np" else "0"
     body: list[str] = []
     computed: list[int] = []
     computed_set: set[int] = set()
@@ -229,7 +210,7 @@ def compile_pass(netlist: Netlist, order: list[Instance],
             reads.add(data)
             body += [f"{vo} = v{data}", f"{ko} = k{data}"]
         elif inst.cell.kind is CellKind.TIE:
-            body += [f"{vo} = {'M' if inst.cell.tt & 1 else zero}",
+            body += [f"{vo} = {'M' if inst.cell.tt & 1 else 0}",
                      f"{ko} = M"]
         else:
             ins = []
@@ -237,7 +218,7 @@ def compile_pass(netlist: Netlist, order: list[Instance],
                 slot = slot_of[inst.pins[pin].name]
                 reads.add(slot)
                 ins.append((f"v{slot}", f"k{slot}"))
-            body += _emit_cell(inst.cell, ins, vo, ko, zero=zero)
+            body += _emit_cell(inst.cell, ins, vo, ko)
         computed.append(out)
         computed_set.add(out)
     lines = ["def _eval(V, K):"]
@@ -249,18 +230,13 @@ def compile_pass(netlist: Netlist, order: list[Instance],
     if len(lines) == 1:
         lines.append("    pass")
     source = "\n".join(lines)
-    if kernel == "np":
-        from repro.sim.vector_np import plane_masks
-        mask, zero_planes = plane_masks(lanes)
-        namespace: dict[str, object] = {"M": mask, "Z": zero_planes}
-    else:
-        namespace = {"M": (1 << lanes) - 1}
+    namespace: dict[str, object] = {"M": (1 << lanes) - 1}
     exec(source, namespace)  # noqa: S102 — source generated just above
     return namespace["_eval"], source
 
 
 #: Process-global compiled-kernel cache, keyed ``(netlist fingerprint,
-#: kind, lanes, kernel)``.  Structural fingerprints make entries valid
+#: kind, lanes)``.  Structural fingerprints make entries valid
 #: across distinct :class:`Netlist` objects (the same corpus config
 #: regenerated per sweep cell, per fault-campaign cell, per worker
 #: task), so repeated batch calls skip ``exec`` recompilation entirely;
@@ -272,8 +248,7 @@ _KERNEL_CACHE_CAP = 256
 
 
 def compile_pass_cached(netlist: Netlist, kind, lanes: int,
-                        slot_of: dict[str, int], order_fn,
-                        kernel: str = "int"):
+                        slot_of: dict[str, int], order_fn):
     """Fingerprint-keyed :func:`compile_pass`, with hit/miss metrics.
 
     ``kind`` tags the pass flavour (``"comb"``, ``"latch_low"``, a
@@ -283,13 +258,13 @@ def compile_pass_cached(netlist: Netlist, kind, lanes: int,
     ``..._misses`` — the counters sweeps and fault campaigns fold into
     their envelopes.
     """
-    key = (netlist.fingerprint(), kind, lanes, kernel)
+    key = (netlist.fingerprint(), kind, lanes)
     hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         METRICS.counter("sim.vector.kernel_cache_hits").inc()
         return hit
     METRICS.counter("sim.vector.kernel_cache_misses").inc()
-    hit = compile_pass(netlist, order_fn(), slot_of, lanes, kernel=kernel)
+    hit = compile_pass(netlist, order_fn(), slot_of, lanes)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAP:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = hit
@@ -306,9 +281,6 @@ class _VectorSimulatorBase:
     #: Tracer span name and evaluation passes per cycle of :meth:`run`.
     trace_name = "sim:vector"
     _passes_per_cycle = 1
-    #: Word representation the compiled kernel runs over; the numpy
-    #: bit-plane mixin overrides this to ``"np"``.
-    _kernel = "int"
 
     def __init__(self, netlist: Netlist, lanes: int | None = None):
         self.netlist = netlist
@@ -316,34 +288,24 @@ class _VectorSimulatorBase:
         self.mask = (1 << self.lanes) - 1
         self._names = list(netlist.nets)
         self._slot_of = {name: i for i, name in enumerate(self._names)}
-        self.V: list = [0] * len(self._names)
-        self.K: list = [0] * len(self._names)
+        self.V = [0] * len(self._names)
+        self.K = [0] * len(self._names)
         self.cycles = 0
         #: Packed capture streams: register name -> [(value, known)] per
         #: capture, lane-demuxed by :meth:`lane_captures`.
         self.captures: dict[str, list[Lanes]] = {}
-        #: ``(output slot, init bit)`` per register, for :meth:`reset`.
+        #: ``(output slot, init value word)`` per register, for
+        #: :meth:`reset`.
         self._seq_inits: list[tuple[int, int]] = []
         if netlist.clock is not None:
-            self._store_words(self._slot_of[netlist.clock], 0, self.mask)
-
-    def _store_words(self, slot: int, value: int, known: int) -> None:
-        """Write one net's packed words from bigints.
-
-        The single mutation point for externally supplied words — the
-        numpy mixin overrides it to convert bigints into bit-plane
-        arrays, so every other stimulus/reset path stays
-        representation-agnostic.
-        """
-        self.V[slot] = value
-        self.K[slot] = known
+            self.K[self._slot_of[netlist.clock]] = self.mask
 
     def _seq_slots(self, inst: Instance) -> tuple[int, int, int, list]:
         """(D slot, RN slot or -1, output slot, capture list) of ``inst``;
         initializes the output words to the known init value."""
         out = self._slot_of[inst.output_net().name]
-        init = 1 if inst.init else 0
-        self._store_words(out, self.mask if init else 0, self.mask)
+        init = self.mask if inst.init else 0
+        self.V[out], self.K[out] = init, self.mask
         self._seq_inits.append((out, init))
         reset = (self._slot_of[inst.pins[PIN_RESET_N].name]
                  if PIN_RESET_N in inst.cell.inputs else -1)
@@ -359,13 +321,12 @@ class _VectorSimulatorBase:
         one full-width simulator between blocks instead of constructing
         (and compiling a kernel for) a fresh one per block.
         """
-        for slot in range(len(self._names)):
-            self._store_words(slot, 0, 0)
+        self.V = [0] * len(self._names)
+        self.K = [0] * len(self._names)
         if self.netlist.clock is not None:
-            self._store_words(self._slot_of[self.netlist.clock],
-                              0, self.mask)
+            self.K[self._slot_of[self.netlist.clock]] = self.mask
         for out, init in self._seq_inits:
-            self._store_words(out, self.mask if init else 0, self.mask)
+            self.V[out], self.K[out] = init, self.mask
         for caps in self.captures.values():
             caps.clear()
         self.cycles = 0
@@ -396,8 +357,8 @@ class _VectorSimulatorBase:
             net = self.netlist.nets.get(port)
             if net is None or not net.is_input_port:
                 raise SimulationError(f"{port} is not an input port")
-            value, known = self._coerce_packed(port, packed)
-            self._store_words(self._slot_of[port], value, known)
+            slot = self._slot_of[port]
+            self.V[slot], self.K[slot] = self._coerce_packed(port, packed)
 
     def drive_lanes(self, port: str, values: Iterable[Value]) -> None:
         """Drive ``port`` with one scalar value per lane (lane 0 first)."""
@@ -494,7 +455,7 @@ class VectorCycleSimulator(_VectorSimulatorBase):
         # generated function instead of recompiling it.
         self._eval, self.source = compile_pass_cached(
             netlist, "comb", self.lanes, self._slot_of,
-            netlist.topo_order_comb_only, kernel=self._kernel)
+            netlist.topo_order_comb_only)
         self._ffs = [self._seq_slots(ff) for ff in netlist.dff_instances()]
 
     def evaluate(self) -> None:
@@ -538,12 +499,10 @@ class VectorLatchCycleSimulator(_VectorSimulatorBase):
         super().__init__(netlist, lanes)
         self._eval_low, source_low = compile_pass_cached(
             netlist, "latch_low", self.lanes, self._slot_of,
-            lambda: phase_order(netlist, transparent=even),
-            kernel=self._kernel)
+            lambda: phase_order(netlist, transparent=even))
         self._eval_high, source_high = compile_pass_cached(
             netlist, "latch_high", self.lanes, self._slot_of,
-            lambda: phase_order(netlist, transparent=odd),
-            kernel=self._kernel)
+            lambda: phase_order(netlist, transparent=odd))
         self.source = source_low + "\n\n" + source_high
         self._even = [self._seq_slots(latch) for latch in even]
         self._odd = [self._seq_slots(latch) for latch in odd]

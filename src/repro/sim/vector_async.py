@@ -75,11 +75,6 @@ from repro.sim.simulator import Capture
 from repro.sim.vector import Lanes, compile_pass_cached
 from repro.utils.errors import SimulationError
 
-#: Scalar event backend that records the lane-0 schedule by default: the
-#: compiled engine is event-for-event identical to the interpreter and
-#: 3-4x faster, and the recording run dominates the replay cost.
-RECORD_BACKEND = "compiled"
-
 #: A latch half: all latches sharing one enable net and one transparency
 #: level — a bank's masters or a bank's slaves.  Halves are the atoms of
 #: the transparency configuration (an enable edge flips whole halves)
@@ -310,16 +305,17 @@ class ScheduleReplaySimulator:
             :func:`check_schedule_replayable`, else ``SimulationError``).
         lanes: stimulus lane count (lane 0 is the recorded lane);
             ``None`` asks :func:`repro.sim.lanes.resolve_lanes`.
-        scalar_backend: event backend carrying the recording run.
+        scalar_backend: event backend carrying the recording run;
+            ``None`` means :data:`repro.sim.backends.DEFAULT_BACKEND`.
         initial_inputs: input-port words present during reset (packed
             pairs or broadcast scalars), the lane-parallel counterpart
             of the event engines' ``initial_inputs``.
     """
 
     def __init__(self, netlist: Netlist, lanes: int | None = None,
-                 scalar_backend: str = RECORD_BACKEND,
+                 scalar_backend: str | None = None,
                  initial_inputs: dict[str, Lanes | Value] | None = None):
-        from repro.sim.backends import make_simulator
+        from repro.sim.backends import DEFAULT_BACKEND, make_simulator
         lanes = resolve_lanes(netlist, lanes)
         reason = check_schedule_replayable(netlist)
         if reason is not None:
@@ -328,7 +324,7 @@ class ScheduleReplaySimulator:
         self.netlist = netlist
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
-        self.scalar_backend = scalar_backend
+        self.scalar_backend = scalar_backend or DEFAULT_BACKEND
         self._names = list(netlist.nets)
         self._slot_of = {name: i for i, name in enumerate(self._names)}
         self.V: list[int] = [0] * len(self._names)
@@ -387,7 +383,7 @@ class ScheduleReplaySimulator:
             self._names[slot]: self._lane0(words)
             for slot, words in self._initial.items()}
         self._recorder = make_simulator(
-            netlist, scalar_backend,
+            netlist, self.scalar_backend,
             record=sorted({net for net, _level in self._halves}),
             initial_inputs=scalar_initial)
 

@@ -41,12 +41,11 @@ from dataclasses import dataclass, field
 
 from repro.netlist.core import Netlist
 from repro.obs.trace import TRACER
-from repro.sim.backends import (EVENT_BACKENDS, make_cycle_simulator,
-                                make_simulator)
+from repro.sim.backends import EVENT_BACKENDS, make_simulator
 from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
-from repro.sim.vector import pack_stimuli
+from repro.sim.vector import VectorCycleSimulator, pack_stimuli
 from repro.testing.stimulus import DEFAULT_SEED, random_stimulus
 from repro.timing.sta import analyze
 from repro.utils.errors import DifferentialError
@@ -241,14 +240,11 @@ def _register_toggles_from_stream(init: int, stream: list[Value]) -> int:
 
 
 def vector_runs(netlist: Netlist, stimuli: list[list[dict[str, Value]]],
-                lanes: int | None = None,
-                cycle_backend: str = "vector") -> list[BackendRun]:
+                lanes: int | None = None) -> list[BackendRun]:
     """Run N stimuli through the vector engine in ``ceil(N/lanes)`` passes.
 
-    ``lanes=None`` asks :func:`repro.sim.lanes.resolve_lanes`;
-    ``cycle_backend`` picks the lane-parallel engine (``"vector"``
-    bigint, ``"vector-np"`` numpy bit-planes) — one simulator is built
-    at full width and reset between blocks.  Returns one demuxed
+    ``lanes=None`` asks :func:`repro.sim.lanes.resolve_lanes`; one
+    simulator is built at full width and reset between blocks.  Returns one demuxed
     :class:`BackendRun` per stimulus, in order — the same observables
     :func:`_run_cycle` reports, so the runs drop straight into
     :func:`compare_runs`.
@@ -257,7 +253,7 @@ def vector_runs(netlist: Netlist, stimuli: list[list[dict[str, Value]]],
         return []
     lanes = resolve_lanes(netlist, lanes)
     ffs = netlist.dff_instances()
-    sim = make_cycle_simulator(netlist, cycle_backend, lanes=lanes)
+    sim = VectorCycleSimulator(netlist, lanes=lanes)
     runs: list[BackendRun] = []
     for start in range(0, len(stimuli), lanes):
         block = stimuli[start:start + lanes]
@@ -267,7 +263,7 @@ def vector_runs(netlist: Netlist, stimuli: list[list[dict[str, Value]]],
         for lane in range(len(block)):
             captures = sim.lane_captures(lane)
             runs.append(BackendRun(
-                backend=cycle_backend,
+                backend="vector",
                 captures=captures,
                 final_state={ff.name: sim.lane_value(ff.output_net().name,
                                                      lane)
@@ -286,13 +282,6 @@ def _run_vector(netlist: Netlist,
     return vector_runs(netlist, [stimulus], lanes=1)[0]
 
 
-def _run_vector_np(netlist: Netlist,
-                   stimulus: list[dict[str, Value]]) -> BackendRun:
-    """Single-stimulus numpy bit-plane runner for the RUNNERS table."""
-    return vector_runs(netlist, [stimulus], lanes=1,
-                       cycle_backend="vector-np")[0]
-
-
 #: Name -> runner.  ``run_differential`` copies and optionally extends
 #: this mapping, so experimental backends plug in without registration.
 RUNNERS: dict[str, Callable[[Netlist, list], BackendRun]] = {
@@ -300,7 +289,6 @@ RUNNERS: dict[str, Callable[[Netlist, list], BackendRun]] = {
     "event": _event_runner("event"),
     "compiled": _event_runner("compiled"),
     "vector": _run_vector,
-    "vector-np": _run_vector_np,
 }
 
 

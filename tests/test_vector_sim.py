@@ -33,14 +33,12 @@ from repro.netlist.cells import GENERIC, CellKind
 from repro.netlist.core import Netlist
 from repro.sim import (
     CYCLE_BACKENDS,
-    HAVE_NUMPY,
     LANES_ENV,
     CycleSimulator,
     LatchCycleSimulator,
-    NpVectorCycleSimulator,
-    NpVectorLatchCycleSimulator,
     VectorCycleSimulator,
     VectorLatchCycleSimulator,
+    cycle_backend_names,
     make_cycle_simulator,
     pack_lanes,
     pack_stimuli,
@@ -60,10 +58,10 @@ from repro.utils.errors import SimulationError
 COMB_CELLS = [cell for cell in GENERIC.cells.values()
               if cell.kind is CellKind.COMB]
 
-#: Both word backends where numpy is available; the bigint engine is
-#: always present, the bit-plane engine is a soft dependency.
-WORD_SIMS = [VectorCycleSimulator] + (
-    [NpVectorCycleSimulator] if HAVE_NUMPY else [])
+#: The lane-parallel engines, as parameters so every test id names the
+#: engine it ran on.
+WORD_SIMS = [VectorCycleSimulator]
+LATCH_SIMS = [VectorLatchCycleSimulator]
 
 
 class TestPacking:
@@ -332,10 +330,29 @@ class TestBatchedFlowEquivalence:
 
 class TestRegistry:
     def test_cycle_backend_registry(self):
+        # Bigint words are the only lane representation: one scalar and
+        # one lane-parallel engine per register form, in both registries.
+        assert cycle_backend_names() == ["cycle", "latch-cycle", "vector",
+                                         "vector-latch"]
         assert CYCLE_BACKENDS["vector"] is VectorCycleSimulator
         assert CYCLE_BACKENDS["vector-latch"] is VectorLatchCycleSimulator
+        assert sorted(RUNNERS) == ["compiled", "cycle", "event", "vector"]
         sim = make_cycle_simulator(generate("lfsr8"), "vector", lanes=4)
         assert isinstance(sim, VectorCycleSimulator) and sim.lanes == 4
+
+    def test_kernel_cache_hits_across_equal_netlists(self):
+        from repro.obs import METRICS
+        hits = METRICS.counter("sim.vector.kernel_cache_hits")
+        misses = METRICS.counter("sim.vector.kernel_cache_misses")
+        base_hits, base_misses = hits.value, misses.value
+        # An unusual width keeps this (fingerprint, lanes) pair out of
+        # every other test's cache traffic.
+        VectorCycleSimulator(generate("counter6"), lanes=41)
+        assert misses.value == base_misses + 1
+        assert hits.value == base_hits
+        # A fresh Netlist object with the same fingerprint must hit.
+        VectorCycleSimulator(generate("counter6"), lanes=41)
+        assert hits.value == base_hits + 1
 
     def test_unknown_backend(self):
         with pytest.raises(SimulationError, match="unknown cycle-simulator"):
@@ -358,8 +375,7 @@ class TestRegistry:
 
 class TestLaneWidths:
     """Width is a tuning parameter: demux identity must hold at any
-    lane count — below, at, and past the 64-bit machine word — for
-    both word backends."""
+    lane count — below, at, and past the 64-bit machine word."""
 
     WIDTHS = (1, 63, 64, 65, 256, 1024)
     CYCLES = 8
@@ -381,10 +397,7 @@ class TestLaneWidths:
                 name: list(stream)
                 for name, stream in scalar.captures.items()}, (width, lane)
 
-    @pytest.mark.parametrize("sim_cls",
-                             [VectorLatchCycleSimulator] +
-                             ([NpVectorLatchCycleSimulator]
-                              if HAVE_NUMPY else []),
+    @pytest.mark.parametrize("sim_cls", LATCH_SIMS,
                              ids=lambda c: c.__name__)
     @pytest.mark.parametrize("width", (63, 65, 130))
     def test_latch_demux_at_off_word_width(self, width, sim_cls):
@@ -471,44 +484,3 @@ class TestResolveLanes:
         monkeypatch.setenv(LANES_ENV, "80")
         assert VectorCycleSimulator(netlist).lanes == 80
 
-
-class TestNpBackend:
-    """Registry wiring, the soft numpy dependency, and the kernel
-    cache shared by every compiled engine."""
-
-    def test_registry(self):
-        assert CYCLE_BACKENDS["vector-np"] is NpVectorCycleSimulator
-        assert CYCLE_BACKENDS["vector-np-latch"] is \
-            NpVectorLatchCycleSimulator
-        if HAVE_NUMPY:
-            sim = make_cycle_simulator(generate("lfsr8"), "vector-np",
-                                       lanes=5)
-            assert isinstance(sim, NpVectorCycleSimulator)
-            assert sim.lanes == 5
-
-    def test_missing_numpy_is_a_clear_error(self, monkeypatch):
-        from repro.sim import vector_np
-        monkeypatch.setattr(vector_np, "_np", None)
-        with pytest.raises(SimulationError, match="requires numpy"):
-            NpVectorCycleSimulator(generate("lfsr8"), lanes=4)
-
-    def test_kernel_cache_hits_across_equal_netlists(self):
-        from repro.obs import METRICS
-        hits = METRICS.counter("sim.vector.kernel_cache_hits")
-        misses = METRICS.counter("sim.vector.kernel_cache_misses")
-        base_hits, base_misses = hits.value, misses.value
-        # An unusual width keeps this (fingerprint, lanes) pair out of
-        # every other test's cache traffic.
-        VectorCycleSimulator(generate("counter6"), lanes=41)
-        assert misses.value == base_misses + 1
-        assert hits.value == base_hits
-        # A fresh Netlist object with the same fingerprint must hit.
-        VectorCycleSimulator(generate("counter6"), lanes=41)
-        assert hits.value == base_hits + 1
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_np_differential_runner_registered(self):
-        assert "vector-np" in RUNNERS
-        report = run_differential(generate("crc5"), cycles=10,
-                                  backends=("cycle", "vector-np"))
-        assert report.ok, report.describe()
