@@ -154,13 +154,20 @@ def reference_streams_batch(netlist: Netlist, cycles: int,
     return streams
 
 
-def _input_fed_masters(netlist: Netlist, masters: dict[str, str]) -> list[str]:
-    """Master latches whose data cone reaches a primary data input.
+def _input_fed_masters(netlist: Netlist,
+                       masters: dict[str, str]) -> tuple[str, ...]:
+    """Master latches whose data cone reaches a primary data input, sorted.
 
     These are the registers whose captures pace the environment when the
     stimulus varies per cycle: a new input vector may be presented only
-    once every one of them has consumed the previous vector.
+    once every one of them has consumed the previous vector.  Memoized
+    on ``netlist`` per master set.
     """
+    return netlist.memo(("input-fed-masters", frozenset(masters)),
+                        lambda: _walk_input_fed(netlist, masters))
+
+
+def _walk_input_fed(netlist: Netlist, masters) -> tuple[str, ...]:
     fed: list[str] = []
     for master in masters:
         inst = netlist.instances.get(master)
@@ -179,7 +186,7 @@ def _input_fed_masters(netlist: Netlist, masters: dict[str, str]) -> list[str]:
             driver = net.driver_instance()
             if driver is not None and driver.is_combinational:
                 stack.extend(driver.input_nets())
-    return sorted(fed)
+    return tuple(sorted(fed))
 
 
 def _masters(result: DesyncResult | FlowContext) -> dict[str, str]:
@@ -286,12 +293,12 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
         shrink = min(1.0, max(delay_model.min_factor(), 1e-3))
     horizon = time_limit if time_limit is not None else \
         max(1.0, period) * (cycles + 8) * 2 * stretch
-    feeds: list[str] = []
+    feeds: tuple[str, ...] = ()
     # Registers-only circuits produce all-empty vectors; there is then
     # nothing to pace and the cheap polling granularity suffices.
     if inputs_per_cycle and any(vector for vector in inputs_per_cycle[1:]):
         feeds = _input_fed_masters(result.desync_netlist, masters) \
-            or sorted(masters)
+            or tuple(sorted(masters))
         # Poll at gate-delay granularity: an input-fed bank free-runs at
         # its *local* cycle (often far shorter than the fabric's
         # steady-state period while the pipeline slack fills), and each

@@ -22,7 +22,8 @@ absorption is a robustness property worth its own regression test
 Transients are genuinely hard to observe on a delay-insensitive fabric
 — a pulse that merely shifts a handshake edge is *supposed* to be
 absorbed — so :func:`run_detection` first profiles the target net in a
-clean run, then schedules adversarial trials against the observed
+clean run that ends at the detection deadline (no trial is planned
+past it), then schedules adversarial trials against the observed
 waveform: X pulses straddling real transitions (the conservative model
 of a near-threshold transient), pulse swallows (a short-to-ground
 across an entire high phase, which loses the handshake token), and
@@ -138,25 +139,45 @@ def _gate_delay(netlist) -> float:
 def _clean_run(result, nets: list[str], cycles: int,
                ) -> tuple[dict[str, list[tuple[float, float | None]]],
                           float]:
-    """Histories of ``nets`` in one unperturbed run, and the deadline."""
+    """Histories of ``nets`` before the deadline in one unperturbed run,
+    and the deadline.
+
+    The deadline is the earliest time some capture bank holds
+    ``cycles`` captures (``cycles`` periods when none does within
+    ``cycles + 1`` periods).  The run polls on a grid of ``period / 8``
+    and stops at the first poll that sees a complete bank: a bank still
+    short then completes later than the one that is complete, so that
+    poll already knows the deadline, and nothing after it is read.
+    """
     period = result.desync_cycle_time().cycle_time
     sim = make_simulator(result.desync_netlist, DEFAULT_BACKEND, record=nets)
-    sim.run(cycles * period + period)
-    complete = [bank[cycles - 1].time for bank in sim.captures.values()
-                if len(bank) >= cycles]
-    deadline = min(complete) if complete else cycles * period
-    return sim.history, deadline
+    captures = sim.captures
+    horizon = cycles * period + period
+    deadline = cycles * period
+    now = 0.0
+    while now < horizon:
+        now = min(horizon, now + period / 8)
+        sim.run(now)
+        complete = [bank[cycles - 1].time for bank in captures.values()
+                    if len(bank) >= cycles]
+        if complete:
+            deadline = min(complete)
+            break
+    return {net: [edge for edge in history if edge[0] < deadline]
+            for net, history in sim.history.items()}, deadline
 
 
 def profile_net(result, net: str, cycles: int,
                 ) -> tuple[list[tuple[float, float | None]], float]:
-    """Clean-run waveform of ``net`` and the detection deadline.
+    """Clean-run waveform of ``net`` up to the detection deadline.
 
-    Runs the unperturbed fabric long enough for every capture bank to
-    record ``cycles`` values and returns ``(transitions, deadline)``:
-    the net's ``(time, value)`` history and the earliest time the
-    compared capture streams are complete — an injection after the
-    deadline cannot influence the checked prefix.
+    Runs the unperturbed fabric until the first capture bank records
+    ``cycles`` values and returns ``(transitions, deadline)``: the
+    deadline is that bank's ``cycles``-th capture time, the earliest
+    time the compared capture streams are complete — an injection after
+    it cannot influence the checked prefix — and the transitions are
+    the net's ``(time, value)`` history before it, all that
+    :func:`glitch_trials` reads.
 
     The clean run does not depend on the net, so one run per fabric and
     ``cycles`` records every handshake net (:func:`control_nets`) and is

@@ -36,7 +36,11 @@ agree exactly — the property the differential harness in
 :meth:`CompiledSimulator.reset` returns an engine to the state its
 construction left without recompiling, so callers that simulate one
 fabric many times (the fault campaign, through
-:func:`repro.sim.backends.reused_simulator`) compile it once.
+:func:`repro.sim.backends.reused_simulator`) compile it once.  What a
+construction resolves from structure alone — slots, closure units, sink
+wiring and the settled reset state — is an :class:`EngineLayout`
+memoized on the netlist, so a further engine on it (another delay
+model, other initial inputs) only binds closures to its own delays.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ _STATEFUL_KINDS = (CellKind.CELEMENT, CellKind.ACK, CellKind.REQ,
                    CellKind.ASYM)
 
 
-def _named_counts(names: list[str], counts: list[int]) -> dict[str, int]:
+def _named_counts(names: tuple[str, ...], counts: list[int],
+                  ) -> dict[str, int]:
     """Slot-indexed counters as ``{net name: count}``, zeros dropped."""
     return {names[slot]: n for slot, n in enumerate(counts) if n}
 
@@ -74,12 +79,15 @@ def _named_counts(names: list[str], counts: list[int]) -> dict[str, int]:
 # previous value of the net that just changed (the sequential cells need
 # it for edge detection), ``now`` the current simulation time.  All
 # state the closure touches — the value list, the heap, the sequence
-# counter, the instance's stored-state cell — is captured by reference.
+# counter, the stored-state list, the capture streams — is captured by
+# reference.  Every factory takes those five and ``delay`` first, then
+# the delay-independent arguments an :class:`EngineLayout` unit holds.
 # ``delay`` arrives pre-resolved (nominal ``cell.delay`` or the delay
 # model's perturbed value) so the closures stay model-agnostic.
 # ----------------------------------------------------------------------
 
-def _comb_eval(vals, heap, seq, cell, delay, in_slots, out_slot):
+def _comb_eval(vals, heap, seq, state, streams, delay, cell, in_slots,
+               out_slot):
     tt = cell.tt
     heappush = heapq.heappush
     if len(in_slots) == 1:
@@ -126,7 +134,8 @@ def _comb_eval(vals, heap, seq, cell, delay, in_slots, out_slot):
     return ev
 
 
-def _celement_eval(vals, heap, seq, state, i, delay, in_slots, out_slot):
+def _celement_eval(vals, heap, seq, state, streams, delay, i, in_slots,
+                   out_slot):
     heappush = heapq.heappush
     slots = tuple(in_slots)
 
@@ -151,8 +160,8 @@ def _celement_eval(vals, heap, seq, state, i, delay, in_slots, out_slot):
     return ev
 
 
-def _ack_eval(vals, heap, seq, state, i, delay, p_slot, r_slot, s_slot,
-              out_slot):
+def _ack_eval(vals, heap, seq, state, streams, delay, i, p_slot, r_slot,
+              s_slot, out_slot):
     heappush = heapq.heappush
 
     def ev(old, now):
@@ -169,7 +178,8 @@ def _ack_eval(vals, heap, seq, state, i, delay, p_slot, r_slot, s_slot,
     return ev
 
 
-def _req_eval(vals, heap, seq, state, i, delay, r_slot, g_slot, out_slot):
+def _req_eval(vals, heap, seq, state, streams, delay, i, r_slot, g_slot,
+              out_slot):
     heappush = heapq.heappush
 
     def ev(old, now):
@@ -186,7 +196,8 @@ def _req_eval(vals, heap, seq, state, i, delay, r_slot, g_slot, out_slot):
     return ev
 
 
-def _asym_eval(vals, heap, seq, state, i, delay, r_slot, a_slot, out_slot):
+def _asym_eval(vals, heap, seq, state, streams, delay, i, r_slot, a_slot,
+               out_slot):
     heappush = heapq.heappush
 
     def ev(old, now):
@@ -203,7 +214,7 @@ def _asym_eval(vals, heap, seq, state, i, delay, r_slot, a_slot, out_slot):
     return ev
 
 
-def _dff_clock_eval(vals, heap, seq, state, i, streams, name, delay,
+def _dff_clock_eval(vals, heap, seq, state, streams, delay, i, name,
                     d_slot, ck_slot, rn_slot, out_slot):
     heappush = heapq.heappush
     caps: list[Capture] = []
@@ -246,7 +257,8 @@ def _dff_clock_eval(vals, heap, seq, state, i, streams, name, delay,
     return ev
 
 
-def _seq_reset_eval(vals, heap, seq, state, i, delay, rn_slot, out_slot):
+def _seq_reset_eval(vals, heap, seq, state, streams, delay, i, rn_slot,
+                    out_slot):
     """A DFF data/reset pin changed: only the asynchronous clear can act."""
     heappush = heapq.heappush
 
@@ -257,7 +269,7 @@ def _seq_reset_eval(vals, heap, seq, state, i, delay, rn_slot, out_slot):
     return ev
 
 
-def _latch_clock_eval(vals, heap, seq, state, i, streams, name, delay,
+def _latch_clock_eval(vals, heap, seq, state, streams, delay, i, name,
                       transparent, d_slot, en_slot, rn_slot, out_slot):
     heappush = heapq.heappush
     caps: list[Capture] = []
@@ -321,7 +333,7 @@ def _latch_clock_eval(vals, heap, seq, state, i, streams, name, delay,
     return ev
 
 
-def _latch_data_eval(vals, heap, seq, state, i, delay, transparent,
+def _latch_data_eval(vals, heap, seq, state, streams, delay, i, transparent,
                      d_slot, en_slot, rn_slot, out_slot):
     heappush = heapq.heappush
     if rn_slot < 0:
@@ -345,6 +357,136 @@ def _latch_data_eval(vals, heap, seq, state, i, delay, transparent,
                 state[i] = data
                 heappush(heap, (now + delay, next(seq), out_slot, data))
     return ev
+
+
+#: Handshake cell kind -> (closure factory, input pins in its order).
+_HANDSHAKE = {
+    CellKind.ACK: (_ack_eval, ("P", "R", "S")),
+    CellKind.REQ: (_req_eval, ("R", "G")),
+    CellKind.ASYM: (_asym_eval, ("R", "A")),
+}
+
+
+class EngineLayout:
+    """The delay-independent part of a netlist's compiled engine.
+
+    Everything a :class:`CompiledSimulator` construction resolves that
+    depends on structure alone:
+
+    * the slot of every net and the stored-state index (and power-up
+      value) of every stateful instance;
+    * one *unit* per closure to bind — ``(factory, instance name,
+      nominal delay, arguments)``, the arguments being resolved slots,
+      state indices and cell data — in instance order, and the sink
+      wiring as unit indices per slot, in the netlist's sink order;
+    * the settled t = 0 state per initial-input vector, filled in by
+      the first engine that settles it: values, stored state, and the
+      kick events as ``(instance, nominal delay, slot, value)``, queued
+      at ``0.0 + delay`` in this order, as the interpreter does.
+
+    Memoized on the netlist (:meth:`~repro.netlist.core.Netlist.memo`),
+    so a mutation drops it; an engine only binds the units to its own
+    delays, values, heap and sequence counter, and queues its kicks.
+    The settled entries are never mutated once stored, so engines
+    with different delay models share one layout safely.
+    """
+
+    __slots__ = ("names", "slot_of", "state_idx", "state_init", "units",
+                 "sinks", "evals", "resets", "kickers", "settled")
+
+    def __init__(self, netlist: Netlist):
+        names = tuple(netlist.nets)
+        slot_of = {name: slot for slot, name in enumerate(names)}
+        state_idx: dict[str, int] = {}
+        state_init: list[int] = []
+        units: list[tuple] = []
+        # Pin-independent unit per instance (combinational and stateful
+        # handshake cells); the release hook and the settle use it.
+        evals: dict[str, int] = {}
+        clock_units: dict[str, int] = {}
+        data_units: dict[str, int] = {}
+        # (output slot, power-up value) of the stateful and TIE cells.
+        resets: list[tuple[int, int]] = []
+        # Units the reset settle kicks, in instance order: a stateful
+        # cell's eval, or a latch's data unit (whose arguments say
+        # whether the settled latch is transparent).
+        kickers: list[int] = []
+        for inst in netlist.instances.values():
+            name, cell, pins = inst.name, inst.cell, inst.pins
+            kind, delay = cell.kind, cell.delay
+            out = slot_of[inst.output_net().name]
+            if kind is CellKind.COMB:
+                evals[name] = len(units)
+                units.append((_comb_eval, name, delay, (
+                    cell, [slot_of[pins[p].name] for p in cell.inputs],
+                    out)))
+                continue
+            if kind is CellKind.TIE:
+                # No input pins: never re-evaluates, only settles.
+                resets.append((out, cell.tt & 1))
+                continue
+            i = state_idx[name] = len(state_init)
+            state_init.append(inst.init)
+            resets.append((out, inst.init))
+            if kind in _STATEFUL_KINDS:
+                evals[name] = len(units)
+                kickers.append(len(units))
+                if kind is CellKind.CELEMENT:
+                    units.append((_celement_eval, name, delay, (
+                        i, [slot_of[pins[p].name] for p in cell.inputs],
+                        out)))
+                else:
+                    factory, ins = _HANDSHAKE[kind]
+                    units.append((factory, name, delay, (
+                        i, *[slot_of[pins[p].name] for p in ins], out)))
+                continue
+            rn = (slot_of[pins[PIN_RESET_N].name]
+                  if PIN_RESET_N in cell.inputs else -1)
+            d = slot_of[pins[PIN_D].name]
+            clock_units[name] = len(units)
+            if kind is CellKind.DFF:
+                units.append((_dff_clock_eval, name, delay, (
+                    i, name, d, slot_of[pins[cell.clock_pin].name], rn,
+                    out)))
+                if rn >= 0:
+                    data_units[name] = len(units)
+                    units.append((_seq_reset_eval, name, delay,
+                                  (i, rn, out)))
+                continue
+            transparent = 1 if kind is CellKind.LATCH_HIGH else 0
+            en = slot_of[pins[PIN_ENABLE].name]
+            units.append((_latch_clock_eval, name, delay, (
+                i, name, transparent, d, en, rn, out)))
+            data_units[name] = len(units)
+            kickers.append(len(units))
+            units.append((_latch_data_eval, name, delay, (
+                i, transparent, d, en, rn, out)))
+
+        sinks: list[tuple[int, ...]] = []
+        nets = netlist.nets
+        for name in names:
+            wired = []
+            for inst, pin in nets[name].sinks:
+                unit = evals.get(inst.name)
+                if unit is None:
+                    unit = (clock_units.get(inst.name)
+                            if pin == inst.cell.clock_pin else None)
+                    if unit is None:
+                        unit = data_units.get(inst.name)
+                        if unit is None:
+                            continue
+                wired.append(unit)
+            sinks.append(tuple(wired))
+        self.names = names
+        self.slot_of = slot_of
+        self.state_idx = state_idx
+        self.state_init = tuple(state_init)
+        self.units = tuple(units)
+        self.sinks = tuple(sinks)
+        self.evals = evals
+        self.resets = tuple(resets)
+        self.kickers = tuple(kickers)
+        self.settled: dict[tuple, tuple] = {}
 
 
 class CompiledSimulator:
@@ -375,10 +517,10 @@ class CompiledSimulator:
         self.now = 0.0
         self.n_events = 0
         self.energy_events: list[tuple[float, float]] = []
-        names = list(netlist.nets)
-        self._names = names
-        slot_of = {name: index for index, name in enumerate(names)}
-        self._slot_of = slot_of
+        layout = self._layout = netlist.memo(
+            "engine-layout", lambda: EngineLayout(netlist))
+        names = self._names = layout.names
+        slot_of = self._slot_of = layout.slot_of
         vals: list[Value] = [None] * len(names)
         self._vals = vals
         for port, value in (initial_inputs or {}).items():
@@ -419,168 +561,109 @@ class CompiledSimulator:
         # ``run`` takes the loop that handles control entries and forces.
         self._armed = False
         # Stored output value per stateful instance, slot-indexed.
-        self._state: list[int] = []
-        self._state_idx: dict[str, int] = {}
-        for inst in netlist.instances.values():
-            if inst.is_sequential or inst.is_celement:
-                self._state_idx[inst.name] = len(self._state)
-                self._state.append(inst.init)
+        self._state: list[int] = list(layout.state_init)
+        self._state_idx = layout.state_idx
         # Capture stream per register, entered on its first capture (so
         # in the interpreter's order and with no empty streams).
         self._captured: dict[str, list[Capture]] = {}
         # (cone, net slots, state indices, slot set, exact) of the last
         # control cone :meth:`control_state` was asked about.
         self._cone_binding: tuple | None = None
-        self._sinks: list[tuple] = self._compile()
-        self._settle_reset()
+        fns = self._fns = self._bind(layout)
+        self._sinks = [tuple([fns[k] for k in wired])
+                       for wired in layout.sinks]
+        settled_vals, settled_state = self._settle_reset(
+            tuple(sorted(initial_inputs.items())) if initial_inputs else ())
         # What :meth:`reset` restores: values, state, kick events and
         # the t = 0 history of the recorded nets.
-        self._reset_point = (list(vals), list(self._state), list(self._heap),
+        self._reset_point = (settled_vals, settled_state, list(self._heap),
                              [(slot, list(h))
                               for slot, h in enumerate(self._hist) if h])
 
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def _pin_slot(self, inst: Instance, pin: str) -> int:
-        return self._slot_of[inst.pins[pin].name]
-
     def _delay_of(self, inst: Instance) -> float:
         return self._delays[inst.name] if self._delays is not None \
             else inst.cell.delay
 
-    def _compile(self) -> list[tuple]:
-        """Build the per-pin closures and resolve sink lists to slots."""
-        vals, heap, seq = self._vals, self._heap, self._seq
-        state, state_idx = self._state, self._state_idx
-        resolved_delay = self._delay_of
-        # Pin-independent eval per instance; kept on self because the
-        # reset settle kicks the state-holding cells through it.
-        shared = self._shared_evals = {}
-        clock_fns: dict[str, object] = {}
-        data_fns: dict[str, object | None] = {}
-        for inst in self.netlist.instances.values():
-            cell = inst.cell
-            kind = cell.kind
-            out_slot = self._slot_of[inst.output_net().name]
-            if kind is CellKind.COMB:
-                in_slots = [self._pin_slot(inst, p) for p in cell.inputs]
-                shared[inst.name] = _comb_eval(vals, heap, seq, cell,
-                                               resolved_delay(inst),
-                                               in_slots, out_slot)
-            elif kind is CellKind.CELEMENT:
-                i = state_idx[inst.name]
-                in_slots = [self._pin_slot(inst, p) for p in cell.inputs]
-                shared[inst.name] = _celement_eval(
-                    vals, heap, seq, state, i, resolved_delay(inst),
-                    in_slots, out_slot)
-            elif kind is CellKind.ACK:
-                i = state_idx[inst.name]
-                shared[inst.name] = _ack_eval(
-                    vals, heap, seq, state, i, resolved_delay(inst),
-                    self._pin_slot(inst, "P"), self._pin_slot(inst, "R"),
-                    self._pin_slot(inst, "S"), out_slot)
-            elif kind is CellKind.REQ:
-                i = state_idx[inst.name]
-                shared[inst.name] = _req_eval(
-                    vals, heap, seq, state, i, resolved_delay(inst),
-                    self._pin_slot(inst, "R"), self._pin_slot(inst, "G"),
-                    out_slot)
-            elif kind is CellKind.ASYM:
-                i = state_idx[inst.name]
-                shared[inst.name] = _asym_eval(
-                    vals, heap, seq, state, i, resolved_delay(inst),
-                    self._pin_slot(inst, "R"), self._pin_slot(inst, "A"),
-                    out_slot)
-            elif kind is CellKind.DFF:
-                i = state_idx[inst.name]
-                rn_slot = (self._pin_slot(inst, PIN_RESET_N)
-                           if PIN_RESET_N in cell.inputs else -1)
-                clock_fns[inst.name] = _dff_clock_eval(
-                    vals, heap, seq, state, i, self._captured,
-                    inst.name, resolved_delay(inst),
-                    self._pin_slot(inst, PIN_D),
-                    self._pin_slot(inst, cell.clock_pin), rn_slot, out_slot)
-                data_fns[inst.name] = (
-                    _seq_reset_eval(vals, heap, seq, state, i,
-                                    resolved_delay(inst), rn_slot, out_slot)
-                    if rn_slot >= 0 else None)
-            elif kind in (CellKind.LATCH_HIGH, CellKind.LATCH_LOW):
-                i = state_idx[inst.name]
-                transparent = 1 if kind is CellKind.LATCH_HIGH else 0
-                rn_slot = (self._pin_slot(inst, PIN_RESET_N)
-                           if PIN_RESET_N in cell.inputs else -1)
-                d_slot = self._pin_slot(inst, PIN_D)
-                en_slot = self._pin_slot(inst, PIN_ENABLE)
-                clock_fns[inst.name] = _latch_clock_eval(
-                    vals, heap, seq, state, i, self._captured,
-                    inst.name, resolved_delay(inst), transparent, d_slot,
-                    en_slot, rn_slot, out_slot)
-                data_fns[inst.name] = _latch_data_eval(
-                    vals, heap, seq, state, i, resolved_delay(inst),
-                    transparent, d_slot, en_slot, rn_slot, out_slot)
-            # TIE cells have no input pins and never re-evaluate.
+    def _bind(self, layout: EngineLayout) -> list:
+        """One closure per layout unit, bound to this engine's state and
+        delays."""
+        shared = (self._vals, self._heap, self._seq, self._state,
+                  self._captured)
+        delays = self._delays
+        if delays is None:
+            return [factory(*shared, delay, *args)
+                    for factory, _, delay, args in layout.units]
+        return [factory(*shared, delays[name], *args)
+                for factory, name, _, args in layout.units]
 
-        sinks: list[tuple] = []
-        for name in self._names:
-            entries = []
-            for inst, pin in self.netlist.nets[name].sinks:
-                if inst.name in shared:
-                    entries.append(shared[inst.name])
-                elif pin == inst.cell.clock_pin and inst.name in clock_fns:
-                    entries.append(clock_fns[inst.name])
-                else:
-                    fn = data_fns.get(inst.name)
-                    if fn is not None:
-                        entries.append(fn)
-            sinks.append(tuple(entries))
-        return sinks
-
-    def _settle_reset(self) -> None:
-        """Settle the reset state instantly at t = 0.
+    def _settle_reset(self, key: tuple) -> tuple[tuple, tuple]:
+        """Settle the reset state instantly at t = 0; returns the settled
+        values and stored state.
 
         Mirrors ``EventSimulator._initialize`` step for step (including
         iteration order, which fixes the sequence numbers of the kick
-        events and thus tie-breaking parity with the interpreter).
+        events and thus tie-breaking parity with the interpreter).  The
+        outcome depends on structure and the initial inputs only, so
+        the first engine to settle a vector stores it in the layout and
+        later ones copy it and queue the same kicks at their own delays.
         """
-        vals, slot_of = self._vals, self._slot_of
-        state, state_idx = self._state, self._state_idx
-        for inst in self.netlist.instances.values():
-            if inst.is_sequential or inst.is_celement:
-                vals[slot_of[inst.output_net().name]] = \
-                    state[state_idx[inst.name]]
-            elif inst.cell.kind is CellKind.TIE:
-                vals[slot_of[inst.output_net().name]] = inst.cell.tt & 1
-        for inst in self.netlist.topo_order_comb_only():
-            if inst.cell.kind is CellKind.TIE:
-                continue
-            bits = [vals[slot_of[inst.pins[p].name]]
-                    for p in inst.cell.inputs]
-            vals[slot_of[inst.output_net().name]] = \
-                inst.cell.eval_ternary(bits)
+        layout = self._layout
+        vals, state, heap, seq = self._vals, self._state, self._heap, \
+            self._seq
+        settled = layout.settled.get(key)
+        if settled is None:
+            settled = layout.settled[key] = self._settle(layout)
+        else:
+            vals[:] = settled[0]
+            state[:] = settled[1]
+            delays = self._delays
+            for name, delay, slot, value in settled[2]:
+                if delays is not None:
+                    delay = delays[name]
+                heapq.heappush(heap, (0.0 + delay, next(seq), slot, value))
         if self._record_any:
-            for slot, name in enumerate(self._names):
-                value = vals[slot]
-                if value is not None and self._rec[slot]:
-                    self._hist[slot].append((0.0, value))
-        heap, seq = self._heap, self._seq
-        for inst in self.netlist.instances.values():
-            kind = inst.cell.kind
-            if kind in _STATEFUL_KINDS:
+            rec, hist = self._rec, self._hist
+            for slot, value in enumerate(vals):
+                if value is not None and rec[slot]:
+                    hist[slot].append((0.0, value))
+        return settled[0], settled[1]
+
+    def _settle(self, layout: EngineLayout) -> tuple:
+        """The first settle of an initial-input vector: settle the
+        values, queue the kicks, and return ``(values, state, kicks)``
+        for the layout."""
+        vals, state, heap, seq = self._vals, self._state, self._heap, \
+            self._seq
+        units, evals, fns = layout.units, layout.evals, self._fns
+        for slot, value in layout.resets:
+            vals[slot] = value
+        for inst in self.netlist.topo_order_comb_only():
+            unit = evals.get(inst.name)
+            if unit is not None:  # not a TIE
+                cell, in_slots, out = units[unit][3]
+                vals[out] = cell.eval_ternary([vals[s] for s in in_slots])
+        kicks = []
+        for unit in layout.kickers:
+            factory, name, delay, args = units[unit]
+            if factory is _latch_data_eval:
+                i, transparent, d_slot, en_slot, _, out = args
+                data = vals[d_slot]
+                if vals[en_slot] == transparent and data != state[i]:
+                    state[i] = data
+                    bound = delay if self._delays is None \
+                        else self._delays[name]
+                    heapq.heappush(heap, (0.0 + bound, next(seq), out, data))
+                    kicks.append((name, delay, out, data))
+            else:
                 # Same hold/act logic as the sink closure; old unused.
-                self._shared_evals[inst.name](None, 0.0)
-            elif inst.is_sequential and kind in (CellKind.LATCH_HIGH,
-                                                 CellKind.LATCH_LOW):
-                transparent = 1 if kind is CellKind.LATCH_HIGH else 0
-                if vals[self._pin_slot(inst, PIN_ENABLE)] == transparent:
-                    data = vals[self._pin_slot(inst, PIN_D)]
-                    i = state_idx[inst.name]
-                    if data != state[i]:
-                        state[i] = data
-                        heapq.heappush(
-                            heap,
-                            (self._delay_of(inst), next(seq),
-                             slot_of[inst.output_net().name], data))
+                pending = len(heap)
+                fns[unit](None, 0.0)
+                if len(heap) > pending:
+                    kicks.append((name, delay, args[-1], state[args[0]]))
+        return tuple(vals), tuple(state), tuple(kicks)
 
     # ------------------------------------------------------------------
     # stimulus
@@ -680,7 +763,7 @@ class CompiledSimulator:
             return  # input port: holds the forced value until re-driven
         kind = driver.cell.kind
         if kind is CellKind.COMB:
-            self._shared_evals[driver.name](None, now)
+            self._fns[self._layout.evals[driver.name]](None, now)
             return
         value = (driver.cell.tt & 1 if kind is CellKind.TIE
                  else self._state[self._state_idx[driver.name]])

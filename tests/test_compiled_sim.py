@@ -21,6 +21,7 @@ from repro.sim import (
 from repro.sim.backends import EVENT_BACKENDS, reused_simulator
 from repro.sim.simulator import INVERT
 from repro.testing import drive_clocked, random_stimulus
+from repro.timing import DelayModel
 from repro.timing.sta import analyze
 from repro.utils.errors import SimulationError
 
@@ -360,6 +361,113 @@ class TestReusedSimulator:
                     pass
         assert netlist.memo("parked-simulator", dict) == {
             (CompiledSimulator, None, ((port, None),)): sim}
+
+
+def campaign_models(result):
+    """The delay models of the fault campaign's cells on ``result``:
+    both scalings, jitter, adversarial skew, and erosion of the
+    fabric's longest matched delay line."""
+    plans = result.network.delay_plans
+    pred, succ = max(plans, key=lambda edge: plans[edge].achieved)
+    return {"scaled-1/3": DelayModel.scaled(1.0 / 3.0),
+            "scaled-3": DelayModel.scaled(3.0),
+            "jittered": DelayModel.jittered(0.01, seed=0),
+            "adversarial": DelayModel.adversarial(0.02),
+            "eroded": DelayModel.eroded(pred, succ, 0.5)}
+
+
+def modeled_run(cls, result, model):
+    """Drive ``result``'s fabric on a fresh ``cls`` under ``model``.
+    Returns the simulator, the events it had queued when built, and the
+    message of the ``SimulationError`` the run raised, if any."""
+    netlist = result.desync_netlist
+    stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
+    sim = cls(netlist, record=control_nets(netlist),
+              initial_inputs=stimulus[0], delay_model=model)
+    return sim, pending_events(sim), drive_fabric(sim, result, stimulus)
+
+
+def pending_events(sim):
+    """The queued events as ``(time, sequence, net, value)``, sorted."""
+    if isinstance(sim, EventSimulator):
+        return sorted((time, seq, *event)
+                      for time, seq, event in sim._queue.heap)
+    return sorted((time, seq, sim._names[slot], value)
+                  for time, seq, slot, value in sim._heap)
+
+
+@pytest.mark.parametrize("config", ["pipe4x1", "fir8"])
+class TestDelayModelParity:
+    """Engines on one netlist share its delay-independent layout
+    (:class:`~repro.sim.compiled.EngineLayout`) and differ only in the
+    delays they bind: each still matches the interpreter event for
+    event, under every delay model the fault campaign uses."""
+
+    @pytest.mark.parametrize("model", ["scaled-1/3", "scaled-3",
+                                       "jittered", "adversarial", "eroded"])
+    def test_model_parity(self, config, model):
+        result = serial_fabric(config)
+        CompiledSimulator(result.desync_netlist)  # the layout exists
+        (event, kicks_e, raised_e), (compiled, kicks_c, raised_c) = (
+            modeled_run(cls, result, campaign_models(result)[model])
+            for cls in (EventSimulator, CompiledSimulator))
+        assert kicks_e == kicks_c  # times and sequence numbers
+        assert raised_e == raised_c
+        assert_identical(event, compiled)
+        assert event.now == compiled.now
+        assert compiled.n_events
+
+    def test_engines_on_one_netlist_do_not_interfere(self, config):
+        # Two engines under different models built from one layout, run
+        # in alternation, each equal the interpreter under its model.
+        result = serial_fabric(config)
+        netlist = result.desync_netlist
+        stimulus = random_stimulus(result.sync_netlist, 6, seed=3)
+        models = campaign_models(result)
+        pair = [CompiledSimulator(netlist, record=control_nets(netlist),
+                                  initial_inputs=stimulus[0],
+                                  delay_model=models[name])
+                for name in ("scaled-3", "jittered")]
+        assert pair[0]._layout is pair[1]._layout
+        horizon = 12 * result.desync_cycle_time().cycle_time
+        for k, vector in enumerate(stimulus[1:], 1):
+            for sim in pair:
+                sim.run(horizon * k / len(stimulus))
+                for port, value in vector.items():
+                    sim.set_input(port, value)
+        for sim in pair:
+            sim.run(horizon)
+        for sim, name in zip(pair, ("scaled-3", "jittered")):
+            event, _, _ = modeled_run(EventSimulator, result, models[name])
+            assert_identical(event, sim)
+
+    def test_layout_built_once_and_dropped_on_mutation(self, config):
+        netlist = generate(config)
+        first = CompiledSimulator(netlist)
+        scaled = CompiledSimulator(netlist,
+                                   delay_model=DelayModel.scaled(3.0))
+        assert scaled._layout is first._layout
+        assert netlist.memo("engine-layout", None) is first._layout
+        assert dict(scaled.values) == dict(first.values)
+        netlist.add_input("spare")
+        after = CompiledSimulator(netlist)
+        assert after._layout is not first._layout
+        assert "spare" in after.values
+
+    def test_settled_per_initial_inputs(self, config):
+        # The layout keeps one settled state per initial-input vector;
+        # engines alternating between vectors each settle their own.
+        result = serial_fabric(config)
+        netlist = result.desync_netlist
+        port = fault_site(netlist, "input")
+        horizon = 6 * result.desync_cycle_time().cycle_time
+        for value in (1, 0, None, 1):
+            event, compiled = (cls(netlist, initial_inputs={port: value})
+                               for cls in (EventSimulator, CompiledSimulator))
+            assert compiled.peek_time() == event.peek_time()
+            event.run(horizon)
+            compiled.run(horizon)
+            assert_identical(event, compiled)
 
 
 class TestDropInSurface:

@@ -286,20 +286,36 @@ class TestInjection:
         assert all(at > 0 and width > 0 for at, width, _ in trials)
 
 
-def dedicated_profile(result, net, cycles):
-    """The clean profile of ``net`` from an interpreter run recording
-    that net alone — what :func:`profile_net` must reproduce."""
+def full_horizon_run(result, nets, cycles, cls=EventSimulator):
+    """The clean run as it was before it stopped at the deadline: ``cls``
+    recording ``nets`` to the ``(cycles + 1)``-period horizon.  Returns
+    the engine and the deadline, which stays the earliest ``cycles``-th
+    capture of any bank."""
     period = result.desync_cycle_time().cycle_time
-    sim = EventSimulator(result.desync_netlist, record=[net])
+    sim = cls(result.desync_netlist, record=nets)
     sim.run(cycles * period + period)
     complete = [bank[cycles - 1].time for bank in sim.captures.values()
                 if len(bank) >= cycles]
-    deadline = min(complete) if complete else cycles * period
-    return list(sim.history[net]), deadline
+    return sim, min(complete) if complete else cycles * period
+
+
+def dedicated_profile(result, net, cycles):
+    """The clean profile of ``net`` from a full-horizon interpreter run
+    recording that net alone, cut to the edges before the deadline —
+    what :func:`profile_net` must reproduce."""
+    sim, deadline = full_horizon_run(result, [net], cycles)
+    return [edge for edge in sim.history[net] if edge[0] < deadline], \
+        deadline
 
 
 @pytest.fixture
-def count_runs(monkeypatch):
+def clean_engines():
+    """The engines ``count_runs`` saw built, in order."""
+    return []
+
+
+@pytest.fixture
+def count_runs(monkeypatch, clean_engines):
     """Record the ``record=`` list of every simulator profile_net builds."""
     import repro.faults.inject as inject
     built = []
@@ -307,9 +323,18 @@ def count_runs(monkeypatch):
 
     def counting(netlist, backend, **kwargs):
         built.append((backend, list(kwargs.get("record") or ())))
-        return real(netlist, backend, **kwargs)
+        clean_engines.append(real(netlist, backend, **kwargs))
+        return clean_engines[-1]
     monkeypatch.setattr(inject, "make_simulator", counting)
     return built
+
+
+#: The configs of the benchmark's fault campaign.
+BENCHMARK_CAMPAIGN = (
+    "counter6", "crc5", "crc8", "diamond2x4", "fir5", "fir8", "lfsr16",
+    "lfsr8", "mult2", "mult4", "pipe4x1", "pipe4x4", "pipe8x2",
+    "pipe12x2",
+)
 
 
 class TestSharedProfile:
@@ -345,6 +370,37 @@ class TestSharedProfile:
         assert profile_net(result, net, CYCLES) == \
             dedicated_profile(result, net, CYCLES)
         assert count_runs == [("compiled", [net])]
+
+    @pytest.mark.parametrize("config", BENCHMARK_CAMPAIGN)
+    def test_trials_match_the_full_horizon_run(self, config):
+        # Stopping at the deadline drops only edges no trial reads.
+        result = desynchronize(generate(config),
+                               DesyncOptions(mode="serial"))
+        netlist = result.desync_netlist
+        nets = control_nets(netlist)
+        gate = max(cell.delay for cell in netlist.library.cells.values())
+        for cycles in (6, 8):
+            full, deadline = full_horizon_run(result, nets, cycles,
+                                              cls=CompiledSimulator)
+            for net in nets:
+                history, cut_at = profile_net(result, net, cycles)
+                assert cut_at == deadline, (net, cycles)
+                assert glitch_trials(history, deadline, gate) == \
+                    glitch_trials(full.history.get(net, []), deadline,
+                                  gate), (net, cycles)
+
+    def test_clean_run_stops_at_the_deadline(self, count_runs,
+                                              clean_engines):
+        result = desynchronize(generate("pipe12x2"),
+                               DesyncOptions(mode="serial"))
+        nets = control_nets(result.desync_netlist)
+        _, deadline = profile_net(result, nets[0], CYCLES)
+        full, full_deadline = full_horizon_run(result, nets, CYCLES,
+                                               cls=CompiledSimulator)
+        (clean,) = clean_engines
+        assert deadline == full_deadline
+        assert clean.now < 2 * deadline < full.now
+        assert 10 * clean.n_events <= full.n_events
 
 
 def small_spec(**overrides) -> CampaignSpec:

@@ -403,10 +403,16 @@ class ScriptedFabric:
 def scripted_result(period, gate):
     """The parts of a desync result the paced loop reads."""
     from types import SimpleNamespace
+    memoized = {}
+
+    def memo(key, compute):
+        if key not in memoized:
+            memoized[key] = compute()
+        return memoized[key]
     return SimpleNamespace(
         desync_cycle_time=lambda: SimpleNamespace(cycle_time=period),
         desync_netlist=SimpleNamespace(
-            instances={},
+            instances={}, memo=memo,
             library=SimpleNamespace(cells={"g": SimpleNamespace(
                 delay=gate)})))
 
