@@ -13,5 +13,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["networkx", "numpy"],
+    install_requires=["numpy"],
+    extras_require={
+        "test": ["networkx", "hypothesis", "pytest", "pytest-benchmark"],
+    },
 )

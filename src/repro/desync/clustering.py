@@ -25,10 +25,8 @@ outcome of de-synchronizing such netlists without timing signoff.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.netlist.core import (
     Instance,
@@ -128,9 +126,11 @@ def clustering_from_partition(banks: dict[str, list[Instance]],
     exactly once; each group becomes one controller domain named after
     its lexicographically first member (the naming convention every
     strategy shares, so fabric net names are stable across strategies).
-    With ``require_acyclic`` (the safety invariant of the handshake
-    protocol — see the module docstring) a cyclic inter-cluster graph
-    raises :class:`DesyncError` naming one offending cycle.
+    The domains are listed in name order, whatever order the groups
+    come in.  With ``require_acyclic`` (the safety invariant of the
+    handshake protocol — see the module docstring) a cyclic
+    inter-cluster graph raises :class:`DesyncError` naming one
+    offending cycle.
     """
     covered = [reg for component in components for reg in component]
     if sorted(covered) != sorted(banks):
@@ -139,8 +139,7 @@ def clustering_from_partition(banks: dict[str, list[Instance]],
             f"exactly once ({len(covered)} members for {len(banks)} banks)")
     clusters: dict[str, Cluster] = {}
     cluster_of: dict[str, str] = {}
-    for component in components:
-        members = sorted(component)
+    for members in sorted(sorted(component) for component in components):
         name = members[0]
         instances = [ff for reg in members for ff in banks[reg]]
         clusters[name] = Cluster(name=name, registers=members,
@@ -154,32 +153,125 @@ def clustering_from_partition(banks: dict[str, list[Instance]],
             clusters[cp].has_self_edge = True
         else:
             edges.add((cp, cs))
-    if require_acyclic:
-        graph = nx.DiGraph(sorted(edges))
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            cycle = None
-        if cycle:
-            path = " -> ".join([edge[0] for edge in cycle]
-                               + [cycle[0][0]])
-            raise DesyncError(
-                "clustering produces a cyclic controller graph "
-                f"({path}); mutually-reachable registers must share a "
-                "controller (use the 'scc' strategy or merge the banks)")
+    cycle = find_cycle(edges) if require_acyclic else None
+    if cycle:
+        path = " -> ".join(cycle)
+        raise DesyncError(
+            "clustering produces a cyclic controller graph "
+            f"({path}); mutually-reachable registers must share a "
+            "controller (use the 'scc' strategy or merge the banks)")
     return Clustering(clusters=clusters, edges=frozenset(edges),
                       register_edges=frozenset(reg_edges),
                       cluster_of=cluster_of)
 
 
-def _scc_components(banks: dict[str, list[Instance]],
-                    reg_edges: frozenset[tuple[str, str]],
-                    ) -> list[list[str]]:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(banks)
-    graph.add_edges_from(reg_edges)
-    return [sorted(component)
-            for component in nx.strongly_connected_components(graph)]
+def _successor_lists(nodes: Iterable[str],
+                     edges: Iterable[tuple[str, str]],
+                     ) -> dict[str, list[str]]:
+    """Sorted successor lists of a digraph.
+
+    Keys are ``nodes`` in their order, then any other edge endpoint in
+    order of first appearance in the sorted edge list.
+    """
+    successors: dict[str, list[str]] = {node: [] for node in nodes}
+    for pred, succ in sorted(edges):
+        successors.setdefault(pred, []).append(succ)
+        successors.setdefault(succ, [])
+    return successors
+
+
+def _reachable(successors: dict[str, list[str]],
+               starts: Iterable[str]) -> set[str]:
+    """Every node reachable from ``starts``, the starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for succ in successors[stack.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
+
+
+def find_cycle(edges: Iterable[tuple[str, str]]) -> list[str] | None:
+    """The first directed cycle a depth-first search meets, or ``None``.
+
+    The cycle reads ``[v, ..., u, v]``.  Roots are taken in order of
+    first appearance in the sorted edge list and successors in sorted
+    order, so the reported cycle is a function of the edge set alone.
+    """
+    successors = _successor_lists((), edges)
+    done: set[str] = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = {root: None}     # insertion-ordered, so also a stack
+        frontier = [iter(successors[root])]
+        while frontier:
+            for succ in frontier[-1]:
+                if succ in path:
+                    cycle = list(path)
+                    return cycle[cycle.index(succ):] + [succ]
+                if succ not in done:
+                    path[succ] = None
+                    frontier.append(iter(successors[succ]))
+                    break
+            else:
+                frontier.pop()
+                done.add(path.popitem()[0])
+    return None
+
+
+def strongly_connected_components(nodes: Iterable[str],
+                                  edges: Iterable[tuple[str, str]],
+                                  ) -> list[list[str]]:
+    """Strongly connected components (iterative Tarjan), each sorted,
+    listed by first member."""
+    successors = _successor_lists(nodes, edges)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: dict[str, None] = {}     # insertion-ordered, so also a stack
+    components: list[list[str]] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack[root] = None
+        frontier = [(root, iter(successors[root]))]
+        while frontier:
+            node, children = frontier[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack[child] = None
+                    frontier.append((child, iter(successors[child])))
+                    break
+                if child in stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                frontier.pop()
+                if frontier:
+                    parent = frontier[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [stack.popitem()[0]]
+                    while component[-1] != node:
+                        component.append(stack.popitem()[0])
+                    components.append(sorted(component))
+    return sorted(components)
+
+
+def convex_closure(edges: Collection[tuple[str, str]],
+                   island: set[str]) -> set[str]:
+    """The nodes outside ``island`` on a directed path island -> x ->
+    island."""
+    forward = _successor_lists(island, edges)
+    backward = _successor_lists(island, ((s, p) for p, s in edges))
+    after = _reachable(forward, (s for node in island
+                                 for s in forward[node]))
+    before = _reachable(backward, (p for node in island
+                                   for p in backward[node]))
+    return (after & before) - island
 
 
 def cluster_scc(netlist: Netlist) -> Clustering:
@@ -187,9 +279,9 @@ def cluster_scc(netlist: Netlist) -> Clustering:
     register dataflow graph — the finest clustering the handshake
     protocol's safety invariant permits on arbitrary designs."""
     banks, reg_edges = register_level_edges(netlist)
-    return clustering_from_partition(banks, reg_edges,
-                                     _scc_components(banks, reg_edges),
-                                     require_acyclic=False)
+    return clustering_from_partition(
+        banks, reg_edges, strongly_connected_components(banks, reg_edges),
+        require_acyclic=False)
 
 
 def cluster_per_register(netlist: Netlist) -> Clustering:
@@ -234,35 +326,43 @@ def cluster_greedy_cap(netlist: Netlist, cap: int = 4) -> Clustering:
     if cap < 1:
         raise DesyncError(f"greedy-cap needs a positive cap, got {cap}")
     banks, reg_edges = register_level_edges(netlist)
-    components = {min(c): set(c) for c in _scc_components(banks, reg_edges)}
-    owner = {reg: name for name, regs in components.items() for reg in regs}
+    return clustering_from_partition(
+        banks, reg_edges, greedy_cap_partition(banks, reg_edges, cap))
 
-    def condensed() -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(components)
-        graph.add_edges_from((owner[p], owner[s]) for p, s in reg_edges
-                             if owner[p] != owner[s])
-        return graph
 
+def greedy_cap_partition(nodes: Iterable[str],
+                         edges: Iterable[tuple[str, str]],
+                         cap: int) -> list[list[str]]:
+    """The partition :func:`cluster_greedy_cap` builds on a digraph."""
+    edges = list(edges)
+    components = {c[0]: set(c)
+                  for c in strongly_connected_components(nodes, edges)}
+    owner = {node: name for name, members in components.items()
+             for node in members}
     merged = True
     while merged:
         merged = False
-        graph = condensed()
-        for pred, succ in sorted(graph.edges):
+        condensed = {(owner[p], owner[s]) for p, s in edges
+                     if owner[p] != owner[s]}
+        successors = _successor_lists(components, condensed)
+        for pred, succ in sorted(condensed):
             if len(components[pred]) + len(components[succ]) > cap:
                 continue
-            trial = nx.contracted_nodes(graph, pred, succ, self_loops=False)
-            if not nx.is_directed_acyclic_graph(trial):
+            # The condensation is a DAG and every merge keeps it one, so
+            # merging along pred -> succ closes a cycle exactly when
+            # succ is still reachable from pred without that edge.
+            if succ in _reachable(successors, (other for other
+                                               in successors[pred]
+                                               if other != succ)):
                 continue
             union = components.pop(pred) | components.pop(succ)
             name = min(union)
             components[name] = union
-            for reg in union:
-                owner[reg] = name
+            for node in union:
+                owner[node] = name
             merged = True
             break
-    return clustering_from_partition(
-        banks, reg_edges, [sorted(regs) for regs in components.values()])
+    return sorted(sorted(members) for members in components.values())
 
 
 #: Pluggable clustering strategies, selectable via

@@ -44,13 +44,12 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
-
 from repro.desync.clustering import (
     Clustering,
     cluster_registers,
     cluster_stage_delays,
     clustering_from_partition,
+    convex_closure,
     register_level_edges,
 )
 from repro.desync.flow import DesyncOptions, DesyncResult, latch_analysis
@@ -234,14 +233,7 @@ class PartialDesyncPass(Pass):
                     "sync_banks",
                     f"{entry!r} names neither a register nor a controller "
                     f"domain of {ctx.sync_netlist.name}")
-        graph = nx.DiGraph()
-        graph.add_nodes_from(clustering.clusters)
-        graph.add_edges_from(clustering.edges)
-        reachable_from = set().union(
-            *(nx.descendants(graph, node) for node in island))
-        reaching = set().union(
-            *(nx.ancestors(graph, node) for node in island))
-        absorbed = (reachable_from & reaching) - island
+        absorbed = convex_closure(clustering.edges, island)
         island |= absorbed
         banks, reg_edges = register_level_edges(ctx.sync_netlist)
         components = [sorted(reg for name in sorted(island)

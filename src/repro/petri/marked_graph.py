@@ -225,34 +225,3 @@ class MarkedGraph(PetriNet):
         return all(bound is not None and bound <= 1
                    for bound in self.place_bounds().values())
 
-    def token_count_invariant(self) -> dict[frozenset[str], int]:
-        """Token counts of the simple cycles through each transition pair.
-
-        For marked graphs, firing preserves the token count of every
-        directed cycle; this helper returns the counts of all simple
-        cycles (for tests on small graphs).
-        """
-        cycles = self.simple_cycles()
-        return {frozenset(cycle): self._cycle_tokens(cycle)
-                for cycle in cycles}
-
-    def simple_cycles(self) -> list[tuple[str, ...]]:
-        """All simple cycles (as transition tuples).  Small graphs only."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(self.transitions)
-        for edge in self.edges():
-            graph.add_edge(edge.source, edge.target)
-        return [tuple(cycle) for cycle in nx.simple_cycles(graph)]
-
-    def _cycle_tokens(self, cycle: tuple[str, ...]) -> int:
-        total = 0
-        for i, source in enumerate(cycle):
-            target = cycle[(i + 1) % len(cycle)]
-            candidates = [
-                self.initial_marking.get(p, 0)
-                for p in self.post[source] if self.place_post[p][0] == target
-            ]
-            total += min(candidates) if candidates else 0
-        return total

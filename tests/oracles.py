@@ -1,17 +1,21 @@
-"""Reference implementations of the flow's netlist analyses.
+"""Reference implementations of the flow's netlist and graph analyses.
 
-These are the straightforward whole-netlist walks the library replaced
-with linear-time versions: a full topological scan per STA source bank
-and one backward DFS per register.  They are slow but obviously right,
-so the tests in ``test_analysis_oracles.py`` hold the fast code to them
-for exact equality.
+These are the straightforward versions the library replaced: a full
+topological scan per STA source bank, one backward DFS per register,
+and the ``networkx`` graph passes the clustering strategies and the
+partial pass once called (a test-only dependency now).  They are slow
+but obviously right, so the tests in ``test_analysis_oracles.py`` hold
+the fast code to them for exact equality.
 """
 
 from __future__ import annotations
 
 import math
 
+import networkx as nx
+
 from repro.netlist.core import Instance, Net, Netlist, iter_register_banks
+from repro.petri import MarkedGraph
 from repro.stg.desync_model import LatchBank
 from repro.timing.sta import INPUTS, OUTPUTS, TimingResult, gate_delay
 from repro.utils.errors import DesyncError, TimingError
@@ -139,3 +143,103 @@ def _collect_endpoints(netlist: Netlist, banks: dict[str, list[Instance]],
     if worst_out != -math.inf:
         result.max_delay[(source_bank, OUTPUTS)] = worst_out
         result.min_delay[(source_bank, OUTPUTS)] = best_out
+
+
+def strongly_connected_components(nodes, edges) -> list[list[str]]:
+    """Strongly connected components, each sorted, in networkx order."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return [sorted(component)
+            for component in nx.strongly_connected_components(graph)]
+
+
+def find_cycle(edges) -> list[str] | None:
+    """The cycle ``nx.find_cycle`` meets on ``DiGraph(sorted(edges))``,
+    as ``[v, ..., u, v]``."""
+    try:
+        cycle = nx.find_cycle(nx.DiGraph(sorted(edges)))
+    except nx.NetworkXNoCycle:
+        return None
+    return [edge[0] for edge in cycle] + [cycle[0][0]]
+
+
+def cyclic_clustering_error(edges) -> str | None:
+    """The :class:`DesyncError` text a cyclic controller graph raises."""
+    cycle = find_cycle(edges)
+    if cycle is None:
+        return None
+    return ("clustering produces a cyclic controller graph "
+            f"({' -> '.join(cycle)}); mutually-reachable registers must "
+            "share a controller (use the 'scc' strategy or merge the "
+            "banks)")
+
+
+def greedy_cap_partition(nodes, edges, cap: int) -> list[list[str]]:
+    """Greedy-cap merging, re-testing acyclicity of the contracted
+    condensation for every candidate edge."""
+    edges = list(edges)
+    components = {min(c): set(c)
+                  for c in strongly_connected_components(nodes, edges)}
+    owner = {node: name for name, members in components.items()
+             for node in members}
+    merged = True
+    while merged:
+        merged = False
+        graph = nx.DiGraph()
+        graph.add_nodes_from(components)
+        graph.add_edges_from((owner[p], owner[s]) for p, s in edges
+                             if owner[p] != owner[s])
+        for pred, succ in sorted(graph.edges):
+            if len(components[pred]) + len(components[succ]) > cap:
+                continue
+            trial = nx.contracted_nodes(graph, pred, succ, self_loops=False)
+            if not nx.is_directed_acyclic_graph(trial):
+                continue
+            union = components.pop(pred) | components.pop(succ)
+            name = min(union)
+            components[name] = union
+            for node in union:
+                owner[node] = name
+            merged = True
+            break
+    return sorted(sorted(members) for members in components.values())
+
+
+def convex_closure(nodes, edges, island: set[str]) -> set[str]:
+    """Nodes outside ``island`` that are both descendants and ancestors
+    of island nodes."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    reachable_from = set().union(
+        *(nx.descendants(graph, node) for node in island))
+    reaching = set().union(
+        *(nx.ancestors(graph, node) for node in island))
+    return (reachable_from & reaching) - island
+
+
+def simple_cycles(graph: MarkedGraph) -> list[tuple[str, ...]]:
+    """All simple cycles of a marked graph, as transition tuples."""
+    multi = nx.MultiDiGraph()
+    multi.add_nodes_from(graph.transitions)
+    for edge in graph.edges():
+        multi.add_edge(edge.source, edge.target)
+    return [tuple(cycle) for cycle in nx.simple_cycles(multi)]
+
+
+def token_count_invariant(graph: MarkedGraph, marking=None,
+                          ) -> dict[frozenset[str], int]:
+    """Token count of every simple cycle under ``marking`` (default: the
+    initial marking); firing preserves each of them."""
+    marking = graph.initial_marking if marking is None else marking
+    counts = {}
+    for cycle in simple_cycles(graph):
+        total = 0
+        for i, source in enumerate(cycle):
+            target = cycle[(i + 1) % len(cycle)]
+            candidates = [marking.get(p, 0) for p in graph.post[source]
+                          if graph.place_post[p][0] == target]
+            total += min(candidates) if candidates else 0
+        counts[frozenset(cycle)] = total
+    return counts

