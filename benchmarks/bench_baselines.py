@@ -25,6 +25,7 @@ from repro.baselines import (
 from repro.petri import cycle_time
 from repro.report import TextTable
 from repro.stg import linear_pipeline
+from tests import oracles
 
 STAGES = 4
 STAGE_DELAY = 1000.0
@@ -50,7 +51,7 @@ def test_a5_baselines(benchmark):
     for model in (overlap, nonoverlap, dlap):
         model.check_structure()
         assert model.is_live()
-        model.check_consistency()
+        oracles.check_consistency(model)
 
     overlap_ct = cycle_time(overlap).cycle_time
     nonoverlap_ct = cycle_time(nonoverlap).cycle_time
@@ -106,7 +107,7 @@ def test_a5b_baseline_pipelines_on_corpus(benchmark):
     for ctx in contexts.values():
         ctx.model.check_structure()
         assert ctx.model.is_live()
-        ctx.model.check_consistency()
+        oracles.check_consistency(ctx.model)
 
     cycles = {name: ctx.desync_cycle_time().cycle_time
               for name, ctx in contexts.items()}

@@ -16,6 +16,7 @@ import pytest
 from benchmarks.conftest import write_out
 from repro.petri import cycle_time, marked_graph_to_dot
 from repro.stg import compose, even_to_odd, linear_pipeline, odd_to_even
+from tests import oracles
 
 
 def _build():
@@ -46,7 +47,7 @@ def test_fig4_patterns(benchmark):
     composed = compose([fig4a, fig4b], "A-B-C")
     composed.check_structure()
     assert composed.is_live()
-    composed.check_consistency()
+    oracles.check_consistency(composed)
     direct = linear_pipeline(["A", "B", "C"])
     assert set(composed.transitions) == set(direct.transitions)
 

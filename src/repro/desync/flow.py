@@ -261,7 +261,9 @@ class DesyncResult:
         launch earlier than the gate-level fabric, so negative margins
         here are warnings); otherwise the gate-level fabric itself is
         simulated (by the event-driven engine named ``backend``) and
-        the realized local-clock edges are compared.  The paper's flow
+        the realized local-clock edges are compared.  A model with a
+        token-free cycle raises :class:`~repro.utils.errors.PetriError`
+        rather than passing vacuously.  The paper's flow
         discharges these checks with commercial timing signoff; the
         definitive functional check in this reproduction is
         :func:`repro.equiv.check_flow_equivalence`.

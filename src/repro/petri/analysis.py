@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.obs.trace import TRACER
-from repro.petri.marked_graph import MarkedGraph, MgEdge
+from repro.petri.marked_graph import MarkedGraph, MgIndex
 from repro.utils.errors import PetriError
 
 
@@ -53,35 +53,28 @@ class CycleTimeResult:
         return math.inf if self.cycle_time == 0 else 1.0 / self.cycle_time
 
 
-def _edge_weight(graph: MarkedGraph, edge: MgEdge) -> float:
-    return graph.transitions[edge.target].delay + edge.delay
-
-
-def _cyclic_core(graph: MarkedGraph,
-                 edges: list[MgEdge]) -> dict[str, list[MgEdge]]:
+def _cyclic_core(index: MgIndex) -> dict[int, list[int]]:
     """Out-edges of every transition that reaches a cycle: transitions
     left without an out-edge are removed until none is."""
-    out: dict[str, list[MgEdge]] = {t: [] for t in graph.transitions}
-    incoming: dict[str, list[MgEdge]] = {t: [] for t in graph.transitions}
-    for edge in edges:
-        out[edge.source].append(edge)
-        incoming[edge.target].append(edge)
-    degree = {t: len(edges) for t, edges in out.items()}
-    dead = [t for t, count in degree.items() if count == 0]
+    degree = [len(edges) for edges in index.out_edges]
+    dead = [t for t, count in enumerate(degree) if count == 0]
     removed = set(dead)
     while dead:
-        for edge in incoming[dead.pop()]:
-            degree[edge.source] -= 1
-            if degree[edge.source] == 0:
-                removed.add(edge.source)
-                dead.append(edge.source)
-    return {t: [e for e in out[t] if e.target not in removed]
-            for t in out if t not in removed}
+        for e in index.in_edges[dead.pop()]:
+            source = index.source[e]
+            degree[source] -= 1
+            if degree[source] == 0:
+                removed.add(source)
+                dead.append(source)
+    return {t: [e for e in edges if index.target[e] not in removed]
+            for t, edges in enumerate(index.out_edges) if t not in removed}
 
 
-def _policy_values(graph: MarkedGraph, policy: dict[str, MgEdge],
-                   ) -> tuple[dict[str, float], dict[str, float]]:
-    """Ratio and bias of every transition under ``policy``.
+def _policy_values(index: MgIndex, weight: list[float],
+                   policy: dict[int, int],
+                   ) -> tuple[dict[int, float], dict[int, float]]:
+    """Ratio and bias of every transition under ``policy`` (transition
+    -> chosen out-edge).
 
     Each policy cycle's ratio is its delay over its tokens; a transition
     inherits the ratio of the cycle its policy path ends in, and its bias
@@ -89,53 +82,53 @@ def _policy_values(graph: MarkedGraph, policy: dict[str, MgEdge],
     policy edge, with the bias of each cycle's earliest transition (in
     graph order, so it stays put while the cycle survives) 0.
     """
-    order = {t: index for index, t in enumerate(policy)}
-    ratio: dict[str, float] = {}
-    bias: dict[str, float] = {}
+    target, tokens = index.target, index.tokens
+    ratio: dict[int, float] = {}
+    bias: dict[int, float] = {}
     for start in policy:
         if start in ratio:
             continue
-        path: list[str] = []
-        on_path: set[str] = set()
+        path: list[int] = []
+        on_path: set[int] = set()
         node = start
         while node not in ratio and node not in on_path:
             path.append(node)
             on_path.add(node)
-            node = policy[node].target
+            node = target[policy[node]]
         if node not in ratio:  # closed a new policy cycle at ``node``
             cycle = path[path.index(node):]
             del path[len(path) - len(cycle):]
-            handle = cycle.index(min(cycle, key=order.__getitem__))
+            handle = cycle.index(min(cycle))
             cycle = cycle[handle:] + cycle[:handle]
-            delay = sum(_edge_weight(graph, policy[t]) for t in cycle)
-            tokens = sum(policy[t].tokens for t in cycle)
-            ratio[cycle[0]] = delay / tokens
+            delay = sum(weight[policy[t]] for t in cycle)
+            count = sum(tokens[policy[t]] for t in cycle)
+            ratio[cycle[0]] = delay / count
             bias[cycle[0]] = 0.0
             path.extend(cycle[1:])
         for walker in reversed(path):
             edge = policy[walker]
-            ratio[walker] = ratio[edge.target]
-            bias[walker] = (_edge_weight(graph, edge)
-                            - ratio[walker] * edge.tokens + bias[edge.target])
+            ratio[walker] = ratio[target[edge]]
+            bias[walker] = (weight[edge] - ratio[walker] * tokens[edge]
+                            + bias[target[edge]])
     return ratio, bias
 
 
-def _howard(graph: MarkedGraph, out: dict[str, list[MgEdge]],
-            ) -> tuple[float, list[str]]:
+def _howard(index: MgIndex, weight: list[float],
+            out: dict[int, list[int]]) -> tuple[float, list[int]]:
     """Maximum cycle ratio of the (pruned, live) graph ``out`` and one
     cycle attaining it, by policy iteration."""
-    scale = 1.0 + sum(_edge_weight(graph, e) for edges in out.values()
-                      for e in edges)
+    target, tokens = index.target, index.tokens
+    scale = 1.0 + sum(weight[e] for edges in out.values() for e in edges)
     eps = 1e-12 * scale
-    policy = {t: max(edges, key=lambda e: _edge_weight(graph, e))
+    policy = {t: max(edges, key=weight.__getitem__)
               for t, edges in out.items()}
     while True:
-        ratio, bias = _policy_values(graph, policy)
+        ratio, bias = _policy_values(index, weight, policy)
         improved = False
         # Ratio improvement: move towards a cycle of higher ratio.
         for t, edges in out.items():
-            best = max(edges, key=lambda e: ratio[e.target])
-            if ratio[best.target] > ratio[t] + eps:
+            best = max(edges, key=lambda e: ratio[target[e]])
+            if ratio[target[best]] > ratio[t] + eps:
                 policy[t] = best
                 improved = True
         if not improved:
@@ -144,10 +137,10 @@ def _howard(graph: MarkedGraph, out: dict[str, list[MgEdge]],
                 level = ratio[t]
                 best_value = bias[t] + eps
                 for edge in edges:
-                    if abs(ratio[edge.target] - level) > eps:
+                    if abs(ratio[target[edge]] - level) > eps:
                         continue
-                    value = (_edge_weight(graph, edge)
-                             - level * edge.tokens + bias[edge.target])
+                    value = (weight[edge] - level * tokens[edge]
+                             + bias[target[edge]])
                     if value > best_value:
                         policy[t] = edge
                         best_value = value
@@ -155,16 +148,16 @@ def _howard(graph: MarkedGraph, out: dict[str, list[MgEdge]],
         if not improved:
             break
     start = max(out, key=lambda t: ratio[t])
-    seen: set[str] = set()
+    seen: set[int] = set()
     node = start
     while node not in seen:
         seen.add(node)
-        node = policy[node].target
+        node = target[policy[node]]
     cycle = [node]
-    walker = policy[node].target
+    walker = target[policy[node]]
     while walker != node:
         cycle.append(walker)
-        walker = policy[walker].target
+        walker = target[policy[walker]]
     return ratio[start], cycle
 
 
@@ -184,42 +177,39 @@ def cycle_time(graph: MarkedGraph) -> CycleTimeResult:
 
 
 def _cycle_time(graph: MarkedGraph) -> CycleTimeResult:
-    graph.check_structure()
-    if not graph.is_live():
+    index = graph.index()
+    if not index.live:
         raise PetriError(
             f"{graph.name}: token-free cycle -> unbounded cycle ratio")
-    out = _cyclic_core(graph, graph.edges())
+    # The weight of edge u -> v: v's firing delay plus the edge's own.
+    weight = [index.delay[t] + delay
+              for t, delay in zip(index.target, index.edge_delay)]
+    out = _cyclic_core(index)
     if not out:
         return CycleTimeResult(0.0, [], 0.0, 0)
-    best, cycle = _howard(graph, out)
+    best, cycle = _howard(index, weight, out)
     if best <= 0.0:
         return CycleTimeResult(0.0, [], 0.0, 0)
-    delay_sum, token_sum = _cycle_metrics(graph, cycle)
-    return CycleTimeResult(delay_sum / token_sum, cycle, delay_sum,
+    delay_sum, token_sum = _cycle_metrics(index, weight, cycle)
+    return CycleTimeResult(delay_sum / token_sum,
+                           [index.names[t] for t in cycle], delay_sum,
                            token_sum)
 
 
-def _cycle_metrics(graph: MarkedGraph,
-                   cycle: list[str]) -> tuple[float, int]:
+def _cycle_metrics(index: MgIndex, weight: list[float],
+                   cycle: list[int]) -> tuple[float, int]:
     """Delay and token sums along ``cycle`` (choosing, between parallel
     edges, the one with minimum tokens then maximum delay — the binding
     constraint)."""
-    if not cycle:
-        return 0.0, 0
-    by_pair: dict[tuple[str, str], list[MgEdge]] = {}
-    for edge in graph.edges():
-        by_pair.setdefault((edge.source, edge.target), []).append(edge)
     delay_sum = 0.0
     token_sum = 0
     for i, source in enumerate(cycle):
         target = cycle[(i + 1) % len(cycle)]
-        candidates = by_pair.get((source, target))
-        if not candidates:
-            raise PetriError(f"critical cycle edge {source}->{target} missing")
-        best = min(candidates,
-                   key=lambda e: (e.tokens, -_edge_weight(graph, e)))
-        delay_sum += _edge_weight(graph, best)
-        token_sum += best.tokens
+        best = min((e for e in index.out_edges[source]
+                    if index.target[e] == target),
+                   key=lambda e: (index.tokens[e], -weight[e]))
+        delay_sum += weight[best]
+        token_sum += index.tokens[best]
     return delay_sum, token_sum
 
 

@@ -27,15 +27,19 @@ reachability graph:
   the maximum cycle ratio max_C sum(delay)/sum(tokens) — computed in
   :mod:`repro.petri.analysis`.
 
-Signal consistency of an STG follows from token distances too (see
-:meth:`repro.stg.stg.Stg.check_model`).  The reachability methods of
+Every analysis reads one integer view of the graph, :class:`MgIndex`,
+built on first use and dropped by every mutating call.  The checks ask
+only threshold questions of δ, so a bit-parallel closure answers them
+(:meth:`MgIndex.distance_levels`), signal consistency of an STG
+included (:meth:`repro.stg.stg.Stg.check_model`).  The reachability methods of
 :class:`~repro.petri.net.PetriNet` remain as an independent oracle for
 small nets in the test suite.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.petri.net import PetriNet
@@ -60,6 +64,124 @@ class MgEdge:
     target: str
     tokens: int
     delay: float = 0.0
+
+
+class MgIndex:
+    """Integer view of a marked graph, shared by every analysis.
+
+    Transitions are numbered in insertion order (``names``), edges in
+    place order (``places``, ``source``, ``target``, ``tokens``,
+    ``edge_delay``; ``in_edges``/``out_edges`` per transition).
+    ``order`` is a Kahn topological order of the token-free subgraph: it
+    covers every transition iff the graph is :attr:`live`.
+    """
+
+    def __init__(self, graph: MarkedGraph):
+        self.names = list(graph.transitions)
+        self.position = position = {name: t
+                                    for t, name in enumerate(self.names)}
+        self.delay = [t.delay for t in graph.transitions.values()]
+        self.places = places = list(graph.places)
+        marking, delays = graph.initial_marking, graph._edge_delays
+        self.source = [position[graph.place_pre[p][0]] for p in places]
+        self.target = [position[graph.place_post[p][0]] for p in places]
+        self.tokens = [marking.get(p, 0) for p in places]
+        self.edge_delay = [delays.get(p, 0.0) for p in places]
+        self.in_edges: list[list[int]] = [[] for _ in self.names]
+        self.out_edges: list[list[int]] = [[] for _ in self.names]
+        # Kahn's algorithm on the token-free subgraph.
+        indegree = [0] * len(self.names)
+        free: list[list[int]] = [[] for _ in self.names]
+        for e, (s, t, m) in enumerate(zip(self.source, self.target,
+                                          self.tokens)):
+            self.out_edges[s].append(e)
+            self.in_edges[t].append(e)
+            if not m:
+                free[s].append(t)
+                indegree[t] += 1
+        stack = [t for t, degree in enumerate(indegree) if degree == 0]
+        self.order: list[int] = []
+        while stack:
+            node = stack.pop()
+            self.order.append(node)
+            for t in free[node]:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    stack.append(t)
+
+    @functools.cached_property
+    def edges(self) -> list[MgEdge]:
+        """The edges as :class:`MgEdge` records, in place order."""
+        return [MgEdge(place, self.names[s], self.names[t], m, delay)
+                for place, s, t, m, delay in zip(
+                    self.places, self.source, self.target, self.tokens,
+                    self.edge_delay)]
+
+    @property
+    def live(self) -> bool:
+        """Every directed cycle carries a token (Commoner's theorem)."""
+        return len(self.order) == len(self.names)
+
+    def token_free_cycle(self) -> int | None:
+        """One transition on a token-free cycle, or ``None`` if live.
+
+        Every transition Kahn's algorithm left over keeps a token-free
+        in-edge from another left-over one, so walking those edges
+        backwards from the first of them must close a cycle.
+        """
+        if self.live:
+            return None
+        stuck = set(range(len(self.names))) - set(self.order)
+        node = min(stuck)
+        seen: set[int] = set()
+        while node not in seen:
+            seen.add(node)
+            node = next(self.source[e] for e in self.in_edges[node]
+                        if not self.tokens[e] and self.source[e] in stuck)
+        return node
+
+    def distance_levels(self) -> Iterator[list[int]]:
+        """Yield ``D_0, D_1, ...``: bit ``t`` of ``D_k[u]`` is set iff
+        δ(u, t) <= k.
+
+        ``D_k[u]`` is ``u`` OR ``D_k[v]`` over token-free edges ``u -> v``
+        OR ``D_{k-m}[v]`` over edges carrying ``m <= k`` tokens: one pass
+        in reverse topological order of the token-free subgraph.  On a
+        non-live graph, the transitions Kahn's algorithm left over are
+        closed under token-free successors and settle in as many passes
+        as there are of them.  Stops once the last ``max(tokens) + 1``
+        levels agree, since no later level can differ.
+        """
+        stuck = sorted(set(range(len(self.names))) - set(self.order))
+        rows: list[tuple[int, list[int], list[tuple[int, int]]]] = [
+            (u, [], []) for u in range(len(self.names))]
+        for s, t, m in zip(self.source, self.target, self.tokens):
+            if m:
+                rows[s][2].append((t, m))
+            else:
+                rows[s][1].append(t)
+        sweep = ([rows[u] for u in stuck] * len(stuck)
+                 + [rows[u] for u in reversed(self.order)])
+        units = [1 << t for t in range(len(self.names))]
+        most = max(self.tokens, default=0)
+        levels: list[list[int]] = []
+        unchanged = 0
+        while True:
+            k = len(levels)
+            level = units[:]
+            for u, free, marked in sweep:
+                bits = level[u]
+                for v in free:
+                    bits |= level[v]
+                for v, m in marked:
+                    if m <= k:
+                        bits |= levels[k - m][v]
+                level[u] = bits
+            unchanged = unchanged + 1 if levels and level == levels[-1] else 0
+            levels.append(level)
+            yield level
+            if unchanged == most:
+                return
 
 
 class MarkedGraph(PetriNet):
@@ -101,6 +223,7 @@ class MarkedGraph(PetriNet):
         if place not in self.places:
             raise PetriError(f"unknown place {place}")
         self._edge_delays[place] = delay
+        self._index = None
 
     # ------------------------------------------------------------------
     # structure
@@ -116,17 +239,17 @@ class MarkedGraph(PetriNet):
                     f"place {place} has {n_pre} producers and "
                     f"{n_post} consumers (each must be exactly 1)")
 
+    def index(self) -> MgIndex:
+        """The graph's :class:`MgIndex`, built once per structure (every
+        mutating call drops it)."""
+        if self._index is None:
+            self.check_structure()
+            self._index = MgIndex(self)
+        return self._index
+
     def edges(self) -> list[MgEdge]:
         """All edges of the graph view."""
-        self.check_structure()
-        result = []
-        for place in self.places:
-            source = self.place_pre[place][0]
-            target = self.place_post[place][0]
-            result.append(MgEdge(place, source, target,
-                                 self.initial_marking.get(place, 0),
-                                 self.edge_delay(place)))
-        return result
+        return list(self.index().edges)
 
     def successors(self, transition: str) -> list[str]:
         return [self.place_post[p][0] for p in self.post[transition]]
@@ -143,74 +266,28 @@ class MarkedGraph(PetriNet):
         Checked as: the subgraph of token-free edges is acyclic (Commoner's
         theorem for marked graphs).
         """
-        self.check_structure()
-        adjacency: dict[str, list[str]] = {t: [] for t in self.transitions}
-        for edge in self.edges():
-            if edge.tokens == 0:
-                adjacency[edge.source].append(edge.target)
-        # Kahn's algorithm on the token-free subgraph.
-        indegree = {t: 0 for t in self.transitions}
-        for source, targets in adjacency.items():
-            for target in targets:
-                indegree[target] += 1
-        queue = [t for t, deg in indegree.items() if deg == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for target in adjacency[node]:
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    queue.append(target)
-        return visited == len(self.transitions)
+        return self.index().live
 
-    def token_distances(self) -> dict[str, dict[str, int]]:
-        """δ(u, t), the fewest tokens on a directed path u -> t.
-
-        ``result[u]`` maps every transition reachable from ``u`` (``u``
-        itself included, at 0) to its token distance; one Dijkstra run
-        per source transition, since token counts are non-negative.
-        """
-        self.check_structure()
-        out: dict[str, list[tuple[str, int]]] = {
-            t: [] for t in self.transitions}
-        for place in self.places:
-            out[self.place_pre[place][0]].append(
-                (self.place_post[place][0],
-                 self.initial_marking.get(place, 0)))
-        distances: dict[str, dict[str, int]] = {}
-        for source in self.transitions:
-            settled: dict[str, int] = {}
-            heap = [(0, source)]
-            while heap:
-                distance, node = heapq.heappop(heap)
-                if node in settled:
-                    continue
-                settled[node] = distance
-                for target, tokens in out[node]:
-                    if target not in settled:
-                        heapq.heappush(heap, (distance + tokens, target))
-            distances[source] = settled
-        return distances
-
-    def place_bounds(self, distances: dict[str, dict[str, int]] | None = None,
-                     ) -> dict[str, int | None]:
+    def place_bounds(self) -> dict[str, int | None]:
         """The most tokens each place holds over all reachable markings.
 
         Exact for a *live* marked graph: ``M0 + δ(u, t)`` for the place of
-        edge t -> u, ``None`` (unbounded) when u cannot reach t.  Pass
-        precomputed :meth:`token_distances` to share them with other
-        checks.
+        edge t -> u, ``None`` (unbounded) when u cannot reach t.
         """
-        if distances is None:
-            distances = self.token_distances()
-        bounds: dict[str, int | None] = {}
-        for place in self.places:
-            distance = distances[self.place_post[place][0]].get(
-                self.place_pre[place][0])
-            bounds[place] = (None if distance is None else
-                             self.initial_marking.get(place, 0) + distance)
-        return bounds
+        index = self.index()
+        bounds: list[int | None] = [None] * len(index.places)
+        undecided = range(len(index.places))
+        for k, level in enumerate(index.distance_levels()):
+            left = []
+            for e in undecided:
+                if level[index.target[e]] >> index.source[e] & 1:
+                    bounds[e] = index.tokens[e] + k
+                else:
+                    left.append(e)
+            undecided = left
+            if not undecided:
+                break
+        return dict(zip(index.places, bounds))
 
     def is_safe(self) -> bool:
         """True iff no reachable marking puts more than one token in a place.
@@ -224,4 +301,3 @@ class MarkedGraph(PetriNet):
                 f"{self.name}: structural safety needs a live marked graph")
         return all(bound is not None and bound <= 1
                    for bound in self.place_bounds().values())
-

@@ -59,6 +59,9 @@ class PetriNet:
         self.place_pre: dict[str, list[str]] = {}   # place -> producing transitions
         self.place_post: dict[str, list[str]] = {}  # place -> consuming transitions
         self.initial_marking: Marking = {}
+        # Analysis index of a subclass (MarkedGraph.index); every mutating
+        # call drops it.
+        self._index = None
 
     # ------------------------------------------------------------------
     # construction
@@ -74,6 +77,7 @@ class PetriNet:
         self.place_post[name] = []
         if tokens:
             self.initial_marking[name] = tokens
+        self._index = None
         return place
 
     def add_transition(self, name: str, delay: float = 0.0,
@@ -84,7 +88,16 @@ class PetriNet:
         self.transitions[name] = transition
         self.pre[name] = []
         self.post[name] = []
+        self._index = None
         return transition
+
+    def set_transition_delay(self, name: str, delay: float) -> None:
+        """Replace the firing delay of transition ``name``."""
+        existing = self.transitions.get(name)
+        if existing is None:
+            raise PetriError(f"unknown transition {name}")
+        self.transitions[name] = Transition(name, delay, existing.label)
+        self._index = None
 
     def add_arc(self, source: str, target: str) -> None:
         """Add an arc; direction is inferred from the endpoint types."""
@@ -98,6 +111,7 @@ class PetriNet:
             raise PetriError(
                 f"arc {source} -> {target}: endpoints must be one place "
                 "and one transition, in that order or reversed")
+        self._index = None
 
     def set_tokens(self, place: str, tokens: int) -> None:
         if place not in self.places:
@@ -108,6 +122,7 @@ class PetriNet:
             self.initial_marking[place] = tokens
         else:
             self.initial_marking.pop(place, None)
+        self._index = None
 
     # ------------------------------------------------------------------
     # semantics
@@ -173,20 +188,6 @@ class PetriNet:
                 frontier.append(successor)
                 result.append(successor)
         return result
-
-    def is_bounded(self, bound: int = 1, max_states: int = 100_000) -> bool:
-        """True if no reachable marking puts more than ``bound`` tokens in a place."""
-        for marking in self.reachable_markings(max_states):
-            if any(tokens > bound for tokens in marking.values()):
-                return False
-        return True
-
-    def has_deadlock(self, max_states: int = 100_000) -> bool:
-        """True if some reachable marking enables no transition."""
-        for marking in self.reachable_markings(max_states):
-            if not self.enabled_transitions(marking):
-                return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PetriNet({self.name!r}, |P|={len(self.places)}, "

@@ -7,14 +7,21 @@ propagate along edges with the edge's extra delay (the matched delay of the
 combinational logic between latches).
 
 Timed marked graphs are *confluent*: firing order does not change the
-timestamps, so a simple deterministic worklist produces the unique timed
-behaviour.  The trace of ``x+`` / ``x-`` events is what the Figure-3 timing
-diagram plots, and the event counts drive the controller-power model.
+timestamps, and the k-th firing of ``t`` consumes the k-th token of each
+input edge.  So the earliest firing times obey the max-plus recurrence
+
+    x_t(k) = d_t + max over edges e = s -> t of a_e(k),
+    a_e(k) = 0 if k <= M0(e), else x_s(k - M0(e)) + d_e
+
+(an initial token is available at time 0), evaluated round by round in a
+topological order of the token-free subgraph of the graph's
+:class:`~repro.petri.marked_graph.MgIndex`.  The trace of ``x+`` / ``x-``
+events is what the Figure-3 timing diagram plots, and the event counts
+drive the controller-power model.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.petri.marked_graph import MarkedGraph
@@ -33,12 +40,22 @@ class TimedEvent:
 
 @dataclass
 class TimedTrace:
-    """The result of a timed marked-graph simulation."""
+    """The result of a timed marked-graph simulation.
+
+    Per-transition lookups group :attr:`events` once, on first use.
+    """
 
     events: list[TimedEvent] = field(default_factory=list)
+    _by_transition: dict[str, list[TimedEvent]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def of_transition(self, name: str) -> list[TimedEvent]:
-        return [e for e in self.events if e.transition == name]
+        if self._by_transition is None:
+            self._by_transition = {}
+            for event in self.events:
+                self._by_transition.setdefault(
+                    event.transition, []).append(event)
+        return list(self._by_transition.get(name, ()))
 
     def times_of(self, name: str) -> list[float]:
         return [e.time for e in self.of_transition(name)]
@@ -68,53 +85,33 @@ class TimedTrace:
         return (tail[-1] - tail[0]) / (len(tail) - 1)
 
 
-def simulate(graph: MarkedGraph, rounds: int = 10,
-             max_events: int = 1_000_000) -> TimedTrace:
+def simulate(graph: MarkedGraph, rounds: int = 10) -> TimedTrace:
     """Run the timed semantics for ``rounds`` firings of every transition.
 
-    Each edge holds a FIFO of token arrival times (initial tokens arrive at
-    time 0).  A transition fires at ``max(arrival times) + its delay``; the
-    produced token reaches the consumer after the edge delay.
+    Events come out ordered by ``(time, transition, count)``.  Raises
+    :class:`PetriError` naming a transition on a token-free cycle when
+    the graph is not live (no transition on it ever fires).
     """
-    graph.check_structure()
-    edges = graph.edges()
-    in_edges: dict[str, list[int]] = {t: [] for t in graph.transitions}
-    out_edges: dict[str, list[int]] = {t: [] for t in graph.transitions}
-    queues: list[deque[float]] = []
-    for index, edge in enumerate(edges):
-        queues.append(deque([0.0] * edge.tokens))
-        in_edges[edge.target].append(index)
-        out_edges[edge.source].append(index)
-
-    fire_counts = {t: 0 for t in graph.transitions}
-    events: list[TimedEvent] = []
-
-    def ready(transition: str) -> bool:
-        return (fire_counts[transition] < rounds
-                and all(queues[i] for i in in_edges[transition]))
-
-    # Deterministic worklist: always fire the ready transition whose firing
-    # time is smallest (ties broken by name) so the trace is time-ordered.
-    pending = {t for t in graph.transitions if ready(t)}
-    while pending:
-        if len(events) >= max_events:
-            raise PetriError(f"simulation exceeded {max_events} events")
-        best_name = None
-        best_time = 0.0
-        for name in sorted(pending):
-            arrival = max((queues[i][0] for i in in_edges[name]), default=0.0)
-            fire_time = arrival + graph.transitions[name].delay
-            if best_name is None or fire_time < best_time:
-                best_name, best_time = name, fire_time
-        assert best_name is not None
-        for i in in_edges[best_name]:
-            queues[i].popleft()
-        for i in out_edges[best_name]:
-            queues[i].append(best_time + edges[i].delay)
-        fire_counts[best_name] += 1
-        events.append(TimedEvent(best_time, best_name,
-                                 fire_counts[best_name]))
-        pending = {t for t in graph.transitions if ready(t)}
-
-    events.sort(key=lambda e: (e.time, e.transition))
-    return TimedTrace(events)
+    index = graph.index()
+    stuck = index.token_free_cycle()
+    if stuck is not None:
+        raise PetriError(
+            f"{graph.name}: {index.names[stuck]} lies on a token-free "
+            "cycle, so the timed run never fires it")
+    inputs = [[(index.source[e], index.tokens[e], index.edge_delay[e])
+               for e in index.in_edges[t]] for t in range(len(index.names))]
+    times: list[list[float]] = [[] for _ in index.names]
+    for k in range(rounds):
+        for t in index.order:
+            # max(..., default=0.0), unrolled: the first of equal values wins.
+            arrival = None
+            for s, tokens, delay in inputs[t]:
+                value = 0.0 if k < tokens else times[s][k - tokens] + delay
+                if arrival is None or value > arrival:
+                    arrival = value
+            times[t].append((0.0 if arrival is None else arrival)
+                            + index.delay[t])
+    firings = sorted((time, name, count)
+                     for name, fired in zip(index.names, times)
+                     for count, time in enumerate(fired, 1))
+    return TimedTrace([TimedEvent(*firing) for firing in firings])

@@ -13,7 +13,7 @@ labels remain expressible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
 from repro.obs.trace import TRACER
 from repro.petri.marked_graph import MarkedGraph
@@ -35,20 +35,6 @@ def parse_label(label: str) -> tuple[str, str]:
     if len(label) < 2 or label[-1] not in (RISE, FALL):
         raise StgError(f"malformed STG label {label!r}")
     return label[:-1], label[-1]
-
-
-@dataclass(frozen=True)
-class SignalState:
-    """Binary state of all signals (used by the consistency checker)."""
-
-    values: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_dict(cls, values: dict[str, int]) -> "SignalState":
-        return cls(tuple(sorted(values.items())))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
 
 
 class Stg(MarkedGraph):
@@ -93,61 +79,6 @@ class Stg(MarkedGraph):
     # ------------------------------------------------------------------
     # semantic checks
     # ------------------------------------------------------------------
-    def check_consistency(self, max_states: int = 100_000) -> None:
-        """Verify rise/fall alternation over the whole reachability graph.
-
-        Walks every reachable marking, tracking the binary signal vector;
-        firing ``a+`` from a state where ``a`` is already 1 (or ``a-``
-        where it is 0) raises :class:`StgError`.  Also fails if two
-        distinct signal vectors are observed for one marking (the marking
-        does not determine the state).
-
-        The flow validates models with :meth:`check_model`, which decides
-        consistency structurally; this explicit-state walk stays as an
-        independent oracle for small nets in the test suite.
-        """
-        def freeze(marking: dict[str, int]) -> tuple[tuple[str, int], ...]:
-            return tuple(sorted(marking.items()))
-
-        start = self.marking()
-        start_state = dict(self.initial_values)
-        seen: dict[tuple, SignalState] = {
-            freeze(start): SignalState.from_dict(start_state)}
-        frontier = [(start, start_state)]
-        explored = 0
-        while frontier:
-            marking, state = frontier.pop()
-            explored += 1
-            if explored > max_states:
-                raise StgError(f"consistency check exceeded {max_states} states")
-            for transition in self.enabled_transitions(marking):
-                signal, sign = self.signal_of(transition)
-                value = state.get(signal)
-                if value is None:
-                    raise StgError(f"transition {transition} on undeclared "
-                                   f"signal {signal}")
-                if sign == RISE and value == 1:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: {transition} enabled "
-                        f"while {signal}=1")
-                if sign == FALL and value == 0:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: {transition} enabled "
-                        f"while {signal}=0")
-                successor = self.fire(marking, transition)
-                new_state = dict(state)
-                new_state[signal] = 1 if sign == RISE else 0
-                key = freeze(successor)
-                recorded = seen.get(key)
-                candidate = SignalState.from_dict(new_state)
-                if recorded is None:
-                    seen[key] = candidate
-                    frontier.append((successor, new_state))
-                elif recorded != candidate:
-                    raise StgError(
-                        f"inconsistent STG {self.name}: marking reached with "
-                        f"two different signal states")
-
     def check_model(self, bound: int = 2) -> None:
         """Full validation: marked-graph structure, liveness, boundedness
         and consistency — the properties ref [1] establishes for the
@@ -159,14 +90,14 @@ class Stg(MarkedGraph):
         check allows two tokens per place (see
         :mod:`repro.stg.patterns`).
 
-        Every check is exact and polynomial, from the token distances of
-        :mod:`repro.petri.marked_graph` (no state-space exploration):
-        once the graph is live, each place's exact bound is
-        :meth:`~repro.petri.marked_graph.MarkedGraph.place_bounds`, and a
-        signal starting at 0 alternates iff δ(a-, a+) = 1 and
-        δ(a+, a-) = 0 (mirrored for a signal starting at 1).  Since the
-        firing counts of a live marked graph are determined by its
-        marking up to a constant per connected component, the marking
+        Every check is exact and polynomial.  Once the graph is live, each
+        is a threshold on a token distance δ: the place of edge t -> u
+        holds at most ``M0 + δ(u, t)`` tokens, and a signal starting at 0
+        alternates iff δ(a-, a+) <= 1 and δ(a+, a-) = 0 (mirrored for a
+        signal starting at 1).  ``max(bound, 1) + 1`` levels of the
+        bit-parallel closure ``MgIndex.distance_levels`` answer them all.
+        Since the firing counts of a live marked graph are determined by
+        its marking up to a constant per connected component, the marking
         also determines the signal state.  Each signal must own exactly
         one rising and one falling transition.  Traced as a
         ``model:check`` span.
@@ -176,12 +107,15 @@ class Stg(MarkedGraph):
             self._check_model(bound)
 
     def _check_model(self, bound: int) -> None:
-        self.check_structure()
-        if not self.is_live():
+        index = self.index()
+        if not index.live:
             raise StgError(f"STG {self.name} is not live (token-free cycle)")
-        distances = self.token_distances()
-        for place, most in self.place_bounds(distances).items():
-            if most is None or most > bound:
+        # ``within[k][u] >> t & 1`` iff δ(u, t) <= k.
+        within = list(islice(index.distance_levels(), max(bound, 1) + 1))
+        within += [within[-1]] * (max(bound, 1) + 1 - len(within))
+        for place, s, t, tokens in zip(index.places, index.source,
+                                       index.target, index.tokens):
+            if tokens > bound or not within[bound - tokens][t] >> s & 1:
                 raise StgError(f"STG {self.name} is not {bound}-bounded "
                                f"(place {place})")
         edges: dict[str, dict[str, list[str]]] = {
@@ -203,12 +137,12 @@ class Stg(MarkedGraph):
             # over all firing sequences is δ(y, x).
             lead, trail = ((rises[0], falls[0]) if initial == 0
                            else (falls[0], rises[0]))
-            ahead = distances[trail].get(lead)
-            if ahead is None or ahead > 1:
+            x, y = index.position[lead], index.position[trail]
+            if not within[1][y] >> x & 1:
                 raise StgError(
                     f"inconsistent STG {self.name}: {lead} can fire while "
                     f"{signal}={1 - initial}")
-            if distances[lead].get(trail) != 0:
+            if not within[0][x] >> y & 1:
                 raise StgError(
                     f"inconsistent STG {self.name}: {trail} can fire while "
                     f"{signal}={initial}")
@@ -238,11 +172,9 @@ def compose(components: list[Stg], name: str) -> Stg:
         # of a shared event bounds the composed behaviour).
         for transition in component.transitions.values():
             label = transition.label or transition.name
-            if label in result.transitions:
-                existing = result.transitions[label]
-                if transition.delay > existing.delay:
-                    result.transitions[label] = type(existing)(
-                        existing.name, transition.delay, existing.label)
+            existing = result.transitions.get(label)
+            if existing is not None and transition.delay > existing.delay:
+                result.set_transition_delay(label, transition.delay)
     for index, component in enumerate(components):
         for edge in component.edges():
             src_label = component.transitions[edge.source].label or edge.source

@@ -2,23 +2,28 @@
 
 These are the straightforward versions the library replaced: a full
 topological scan per STA source bank, one backward DFS per register,
-and the ``networkx`` graph passes the clustering strategies and the
-partial pass once called (a test-only dependency now).  They are slow
-but obviously right, so the tests in ``test_analysis_oracles.py`` hold
+the ``networkx`` graph passes the clustering strategies and the
+partial pass once called (a test-only dependency now), one Dijkstra
+run per transition for the marked-graph token distances, and the
+event-worklist timed simulation.  They are slow but obviously right,
+so ``test_analysis_oracles.py`` and ``test_structural_model.py`` hold
 the fast code to them for exact equality.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 
 import networkx as nx
 
 from repro.netlist.core import Instance, Net, Netlist, iter_register_banks
-from repro.petri import MarkedGraph
+from repro.petri import MarkedGraph, PetriNet, TimedEvent, TimedTrace
+from repro.stg import Stg
 from repro.stg.desync_model import LatchBank
 from repro.timing.sta import INPUTS, OUTPUTS, TimingResult, gate_delay
-from repro.utils.errors import DesyncError, TimingError
+from repro.utils.errors import DesyncError, StgError, TimingError
 
 
 def sequential_fanin(inst: Instance) -> list[Instance]:
@@ -243,3 +248,185 @@ def token_count_invariant(graph: MarkedGraph, marking=None,
             total += min(candidates) if candidates else 0
         counts[frozenset(cycle)] = total
     return counts
+
+
+def token_distances(graph: MarkedGraph) -> dict[str, dict[str, int]]:
+    """δ(u, t), the fewest tokens on a directed path u -> t, by one
+    Dijkstra run per source transition (token counts are non-negative).
+    ``result[u]`` maps every transition reachable from ``u`` (``u``
+    itself included, at 0) to its token distance."""
+    graph.check_structure()
+    out: dict[str, list[tuple[str, int]]] = {t: [] for t in graph.transitions}
+    for place in graph.places:
+        out[graph.place_pre[place][0]].append(
+            (graph.place_post[place][0], graph.initial_marking.get(place, 0)))
+    distances: dict[str, dict[str, int]] = {}
+    for source in graph.transitions:
+        settled: dict[str, int] = {}
+        heap = [(0, source)]
+        while heap:
+            distance, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled[node] = distance
+            for target, tokens in out[node]:
+                if target not in settled:
+                    heapq.heappush(heap, (distance + tokens, target))
+        distances[source] = settled
+    return distances
+
+
+def place_bounds(graph: MarkedGraph) -> dict[str, int | None]:
+    """``M0 + δ(u, t)`` for the place of every edge t -> u, ``None`` when
+    u cannot reach t."""
+    distances = token_distances(graph)
+    bounds: dict[str, int | None] = {}
+    for place in graph.places:
+        distance = distances[graph.place_post[place][0]].get(
+            graph.place_pre[place][0])
+        bounds[place] = (None if distance is None else
+                         graph.initial_marking.get(place, 0) + distance)
+    return bounds
+
+
+def check_model(stg: Stg, bound: int = 2) -> None:
+    """``Stg.check_model`` from the Dijkstra token distances: the same
+    checks, in the same order, with the same messages."""
+    stg.check_structure()
+    if not stg.is_live():
+        raise StgError(f"STG {stg.name} is not live (token-free cycle)")
+    distances = token_distances(stg)
+    for place, most in place_bounds(stg).items():
+        if most is None or most > bound:
+            raise StgError(f"STG {stg.name} is not {bound}-bounded "
+                           f"(place {place})")
+    edges: dict[str, dict[str, list[str]]] = {
+        signal: {"+": [], "-": []} for signal in stg.initial_values}
+    for transition in stg.transitions:
+        signal, sign = stg.signal_of(transition)
+        if signal not in edges:
+            raise StgError(f"transition {transition} on undeclared "
+                           f"signal {signal}")
+        edges[signal][sign].append(transition)
+    for signal, initial in stg.initial_values.items():
+        rises, falls = edges[signal]["+"], edges[signal]["-"]
+        if len(rises) != 1 or len(falls) != 1:
+            raise StgError(
+                f"STG {stg.name}: signal {signal} has {len(rises)} "
+                f"rising and {len(falls)} falling transitions (the "
+                "model check needs exactly one of each)")
+        lead, trail = ((rises[0], falls[0]) if initial == 0
+                       else (falls[0], rises[0]))
+        ahead = distances[trail].get(lead)
+        if ahead is None or ahead > 1:
+            raise StgError(
+                f"inconsistent STG {stg.name}: {lead} can fire while "
+                f"{signal}={1 - initial}")
+        if distances[lead].get(trail) != 0:
+            raise StgError(
+                f"inconsistent STG {stg.name}: {trail} can fire while "
+                f"{signal}={initial}")
+
+
+def simulate(graph: MarkedGraph, rounds: int = 10) -> TimedTrace:
+    """The timed run by a deterministic worklist: each edge holds a FIFO
+    of token arrival times (initial tokens arrive at 0), and the ready
+    transition with the smallest firing time fires next (ties broken by
+    name).  A non-live graph yields the partial trace it reaches."""
+    graph.check_structure()
+    edges = graph.edges()
+    in_edges: dict[str, list[int]] = {t: [] for t in graph.transitions}
+    out_edges: dict[str, list[int]] = {t: [] for t in graph.transitions}
+    queues: list[deque[float]] = []
+    for index, edge in enumerate(edges):
+        queues.append(deque([0.0] * edge.tokens))
+        in_edges[edge.target].append(index)
+        out_edges[edge.source].append(index)
+    fire_counts = {t: 0 for t in graph.transitions}
+    events: list[TimedEvent] = []
+
+    def ready(transition: str) -> bool:
+        return (fire_counts[transition] < rounds
+                and all(queues[i] for i in in_edges[transition]))
+
+    pending = {t for t in graph.transitions if ready(t)}
+    while pending:
+        best_name = None
+        best_time = 0.0
+        for name in sorted(pending):
+            arrival = max((queues[i][0] for i in in_edges[name]), default=0.0)
+            fire_time = arrival + graph.transitions[name].delay
+            if best_name is None or fire_time < best_time:
+                best_name, best_time = name, fire_time
+        assert best_name is not None
+        for i in in_edges[best_name]:
+            queues[i].popleft()
+        for i in out_edges[best_name]:
+            queues[i].append(best_time + edges[i].delay)
+        fire_counts[best_name] += 1
+        events.append(TimedEvent(best_time, best_name,
+                                 fire_counts[best_name]))
+        pending = {t for t in graph.transitions if ready(t)}
+    events.sort(key=lambda e: (e.time, e.transition))
+    return TimedTrace(events)
+
+
+def is_bounded(net: PetriNet, bound: int = 1,
+               max_states: int = 100_000) -> bool:
+    """True if no reachable marking puts more than ``bound`` tokens in a
+    place, by walking the reachability graph."""
+    return all(tokens <= bound
+               for marking in net.reachable_markings(max_states)
+               for tokens in marking.values())
+
+
+def has_deadlock(net: PetriNet, max_states: int = 100_000) -> bool:
+    """True if some reachable marking enables no transition."""
+    return any(not net.enabled_transitions(marking)
+               for marking in net.reachable_markings(max_states))
+
+
+def check_consistency(stg: Stg, max_states: int = 100_000) -> None:
+    """Rise/fall alternation over the whole reachability graph.
+
+    Walks every reachable marking, tracking the binary signal vector;
+    firing ``a+`` from a state where ``a`` is already 1 (or ``a-`` where
+    it is 0) raises :class:`StgError`.  Also fails if two distinct signal
+    vectors are observed for one marking (the marking does not determine
+    the state).
+    """
+    def freeze(values: dict[str, int]) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(values.items()))
+
+    start = stg.marking()
+    start_state = dict(stg.initial_values)
+    seen = {freeze(start): freeze(start_state)}
+    frontier = [(start, start_state)]
+    explored = 0
+    while frontier:
+        marking, state = frontier.pop()
+        explored += 1
+        if explored > max_states:
+            raise StgError(f"consistency check exceeded {max_states} states")
+        for transition in stg.enabled_transitions(marking):
+            signal, sign = stg.signal_of(transition)
+            value = state.get(signal)
+            if value is None:
+                raise StgError(f"transition {transition} on undeclared "
+                               f"signal {signal}")
+            if (sign == "+") == (value == 1):
+                raise StgError(
+                    f"inconsistent STG {stg.name}: {transition} enabled "
+                    f"while {signal}={value}")
+            successor = stg.fire(marking, transition)
+            new_state = dict(state)
+            new_state[signal] = 1 if sign == "+" else 0
+            key = freeze(successor)
+            recorded = seen.get(key)
+            if recorded is None:
+                seen[key] = freeze(new_state)
+                frontier.append((successor, new_state))
+            elif recorded != freeze(new_state):
+                raise StgError(
+                    f"inconsistent STG {stg.name}: marking reached with "
+                    "two different signal states")

@@ -70,7 +70,7 @@ class TestPetriNet:
 
     def test_boundedness(self):
         net = producer_consumer()
-        assert net.is_bounded(1)
+        assert oracles.is_bounded(net, 1)
 
     def test_unbounded_detection(self):
         net = PetriNet("gen")
@@ -85,8 +85,8 @@ class TestPetriNet:
         net.add_place("p")  # no tokens
         net.add_transition("t")
         net.add_arc("p", "t")
-        assert net.has_deadlock()
-        assert not producer_consumer().has_deadlock()
+        assert oracles.has_deadlock(net)
+        assert not oracles.has_deadlock(producer_consumer())
 
 
 def two_stage_ring(tokens_a: int = 1, tokens_b: int = 0) -> MarkedGraph:

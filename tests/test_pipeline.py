@@ -30,6 +30,7 @@ from repro.equiv import check_flow_equivalence, check_flow_equivalence_batch
 from repro.utils.errors import DesyncError, OptionsError
 from repro.verilog import netlist_signature
 
+from tests import oracles
 from tests.circuits import lfsr3, mixed_feedback
 
 # ----------------------------------------------------------------------
@@ -329,7 +330,7 @@ class TestBaselinePipelines:
         ctx = run_pipeline(generate("pipe4x1"), pipeline=name)
         ctx.model.check_structure()
         assert ctx.model.is_live()
-        ctx.model.check_consistency()
+        oracles.check_consistency(ctx.model)
         assert ctx.desync_cycle_time().cycle_time > 0
 
     def test_nonoverlap_serializes(self):
