@@ -62,10 +62,17 @@ synchronous edge pair, generated asynchronously.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.desync.clustering import Clustering
-from repro.netlist.cells import CellKind, PIN_D, PIN_ENABLE, PIN_RESET_N
+from repro.netlist.cells import (
+    CellKind,
+    Library,
+    PIN_D,
+    PIN_ENABLE,
+    PIN_RESET_N,
+)
 from repro.netlist.core import Net, Netlist
 from repro.timing.delays import (
     DEFAULT_MARGIN,
@@ -558,8 +565,18 @@ def _build_controller(netlist: Netlist, bank: str, clustering: Clustering,
 
 
 def _tree_depth(n_leaves: int) -> int:
-    import math
     return 1 if n_leaves <= 3 else math.ceil(math.log(max(2, n_leaves), 3))
+
+
+def controller_latency(n_inputs: int, library: Library) -> float:
+    """Worst-case response latency of a C-element bank controller, ps.
+
+    A C3 tree over ``n_inputs`` plus the acknowledge path (inverter and
+    C2 token cell) that sequences consecutive handshake phases — the
+    per-controller delay of the related-work baseline models.
+    """
+    return (_tree_depth(n_inputs) * library["C3"].delay
+            + library["INV"].delay + library["C2"].delay)
 
 
 def _ctree(netlist: Netlist, prefix: str, inputs: list[Net],

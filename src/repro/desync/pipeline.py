@@ -54,11 +54,15 @@ from repro.desync.clustering import (
 )
 from repro.desync.flow import DesyncOptions, DesyncResult, latch_analysis
 from repro.desync.latchify import latchify
-from repro.desync.network import DesyncNetwork, HandshakeMode, build_network
+from repro.desync.network import (
+    DesyncNetwork,
+    HandshakeMode,
+    build_network,
+    controller_latency,
+)
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_ENV, TRACER
-from repro.sim.backends import DEFAULT_BACKEND
 from repro.sim.lanes import resolve_lanes
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.stg.cluster_model import fabric_model
@@ -358,7 +362,6 @@ class BaselineModelPass(Pass):
     def run(self, ctx: FlowContext) -> dict[str, object]:
         from repro.baselines.doubly_latched import dlap_model
         from repro.baselines.nonoverlap import nonoverlap_model
-        from repro.desync.controllers import controller_latency
 
         ctx.require(latched=ctx.latched)
         opts = ctx.options
@@ -579,14 +582,11 @@ def sweep_pipelines(configs: list[str] | None = None,
                     variants: list[PipelineVariant] | None = None,
                     seeds: tuple[int, ...] = SWEEP_SEEDS,
                     cycles: int = 10,
-                    backend: str = DEFAULT_BACKEND,
                     max_equiv_instances: int = 200,
                     hold_rounds: int = 8,
-                    desync_engine: str = "replay",
                     jobs: int | None = None,
                     lanes: int | None = None,
                     job_dir: str | None = None,
-                    cache_dir: str | None = None,
                     ) -> tuple[list[str], list[list[object]], dict]:
     """Run a (corpus config x pipeline variant) grid.
 
@@ -597,11 +597,10 @@ def sweep_pipelines(configs: list[str] | None = None,
     variants with ``check_equivalence`` are verified by the batched
     flow-equivalence sweep — synchronous references lane-parallel on the
     vector backend, the de-synchronized side on the schedule-replay
-    engine selected by ``desync_engine`` (``backend`` names the scalar
-    event engine that records the lane-0 schedule and carries any
-    fallback) — and hold-screened on the timed model, unless the design
-    exceeds ``max_equiv_instances`` (fabric simulation dominates the
-    sweep cost), in which case the row reports ``status='unchecked'``.
+    engine, with a logged per-seed event-simulation fallback — and
+    hold-screened on the timed model, unless the design exceeds
+    ``max_equiv_instances`` (fabric simulation dominates the sweep
+    cost), in which case the row reports ``status='unchecked'``.
     A variant that is structurally inapplicable (e.g. ``per-register``
     on a cyclic register graph) reports ``status='invalid'`` instead of
     failing the sweep.  Every cell that builds a timed model validates
@@ -621,7 +620,7 @@ def sweep_pipelines(configs: list[str] | None = None,
     across the whole grid what the per-row strings only show locally:
     status counts, per-seed desync engine counts, fallback-reason
     counts, and the grid runner's accounting (``executor``, plus
-    ``jobs`` when a job dir or cache is in play); the same totals land
+    ``jobs`` when a job dir is in play); the same totals land
     in the global metrics registry under ``sweep.*``.  Every cell also
     gets a ``sweep:cell`` tracer span.
 
@@ -642,29 +641,16 @@ def sweep_pipelines(configs: list[str] | None = None,
     sweep processes pointed at the same directory cooperate on the
     grid, dead workers' configs are reclaimed by survivors, every
     process returns the complete merged rows, and a rerun on the same
-    directory resumes an interrupted sweep.  ``cache_dir`` memoizes
-    whole config shards in the content-addressed result cache, keyed by
-    the netlist fingerprint and a digest of the full grid parameters —
-    a re-run with identical inputs replays rows from the cache instead
-    of rebuilding pipelines.
+    directory resumes an interrupted sweep.
     """
-    from repro.corpus import generate
-    from repro.jobs import (ExecutorPolicy, cache_key, cell_retries,
-                            cell_timeout, default_job_dir, run_grid,
-                            sweep_jobs)
+    from repro.jobs import (ExecutorPolicy, cell_retries, cell_timeout,
+                            default_job_dir, run_grid, sweep_jobs)
 
     config_names = configs if configs is not None else _registry_names()
     grid = variants if variants is not None else default_variants()
     n_jobs = jobs if jobs is not None else sweep_jobs()
-    params = (grid, seeds, cycles, backend, max_equiv_instances,
-              hold_rounds, desync_engine, lanes)
+    params = (grid, seeds, cycles, max_equiv_instances, hold_rounds, lanes)
     tasks = [(config, (config, *params)) for config in config_names]
-    grid_digest = _sweep_grid_digest(*params) if cache_dir else None
-
-    def shard_key(config: str, payload: tuple) -> str:
-        return cache_key(generate(config).fingerprint(), grid_digest,
-                         "sweep")
-
     policy = ExecutorPolicy(
         jobs=max(1, min(n_jobs, len(tasks))), timeout=cell_timeout(),
         retries=cell_retries(),
@@ -683,8 +669,8 @@ def sweep_pipelines(configs: list[str] | None = None,
     with TRACER.span("sweep:grid", configs=len(config_names),
                      variants=len(grid), jobs=n_jobs) as grid_span:
         outcomes, exec_stats = run_grid(
-            tasks, _sweep_config_task, policy, cache_key=shard_key,
-            cache_dir=cache_dir, initializer=_sweep_worker_init,
+            tasks, _sweep_config_task, policy,
+            initializer=_sweep_worker_init,
             initargs=(TRACER.enabled,), metric_prefix="sweep.executor")
         tracks: dict[int, int] = {}
         for config in config_names:
@@ -695,16 +681,14 @@ def sweep_pipelines(configs: list[str] | None = None,
                            for variant in grid]
             else:
                 results, events, worker_pid, deltas = outcome.value
-                if outcome.attempts:  # computed, not replayed from cache
-                    for name, delta in sorted(deltas.items()):
-                        METRICS.counter(name).inc(delta)
-                    if events:
-                        # One trace track per worker process; labels are
-                        # assigned in grid order of first appearance (this
-                        # process itself records as pid 1).
-                        track = tracks.setdefault(worker_pid,
-                                                  len(tracks) + 2)
-                        TRACER.ingest(events, pid=track)
+                for name, delta in sorted(deltas.items()):
+                    METRICS.counter(name).inc(delta)
+                if events:
+                    # One trace track per worker process; labels are
+                    # assigned in grid order of first appearance (this
+                    # process itself records as pid 1).
+                    track = tracks.setdefault(worker_pid, len(tracks) + 2)
+                    TRACER.ingest(events, pid=track)
             for row, stats in results:
                 rows.append(row)
                 status = (row[status_index] or "").split(":")[0]
@@ -733,36 +717,6 @@ def sweep_pipelines(configs: list[str] | None = None,
     if exec_stats.jobs is not None:
         summary["jobs"] = exec_stats.jobs
     return list(SWEEP_COLUMNS), rows, summary
-
-
-def _sweep_grid_digest(grid: list[PipelineVariant],
-                       seeds: tuple[int, ...], cycles: int, backend: str,
-                       max_equiv_instances: int, hold_rounds: int,
-                       desync_engine: str, lanes: int | None) -> str:
-    """Stable digest of everything besides the netlist that shapes a
-    sweep shard's rows — the options component of its cache key."""
-    import hashlib
-    import json
-    view = {
-        "variants": [{
-            "name": variant.name,
-            "pipeline": variant.pipeline,
-            "options": variant.options.digest(),
-            "sync_banks": (variant.sync_banks
-                           if isinstance(variant.sync_banks, str)
-                           else list(variant.sync_banks)),
-            "check_equivalence": variant.check_equivalence,
-        } for variant in grid],
-        "seeds": list(seeds),
-        "cycles": cycles,
-        "backend": backend,
-        "max_equiv_instances": max_equiv_instances,
-        "hold_rounds": hold_rounds,
-        "desync_engine": desync_engine,
-        "lanes": lanes,
-    }
-    canonical = json.dumps(view, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _registry_names() -> list[str]:
@@ -816,8 +770,8 @@ def _sweep_config_task(payload: tuple) -> tuple:
     from a pool worker, its span recording since the previous task and
     the deltas its cells added to the process-local metric counters.
     """
-    (config, grid, seeds, cycles, backend, max_equiv_instances,
-     hold_rounds, desync_engine, lanes) = payload
+    (config, grid, seeds, cycles, max_equiv_instances, hold_rounds,
+     lanes) = payload
     from repro.corpus import generate
     from repro.equiv import check_flow_equivalence_batch
 
@@ -830,8 +784,8 @@ def _sweep_config_task(payload: tuple) -> tuple:
         with TRACER.span("sweep:cell", config=config,
                          variant=variant.name) as span:
             row, stats = _sweep_cell(
-                config, netlist, variant, seeds, cycles, backend,
-                max_equiv_instances, hold_rounds, desync_engine,
+                config, netlist, variant, seeds, cycles,
+                max_equiv_instances, hold_rounds,
                 check_flow_equivalence_batch, lanes=lanes)
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
@@ -863,9 +817,8 @@ def _engine_summary(reports) -> str:
     return label
 
 
-def _sweep_cell(config, netlist, variant, seeds, cycles, backend,
-                max_equiv_instances, hold_rounds, desync_engine,
-                check_batch, lanes=None):
+def _sweep_cell(config, netlist, variant, seeds, cycles,
+                max_equiv_instances, hold_rounds, check_batch, lanes=None):
     """One grid cell: ``(row_values, stats)``.
 
     ``stats`` carries the aggregation inputs the row string cannot:
@@ -924,8 +877,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles, backend,
     row.update(lanes=cell_lanes)
     verify_start = perf_counter()
     try:
-        reports = check_batch(result, seeds, cycles=cycles, backend=backend,
-                              desync_engine=desync_engine, lanes=cell_lanes)
+        reports = check_batch(result, seeds, cycles=cycles, lanes=cell_lanes)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
                       for check in result.verify_hold(rounds=hold_rounds))

@@ -1,7 +1,6 @@
 """Flow-equivalence checking (the paper's correctness criterion)."""
 
 from repro.equiv.flow_equivalence import (
-    DESYNC_ENGINES,
     Divergence,
     FlowEquivalenceReport,
     check_flow_equivalence,
@@ -15,7 +14,6 @@ from repro.equiv.flow_equivalence import (
 )
 
 __all__ = [
-    "DESYNC_ENGINES",
     "Divergence",
     "FlowEquivalenceReport",
     "check_flow_equivalence",

@@ -43,13 +43,6 @@ from repro.sim.vector_async import (
 )
 from repro.utils.errors import FlowEquivalenceError, SimulationError
 
-#: Desync-side engine names accepted by the batch APIs: ``replay`` uses
-#: the lane-parallel schedule-replay engine with automatic (logged)
-#: fallback to scalar event simulation; ``scalar`` forces one event-
-#: driven run per stimulus.
-DESYNC_ENGINES = ("replay", "scalar")
-
-
 @dataclass
 class Divergence:
     """First mismatch found for one register."""
@@ -67,8 +60,8 @@ class FlowEquivalenceReport:
     ``desync_engine`` records which engine produced the de-synchronized
     streams (``"scalar"`` for a per-stimulus event run, ``"replay"`` for
     the lane-parallel schedule-replay engine); ``fallback_reason`` is
-    set when a batch check asked for the replay engine but had to fall
-    back to scalar simulation — fallbacks are reported, never silent.
+    set when a batch check ran a seed on scalar simulation instead of
+    replay — fallbacks are reported, never silent.
     """
 
     equivalent: bool
@@ -463,24 +456,23 @@ def desync_streams_batch(result: DesyncResult | FlowContext, cycles: int,
                          stimuli: list[list[dict[str, Value]]],
                          backend: str = DEFAULT_BACKEND,
                          lanes: int | None = None,
-                         engine: str = "replay",
                          delay_model=None,
                          ) -> tuple[list[dict[str, list[Value]]],
                                     list[tuple[str, str | None]]]:
     """De-synchronized capture streams for N stimuli, batched.
 
-    The desync-side counterpart of :func:`reference_streams_batch`: with
-    ``engine="replay"`` each block of up to ``lanes`` stimuli (``None``
-    asks :func:`repro.sim.lanes.resolve_lanes`) costs one
-    scalar recording run plus one lane-parallel replay instead of N
-    event simulations.  When the netlist fails the data-independence
-    proof — or a block's lane-0 replay check fails — that work falls
-    back to per-stimulus scalar simulation and the reason is recorded.
+    The desync-side counterpart of :func:`reference_streams_batch`: each
+    block of up to ``lanes`` stimuli (``None`` asks
+    :func:`repro.sim.lanes.resolve_lanes`) costs one scalar recording
+    run on the event engine named ``backend`` plus one lane-parallel
+    replay instead of N event simulations.  When the netlist fails the
+    data-independence proof — or a block's lane-0 replay check fails —
+    that work falls back to per-stimulus scalar simulation and the
+    reason is recorded.
 
     Returns ``(streams, engines)``: per stimulus, the streams keyed by
     original flip-flop name, and an ``(engine, fallback_reason)`` pair
-    (``("replay", None)`` or ``("scalar", reason)``; ``reason`` is
-    ``None`` when scalar was requested explicitly).
+    (``("replay", None)`` or ``("scalar", reason)``).
 
     A non-identity ``delay_model`` forces the scalar path by design —
     the replay engine's transfer proof assumes the recorded schedule's
@@ -488,18 +480,12 @@ def desync_streams_batch(result: DesyncResult | FlowContext, cycles: int,
     is *not* a fallback: the ``sim.replay.fallbacks`` counter only
     counts blocks where replay was expected to work and didn't.
     """
-    if engine not in DESYNC_ENGINES:
-        raise FlowEquivalenceError(
-            f"unknown desync engine {engine!r} "
-            f"(have: {', '.join(DESYNC_ENGINES)})")
     lanes = resolve_lanes(result.desync_netlist, lanes)
     perturbed = delay_model is not None and not delay_model.is_identity
-    reason: str | None = None
-    if engine == "replay":
-        if perturbed:
-            reason = "delay-model active (replay assumes nominal delays)"
-        else:
-            reason = check_schedule_replayable(result.desync_netlist)
+    if perturbed:
+        reason = "delay-model active (replay assumes nominal delays)"
+    else:
+        reason = check_schedule_replayable(result.desync_netlist)
     masters = _masters(result)
     streams: list[dict[str, list[Value]]] = []
     engines: list[tuple[str, str | None]] = []
@@ -521,9 +507,8 @@ def desync_streams_batch(result: DesyncResult | FlowContext, cycles: int,
 
     for start in range(0, len(stimuli), lanes):
         block = stimuli[start:start + lanes]
-        if engine != "replay" or reason is not None:
-            scalar_block(block, reason,
-                         fallen_back=(engine == "replay" and not perturbed))
+        if reason is not None:
+            scalar_block(block, reason, fallen_back=not perturbed)
             continue
         try:
             with TRACER.span("equiv:desync-block", engine="replay",
@@ -619,7 +604,6 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
                                  cycles: int = 20,
                                  backend: str = DEFAULT_BACKEND,
                                  lanes: int | None = None,
-                                 desync_engine: str = "replay",
                                  delay_model=None,
                                  ) -> dict[int, FlowEquivalenceReport]:
     """Flow-equivalence sweep over N seeded random stimuli, batched on
@@ -637,10 +621,11 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
     one scalar recording plus one lane-parallel replay per block —
     falling back to per-seed event simulation, with the reason recorded
     on the reports, when the fabric fails the data-independence proof.
-    ``desync_engine="scalar"`` forces the per-seed path.  A non-identity
-    ``delay_model`` perturbs the de-synchronized side (the reference is
-    the specification and stays nominal) and forces scalar simulation —
-    recorded per report, not counted as a fallback.  Returns a report
+    ``backend`` names the event engine that records the schedule and
+    runs any scalar seed.  A non-identity ``delay_model`` perturbs the
+    de-synchronized side (the reference is the specification and stays
+    nominal) and forces scalar simulation — recorded per report, not
+    counted as a fallback.  Returns a report
     per seed, in ``seeds`` order.
     """
     from repro.testing.stimulus import random_stimulus
@@ -650,15 +635,14 @@ def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
             "duplicate seeds in batch sweep (reports are keyed by seed)")
     lanes = resolve_lanes(result.sync_netlist, lanes)
     with TRACER.span("equiv:batch", netlist=result.sync_netlist.name,
-                     seeds=len(seeds), cycles=cycles, lanes=lanes,
-                     desync_engine=desync_engine) as span:
+                     seeds=len(seeds), cycles=cycles, lanes=lanes) as span:
         stimuli = [random_stimulus(result.sync_netlist, cycles, seed)
                    for seed in seeds]
         sync_streams = reference_streams_batch(result.sync_netlist, cycles,
                                                stimuli, lanes=lanes)
         desync_list, engines = desync_streams_batch(
             result, cycles, stimuli, backend=backend, lanes=lanes,
-            engine=desync_engine, delay_model=delay_model)
+            delay_model=delay_model)
         reports: dict[int, FlowEquivalenceReport] = {}
         for seed, sync, desync, (engine, reason) in zip(
                 seeds, sync_streams, desync_list, engines):

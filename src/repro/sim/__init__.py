@@ -3,15 +3,9 @@ cycle-accurate (scalar and lane-parallel), schedule-replay batching for
 de-synchronized fabrics, and waveforms."""
 
 from repro.sim.backends import (
-    ASYNC_BACKENDS,
-    CYCLE_BACKENDS,
     DEFAULT_BACKEND,
     EVENT_BACKENDS,
-    async_backend_names,
     backend_names,
-    cycle_backend_names,
-    make_async_simulator,
-    make_cycle_simulator,
     make_simulator,
 )
 from repro.sim.compiled import CompiledSimulator
@@ -27,7 +21,6 @@ from repro.sim.lanes import DEFAULT_LANES, LANES_ENV, resolve_lanes
 from repro.sim.sync import CycleSimulator, LatchCycleSimulator
 from repro.sim.vector import (
     VectorCycleSimulator,
-    VectorLatchCycleSimulator,
     pack_lanes,
     pack_stimuli,
     unpack_lanes,
@@ -46,15 +39,9 @@ __all__ = [
     "to_char",
     "Capture",
     "CompiledSimulator",
-    "ASYNC_BACKENDS",
-    "CYCLE_BACKENDS",
     "DEFAULT_BACKEND",
     "EVENT_BACKENDS",
-    "async_backend_names",
     "backend_names",
-    "cycle_backend_names",
-    "make_async_simulator",
-    "make_cycle_simulator",
     "make_simulator",
     "EventSimulator",
     "SimStats",
@@ -65,7 +52,6 @@ __all__ = [
     "LANES_ENV",
     "resolve_lanes",
     "VectorCycleSimulator",
-    "VectorLatchCycleSimulator",
     "pack_lanes",
     "pack_stimuli",
     "unpack_lanes",

@@ -1,29 +1,13 @@
-"""Simulator backend registries.
+"""The event-driven engine registry.
 
-**Event-driven engines** implement the event-simulation contract
-(identical constructor and observation surface, identical event-for-
-event behaviour): the interpreter-style
+The interchangeable event-driven engines implement the event-simulation
+contract (identical constructor and observation surface, identical
+event-for-event behaviour): the interpreter-style
 :class:`~repro.sim.simulator.EventSimulator` and the slot-compiled
 :class:`~repro.sim.compiled.CompiledSimulator`.  Code that runs
 de-synchronized fabrics selects between them by name through
 :func:`make_simulator`, so callers (flow-equivalence checking, hold
 verification, benchmarks, the differential harness) stay engine-agnostic.
-
-**Cycle engines** have the per-cycle stepping interface and are only
-meaningful for globally-clocked netlists; they live in their own
-registry.  Scalar (:mod:`repro.sim.sync`) and lane-parallel
-(:mod:`repro.sim.vector`) variants exist for both the flip-flop and the
-two-phase latch form; :func:`make_cycle_simulator` selects by name.
-The differential harness in :mod:`repro.testing` is what relates the
-cycle engines to the event engines.
-
-**Async batch engines** run *de-synchronized* fabrics many stimuli at a
-time: :class:`~repro.sim.vector_async.ScheduleReplaySimulator` records
-the data-independent firing schedule from one scalar event run and
-replays it lane-parallel.  It applies only when
-:func:`~repro.sim.vector_async.check_schedule_replayable` proves the
-control/data decomposition; callers fall back to per-stimulus event
-simulation (with the recorded reason) otherwise.
 """
 
 from __future__ import annotations
@@ -34,32 +18,12 @@ from contextlib import contextmanager
 from repro.netlist.core import Netlist
 from repro.sim.compiled import CompiledSimulator
 from repro.sim.simulator import EventSimulator
-from repro.sim.sync import CycleSimulator, LatchCycleSimulator
-from repro.sim.vector import VectorCycleSimulator, VectorLatchCycleSimulator
-from repro.sim.vector_async import ScheduleReplaySimulator
 from repro.utils.errors import SimulationError
 
 #: Name -> class for the interchangeable event-driven engines.
 EVENT_BACKENDS: dict[str, type] = {
     "event": EventSimulator,
     "compiled": CompiledSimulator,
-}
-
-#: Name -> class for the cycle-stepping engines (globally-clocked
-#: netlists only).  ``cycle``/``latch-cycle`` are the scalar reference
-#: semantics; ``vector``/``vector-latch`` advance many lanes per pass
-#: over bigint words.
-CYCLE_BACKENDS: dict[str, type] = {
-    "cycle": CycleSimulator,
-    "latch-cycle": LatchCycleSimulator,
-    "vector": VectorCycleSimulator,
-    "vector-latch": VectorLatchCycleSimulator,
-}
-
-#: Name -> class for the lane-parallel engines that batch *asynchronous*
-#: (de-synchronized) fabrics across stimuli.
-ASYNC_BACKENDS: dict[str, type] = {
-    "replay": ScheduleReplaySimulator,
 }
 
 #: The project-wide default event engine, and the one place that
@@ -74,11 +38,6 @@ DEFAULT_BACKEND = "compiled"
 def backend_names() -> list[str]:
     """Registered event-backend names, sorted."""
     return sorted(EVENT_BACKENDS)
-
-
-def cycle_backend_names() -> list[str]:
-    """Registered cycle-backend names, sorted."""
-    return sorted(CYCLE_BACKENDS)
 
 
 def _event_backend(backend: str) -> type:
@@ -138,44 +97,3 @@ def reused_simulator(netlist: Netlist, backend: str = DEFAULT_BACKEND,
     finally:
         parked.clear()
         parked[key] = sim
-
-
-def async_backend_names() -> list[str]:
-    """Registered async-batch backend names, sorted."""
-    return sorted(ASYNC_BACKENDS)
-
-
-def make_async_simulator(netlist: Netlist, backend: str = "replay",
-                         **kwargs) -> ScheduleReplaySimulator:
-    """Instantiate the async-batch engine called ``backend``.
-
-    ``kwargs`` forward to the engine constructor (``lanes``,
-    ``scalar_backend``, ``initial_inputs``).  Raises
-    :class:`SimulationError` for an unknown backend name — and, for the
-    replay engine, when the netlist fails the data-independence proof
-    (callers that want a graceful fallback check
-    :func:`~repro.sim.vector_async.check_schedule_replayable` first).
-    """
-    try:
-        cls = ASYNC_BACKENDS[backend]
-    except KeyError:
-        raise SimulationError(
-            f"unknown async-simulator backend {backend!r} "
-            f"(have: {', '.join(async_backend_names())})") from None
-    return cls(netlist, **kwargs)
-
-
-def make_cycle_simulator(netlist: Netlist, backend: str = "cycle", **kwargs):
-    """Instantiate the cycle-stepping engine called ``backend``.
-
-    ``kwargs`` forward to the engine constructor (``record_toggles``
-    for the scalar engines, ``lanes`` for the vector ones).  Raises
-    :class:`SimulationError` for an unknown backend name.
-    """
-    try:
-        cls = CYCLE_BACKENDS[backend]
-    except KeyError:
-        raise SimulationError(
-            f"unknown cycle-simulator backend {backend!r} "
-            f"(have: {', '.join(cycle_backend_names())})") from None
-    return cls(netlist, **kwargs)

@@ -34,12 +34,12 @@ not both a 1-minterm and a 0-minterm are reachable.  The test suite
 closes the loop by sweeping every library cell over all ternary input
 combinations, one combination per lane.
 
-Two engines mirror the scalar pair: :class:`VectorCycleSimulator` for
-DFF netlists and :class:`VectorLatchCycleSimulator` for two-phase latch
-netlists (post-latchify).  Neither models per-net toggle counts (the
-power model runs on the scalar/event engines); per-register toggle
-counts are recoverable exactly from ``init`` plus the capture stream,
-which is how the differential harness compares them.
+:class:`VectorCycleSimulator` mirrors the scalar
+:class:`~repro.sim.sync.CycleSimulator` on DFF netlists.  It does not
+model per-net toggle counts (the power model runs on the scalar/event
+engines); per-register toggle counts are recoverable exactly from
+``init`` plus the capture stream, which is how the differential harness
+compares them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER as _TRACER
 from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
-from repro.sim.sync import phase_order
 from repro.utils.errors import SimulationError
 
 #: A packed lane word pair: (value bits, known bits).
@@ -251,12 +250,11 @@ def compile_pass_cached(netlist: Netlist, kind, lanes: int,
                         slot_of: dict[str, int], order_fn):
     """Fingerprint-keyed :func:`compile_pass`, with hit/miss metrics.
 
-    ``kind`` tags the pass flavour (``"comb"``, ``"latch_low"``, a
-    replay-segment key, ...); ``order_fn`` produces the evaluation
-    order only on a miss.  Hits and misses are surfaced through the
-    global metrics registry as ``sim.vector.kernel_cache_hits`` /
-    ``..._misses`` — the counters sweeps and fault campaigns fold into
-    their envelopes.
+    ``kind`` tags the pass flavour (``"comb"`` or a replay-segment
+    key); ``order_fn`` produces the evaluation order only on a miss.
+    Hits and misses are surfaced through the global metrics registry as
+    ``sim.vector.kernel_cache_hits`` / ``..._misses`` — the counters
+    sweeps and fault campaigns fold into their envelopes.
     """
     key = (netlist.fingerprint(), kind, lanes)
     hit = _KERNEL_CACHE.get(key)
@@ -275,14 +273,25 @@ def compile_pass_cached(netlist: Netlist, kind, lanes: int,
 # engines
 # ----------------------------------------------------------------------
 
-class _VectorSimulatorBase:
-    """Shared packing, stimulus and observation surface of both engines."""
+class VectorCycleSimulator:
+    """Lane-parallel cycle simulator for DFF-based synchronous netlists.
 
-    #: Tracer span name and evaluation passes per cycle of :meth:`run`.
-    trace_name = "sim:vector"
-    _passes_per_cycle = 1
+    The lane-parallel counterpart of
+    :class:`~repro.sim.sync.CycleSimulator`: same cycle convention
+    (inputs applied, one topological evaluation, all DFFs sample on the
+    virtual rising edge), identical per-lane capture streams — verified
+    by the differential harness — at a per-stimulus cost roughly
+    ``lanes`` times lower.
+    """
 
     def __init__(self, netlist: Netlist, lanes: int | None = None):
+        if netlist.latch_instances():
+            raise SimulationError(
+                f"{netlist.name} contains latches; "
+                "use LatchCycleSimulator")
+        if netlist.celement_instances():
+            raise SimulationError(
+                f"{netlist.name} contains C-elements; use EventSimulator")
         self.netlist = netlist
         self.lanes = resolve_lanes(netlist, lanes)
         self.mask = (1 << self.lanes) - 1
@@ -299,6 +308,14 @@ class _VectorSimulatorBase:
         self._seq_inits: list[tuple[int, int]] = []
         if netlist.clock is not None:
             self.K[self._slot_of[netlist.clock]] = self.mask
+        # Fingerprint-cached: every same-width construction over a
+        # structurally identical netlist — across batch calls, sweep
+        # cells, even regenerated Netlist objects — shares one
+        # generated function instead of recompiling it.
+        self._eval, self.source = compile_pass_cached(
+            netlist, "comb", self.lanes, self._slot_of,
+            netlist.topo_order_comb_only)
+        self._ffs = [self._seq_slots(ff) for ff in netlist.dff_instances()]
 
     def _seq_slots(self, inst: Instance) -> tuple[int, int, int, list]:
         """(D slot, RN slot or -1, output slot, capture list) of ``inst``;
@@ -386,18 +403,20 @@ class _VectorSimulatorBase:
                    for value, known in stream]
             for name, stream in self.captures.items()}
 
-    def _capture(self, registers: list[tuple[int, int, int, list]],
-                 defer: bool) -> None:
-        """Capture D (with per-lane async-reset override) per register.
+    def evaluate(self) -> None:
+        """One pass of the generated combinational function, all lanes."""
+        self._eval(self.V, self.K)
 
-        With ``defer`` all data reads happen before any output write —
-        the scalar DFF engine's read-all-then-write-all edge; without
-        it each register's output updates in list order, matching the
-        scalar latch engine's capture loop.
-        """
+    def step(self, inputs: dict[str, Lanes | Value] | None = None) -> None:
+        """One clock cycle: apply inputs, evaluate, then clock every DFF
+        at once (all D reads before any Q write, with the per-lane
+        async-reset override)."""
+        if inputs:
+            self.set_inputs(inputs)
         V, K = self.V, self.K
+        self._eval(V, K)
         writes = []
-        for data, reset, out, caps in registers:
+        for data, reset, out, caps in self._ffs:
             value, known = V[data], K[data]
             if reset >= 0:
                 clear = K[reset] & ~V[reset]
@@ -405,117 +424,18 @@ class _VectorSimulatorBase:
                     value &= ~clear
                     known |= clear
             caps.append((value, known))
-            if defer:
-                writes.append((out, value, known))
-            else:
-                V[out] = value
-                K[out] = known
+            writes.append((out, value, known))
         for out, value, known in writes:
             V[out] = value
             K[out] = known
+        self.cycles += 1
 
     def run(self, cycles: int,
             inputs_per_cycle: list[dict[str, Lanes | Value]] | None = None,
             ) -> None:
-        with _TRACER.span(self.trace_name, netlist=self.netlist.name,
+        with _TRACER.span("sim:vector", netlist=self.netlist.name,
                           cycles=cycles, lanes=self.lanes) as span:
             for k in range(cycles):
                 self.step(inputs_per_cycle[k] if inputs_per_cycle
                           else None)
-            span.count("sim.kernel_passes",
-                       self._passes_per_cycle * cycles)
-
-    def step(self, inputs=None) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class VectorCycleSimulator(_VectorSimulatorBase):
-    """Lane-parallel cycle simulator for DFF-based synchronous netlists.
-
-    The lane-parallel counterpart of
-    :class:`~repro.sim.sync.CycleSimulator`: same cycle convention
-    (inputs applied, one topological evaluation, all DFFs sample on the
-    virtual rising edge), identical per-lane capture streams — verified
-    by the differential harness — at a per-stimulus cost roughly
-    ``lanes`` times lower.
-    """
-
-    def __init__(self, netlist: Netlist, lanes: int | None = None):
-        if netlist.latch_instances():
-            raise SimulationError(
-                f"{netlist.name} contains latches; "
-                "use VectorLatchCycleSimulator")
-        if netlist.celement_instances():
-            raise SimulationError(
-                f"{netlist.name} contains C-elements; use EventSimulator")
-        super().__init__(netlist, lanes)
-        # Fingerprint-cached: every same-width construction over a
-        # structurally identical netlist — across batch calls, sweep
-        # cells, even regenerated Netlist objects — shares one
-        # generated function instead of recompiling it.
-        self._eval, self.source = compile_pass_cached(
-            netlist, "comb", self.lanes, self._slot_of,
-            netlist.topo_order_comb_only)
-        self._ffs = [self._seq_slots(ff) for ff in netlist.dff_instances()]
-
-    def evaluate(self) -> None:
-        """One pass of the generated combinational function, all lanes."""
-        self._eval(self.V, self.K)
-
-    def step(self, inputs: dict[str, Lanes | Value] | None = None) -> None:
-        """One clock cycle: apply inputs, evaluate, clock the FFs."""
-        if inputs:
-            self.set_inputs(inputs)
-        self._eval(self.V, self.K)
-        self._capture(self._ffs, defer=True)
-        self.cycles += 1
-
-
-class VectorLatchCycleSimulator(_VectorSimulatorBase):
-    """Lane-parallel cycle simulator for two-phase latch netlists.
-
-    The lane-parallel counterpart of
-    :class:`~repro.sim.sync.LatchCycleSimulator`: each step runs the low
-    phase (even latches transparent), captures the even latches on the
-    rising edge, runs the high phase (odd latches transparent) and
-    captures the odd latches on the falling edge — one generated
-    function per phase, compiled over that phase's topological order
-    with the transparent latches inlined as buffers.
-    """
-
-    trace_name = "sim:vector-latch"
-    _passes_per_cycle = 2
-
-    def __init__(self, netlist: Netlist, lanes: int | None = None):
-        if netlist.dff_instances():
-            raise SimulationError(
-                f"{netlist.name} contains flip-flops; latchify first")
-        even = [l for l in netlist.latch_instances()
-                if l.cell.kind is CellKind.LATCH_LOW]
-        odd = [l for l in netlist.latch_instances()
-               if l.cell.kind is CellKind.LATCH_HIGH]
-        if not even and not odd:
-            raise SimulationError(f"{netlist.name} has no latches")
-        super().__init__(netlist, lanes)
-        self._eval_low, source_low = compile_pass_cached(
-            netlist, "latch_low", self.lanes, self._slot_of,
-            lambda: phase_order(netlist, transparent=even))
-        self._eval_high, source_high = compile_pass_cached(
-            netlist, "latch_high", self.lanes, self._slot_of,
-            lambda: phase_order(netlist, transparent=odd))
-        self.source = source_low + "\n\n" + source_high
-        self._even = [self._seq_slots(latch) for latch in even]
-        self._odd = [self._seq_slots(latch) for latch in odd]
-
-    def step(self, inputs: dict[str, Lanes | Value] | None = None) -> None:
-        """One clock cycle: low phase, even capture, high phase, odd
-        capture — aligned with :class:`VectorCycleSimulator` the same
-        way the scalar pair aligns (k-th master capture = k-th flip-flop
-        capture)."""
-        if inputs:
-            self.set_inputs(inputs)
-        self._eval_low(self.V, self.K)
-        self._capture(self._even, defer=False)
-        self._eval_high(self.V, self.K)
-        self._capture(self._odd, defer=False)
-        self.cycles += 1
+            span.count("sim.kernel_passes", cycles)

@@ -111,8 +111,7 @@ def build_model(netlist: Netlist,
             callable from bank name to per-controller latency.
         banks / adjacency: precomputed structures, to avoid recomputation
             inside larger flows.
-        decoupled: use the semi-decoupled acknowledge refinement that the
-            gate-level controllers implement (see
+        decoupled: use the semi-decoupled acknowledge refinement (see
             :func:`repro.stg.patterns.add_pair_arcs`).
 
     Returns:

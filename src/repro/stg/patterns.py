@@ -86,9 +86,9 @@ def add_pair_arcs(stg: Stg, pred: str, succ: str, pred_parity: Parity,
     With ``decoupled`` the acknowledge arc ``s+ -> p-`` is replaced by
     ``p+ -> p-`` carrying the request delay: the predecessor holds its
     pulse until its request has *reached* the successor instead of until
-    the successor has opened.  This is the semi-decoupled refinement the
-    gate-level controllers implement (see
-    :mod:`repro.desync.controllers`); it removes the successor's own
+    the successor has opened.  This is the semi-decoupled refinement of
+    the controller family in the paper's reference [1]; it removes the
+    successor's own
     gating from the predecessor's capture path, which both shortens the
     cycle and keeps captures fast (the relative-timing/hold story).
     """

@@ -227,17 +227,6 @@ def insert_delay_line(netlist: Netlist, source: Net, prefix: str,
     return current
 
 
-def simulated_line_delay(plan: DelayPlan, library: Library,
-                         cell_name: str = DELAY_CELL) -> float:
-    """Delay the chain exhibits in the event simulator (unit fanout).
-
-    Identical to ``plan.achieved`` under the current fixed-delay model;
-    kept separate so a future slope-based model only changes one place.
-    """
-    del library, cell_name
-    return plan.achieved
-
-
 def chain_toggle_energy(plan: DelayPlan, library: Library,
                         cell_name: str = DELAY_CELL) -> float:
     """Energy in fJ of one full transition propagating down the chain."""

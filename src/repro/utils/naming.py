@@ -42,10 +42,10 @@ def join(*parts: str) -> str:
 
 # ----------------------------------------------------------------------
 # Handshake-fabric net names.  These are the shared vocabulary between
-# the controller builders (repro.desync.controllers), the network
-# builder (repro.desync.network) and every consumer that inspects a
-# de-synchronized netlist (hold verification, mutation tests, power
-# accounting) — defined once here so the producers cannot drift apart.
+# the network builder (repro.desync.network), which builds every
+# controller, and every consumer that inspects a de-synchronized netlist
+# (hold verification, mutation tests, power accounting) — defined once
+# here so producer and consumers cannot drift apart.
 # ----------------------------------------------------------------------
 
 def clock_net_name(bank: str) -> str:

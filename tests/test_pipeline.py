@@ -345,6 +345,17 @@ class TestBaselinePipelines:
         # One controller per latch bank: two per register.
         assert ctx.records[-1].info["controllers"] == 8
 
+    @pytest.mark.parametrize("name", ["doubly_latched", "nonoverlap"])
+    def test_controller_delay_is_one_c3_level_plus_ack_path(self, name):
+        # A three-input C3 tree is one level deep; the acknowledge path
+        # adds an inverter and a C2 token cell.
+        from repro.netlist.cells import GENERIC
+        ctx = run_pipeline(generate("pipe4x1"), pipeline=name)
+        info = ctx.records[-1].info
+        expected = round(GENERIC["C3"].delay + GENERIC["INV"].delay
+                         + GENERIC["C2"].delay, 1)
+        assert info["controller_delay_ps"] == expected == 340.0
+
 
 class TestSweepDriver:
     def test_small_grid_shape_and_statuses(self):
@@ -518,12 +529,10 @@ class TestShardedSweep:
 
 class TestNamingDedupe:
     def test_single_source_of_truth(self):
-        from repro.desync import controllers, network
+        from repro.desync import network
         from repro.utils import naming
         assert network.inverted_clock_name is naming.inverted_clock_name
         assert network.ack_net_name is naming.ack_net_name
-        assert controllers.inverted_clock_name is naming.inverted_clock_name
-        assert controllers.ack_net_name is naming.ack_net_name
         assert naming.clock_net_name("b") == "lt:b"
         assert naming.token_net_name("a", "b") == "tok:a>b"
         assert naming.request_net_name("a", "b") == "req:a>b"

@@ -25,6 +25,7 @@ from repro.corpus import generate
 from repro.desync import DesyncOptions, desynchronize
 from repro.desync.pipeline import auto_sync_banks
 from repro.equiv import (
+    check_flow_equivalence,
     check_flow_equivalence_batch,
     desync_streams,
     desync_streams_batch,
@@ -32,14 +33,13 @@ from repro.equiv import (
 )
 from repro.netlist.core import Netlist
 from repro.obs import METRICS
-from repro.sim import make_async_simulator
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
 )
 from repro.testing import random_stimulus, run_differential_async
 from repro.timing import DelayModel
-from repro.utils.errors import FlowEquivalenceError, SimulationError
+from repro.utils.errors import SimulationError
 
 CYCLES = 8
 SEEDS = range(6)
@@ -160,23 +160,20 @@ class TestReplayMatchesScalar:
                 assert report.backends == ("event", "replay")
 
     def test_check_batch_engines_agree(self):
+        # The replay batch against one scalar event-driven check per
+        # seed on the same stimulus.
         result = serial_desync("pipe4x1")
         replay = check_flow_equivalence_batch(result, SEEDS, cycles=CYCLES)
-        scalar = check_flow_equivalence_batch(result, SEEDS, cycles=CYCLES,
-                                              desync_engine="scalar")
         for seed in SEEDS:
+            scalar = check_flow_equivalence(
+                result, cycles=CYCLES,
+                inputs_per_cycle=random_stimulus(result.sync_netlist,
+                                                 CYCLES, seed))
             assert replay[seed].desync_engine == "replay"
             assert replay[seed].fallback_reason is None
-            assert scalar[seed].desync_engine == "scalar"
-            assert replay[seed].equivalent == scalar[seed].equivalent \
-                is True
-
-    def test_registry_entry(self):
-        result = serial_desync("counter6")
-        sim = make_async_simulator(result.desync_netlist, "replay", lanes=2)
-        assert isinstance(sim, ScheduleReplaySimulator)
-        with pytest.raises(SimulationError, match="unknown async"):
-            make_async_simulator(result.desync_netlist, "bogus")
+            assert scalar.desync_engine == "scalar"
+            assert replay[seed].equivalent == scalar.equivalent is True
+            assert replay[seed].divergences == scalar.divergences
 
 
 class TestDataDependenceFallback:
@@ -255,12 +252,6 @@ class TestDataDependenceFallback:
             assert report.desync_engine == "scalar"
             assert report.fallback_reason == reason
             assert report.equivalent
-
-    def test_unknown_engine_rejected(self):
-        result = serial_desync("counter6")
-        stimuli = [random_stimulus(result.sync_netlist, 4, 0)]
-        with pytest.raises(FlowEquivalenceError, match="unknown desync"):
-            desync_streams_batch(result, 4, stimuli, engine="bogus")
 
     def test_lane0_divergence_falls_back_loudly(self):
         """scc-overlap on a deep pipeline genuinely violates the hold

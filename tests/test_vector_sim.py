@@ -9,8 +9,7 @@ scalar cycle semantics:
   must honour, including the generic possibility-set path used by
   MUX2/AOI21/OAI21);
 * **netlist-level** — lane demux equals N independent scalar runs over
-  the full corpus registry, for both the DFF and the two-phase latch
-  engines;
+  the full corpus registry;
 * **harness-level** — the batched differential and flow-equivalence
   APIs agree with their scalar counterparts and still catch injected
   faults.
@@ -32,14 +31,9 @@ from repro.equiv import (
 from repro.netlist.cells import GENERIC, CellKind
 from repro.netlist.core import Netlist
 from repro.sim import (
-    CYCLE_BACKENDS,
     LANES_ENV,
     CycleSimulator,
-    LatchCycleSimulator,
     VectorCycleSimulator,
-    VectorLatchCycleSimulator,
-    cycle_backend_names,
-    make_cycle_simulator,
     pack_lanes,
     pack_stimuli,
     resolve_lanes,
@@ -61,7 +55,6 @@ COMB_CELLS = [cell for cell in GENERIC.cells.values()
 #: The lane-parallel engines, as parameters so every test id names the
 #: engine it ran on.
 WORD_SIMS = [VectorCycleSimulator]
-LATCH_SIMS = [VectorLatchCycleSimulator]
 
 
 class TestPacking:
@@ -180,51 +173,6 @@ class TestCorpusLaneDemux:
         assert batched == scalar
 
 
-class TestVectorLatchSimulator:
-    """Two-phase behaviour must match LatchCycleSimulator per lane."""
-
-    @pytest.mark.parametrize("config", ["pipe4x1", "mult2", "lfsr8",
-                                        "diamond2x4"])
-    def test_matches_scalar_latch_runs(self, config):
-        latched = latchify(generate(config))
-        seeds = (5, 6, 7)
-        cycles = 10
-        stimuli = [random_stimulus(latched, cycles, seed) for seed in seeds]
-        vector = VectorLatchCycleSimulator(latched, lanes=len(stimuli))
-        vector.run(cycles, pack_stimuli(stimuli))
-        for lane, stimulus in enumerate(stimuli):
-            scalar = LatchCycleSimulator(latched)
-            scalar.run(cycles, stimulus)
-            assert vector.lane_captures(lane) == {
-                name: list(stream)
-                for name, stream in scalar.captures.items()}
-
-    def test_master_slave_phase_alignment(self):
-        # The k-th master capture equals the k-th flip-flop capture of
-        # the pre-latchify netlist; slaves trail by half a cycle.
-        netlist = generate("counter6")
-        latched = latchify(netlist)
-        cycles = 8
-        ff_sim = VectorCycleSimulator(netlist, lanes=1)
-        ff_sim.run(cycles)
-        latch_sim = VectorLatchCycleSimulator(latched, lanes=1)
-        latch_sim.run(cycles)
-        ff_caps = ff_sim.lane_captures(0)
-        latch_caps = latch_sim.lane_captures(0)
-        for ff in netlist.dff_instances():
-            bank, leaf = ff.name.rsplit("/", 1)
-            assert latch_caps[f"{bank}.M/{leaf}"] == ff_caps[ff.name]
-
-    def test_rejects_dff_netlists(self):
-        with pytest.raises(SimulationError, match="latchify first"):
-            VectorLatchCycleSimulator(generate("lfsr8"))
-
-    def test_dff_engine_rejects_latches(self):
-        with pytest.raises(SimulationError,
-                           match="use VectorLatchCycleSimulator"):
-            VectorCycleSimulator(latchify(generate("lfsr8")))
-
-
 class TestBatchedDifferential:
     def test_sweep_whole_registry(self):
         # The CI batched differential sweep: every corpus configuration,
@@ -241,7 +189,7 @@ class TestBatchedDifferential:
         report = run_differential(generate("crc5"), cycles=12,
                                   backends=("cycle", "event", "vector"))
         assert report.ok, report.describe()
-        assert "vector" in RUNNERS
+        assert sorted(RUNNERS) == ["compiled", "cycle", "event", "vector"]
 
     def test_fault_localized_and_minimized(self):
         # Corrupt one backend's stream: the batch API must locate the
@@ -329,17 +277,6 @@ class TestBatchedFlowEquivalence:
 
 
 class TestRegistry:
-    def test_cycle_backend_registry(self):
-        # Bigint words are the only lane representation: one scalar and
-        # one lane-parallel engine per register form, in both registries.
-        assert cycle_backend_names() == ["cycle", "latch-cycle", "vector",
-                                         "vector-latch"]
-        assert CYCLE_BACKENDS["vector"] is VectorCycleSimulator
-        assert CYCLE_BACKENDS["vector-latch"] is VectorLatchCycleSimulator
-        assert sorted(RUNNERS) == ["compiled", "cycle", "event", "vector"]
-        sim = make_cycle_simulator(generate("lfsr8"), "vector", lanes=4)
-        assert isinstance(sim, VectorCycleSimulator) and sim.lanes == 4
-
     def test_kernel_cache_hits_across_equal_netlists(self):
         from repro.obs import METRICS
         hits = METRICS.counter("sim.vector.kernel_cache_hits")
@@ -354,9 +291,10 @@ class TestRegistry:
         VectorCycleSimulator(generate("counter6"), lanes=41)
         assert hits.value == base_hits + 1
 
-    def test_unknown_backend(self):
-        with pytest.raises(SimulationError, match="unknown cycle-simulator"):
-            make_cycle_simulator(generate("lfsr8"), "verilator")
+    def test_dff_engine_rejects_latches(self):
+        with pytest.raises(SimulationError,
+                           match="use LatchCycleSimulator"):
+            VectorCycleSimulator(latchify(generate("lfsr8")))
 
     def test_bad_lane_count(self):
         with pytest.raises(SimulationError, match="lane count"):
@@ -392,22 +330,6 @@ class TestLaneWidths:
         sim.run(self.CYCLES, pack_stimuli(stimuli))
         for lane, stimulus in enumerate(stimuli):
             scalar = CycleSimulator(netlist)
-            scalar.run(self.CYCLES, stimulus)
-            assert sim.lane_captures(lane) == {
-                name: list(stream)
-                for name, stream in scalar.captures.items()}, (width, lane)
-
-    @pytest.mark.parametrize("sim_cls", LATCH_SIMS,
-                             ids=lambda c: c.__name__)
-    @pytest.mark.parametrize("width", (63, 65, 130))
-    def test_latch_demux_at_off_word_width(self, width, sim_cls):
-        latched = latchify(generate("mult2"))
-        stimuli = [random_stimulus(latched, self.CYCLES, 200 + i)
-                   for i in range(3)]
-        sim = sim_cls(latched, lanes=width)
-        sim.run(self.CYCLES, pack_stimuli(stimuli))
-        for lane, stimulus in enumerate(stimuli):
-            scalar = LatchCycleSimulator(latched)
             scalar.run(self.CYCLES, stimulus)
             assert sim.lane_captures(lane) == {
                 name: list(stream)
