@@ -1,19 +1,20 @@
-"""BENCH jobs — the durable job store and content-addressed cache.
+"""BENCH jobs — the content-addressed durable job store.
 
-Runs the same fault-injection campaign twice against one result cache
+Runs the same fault-injection campaign twice on one job directory
 (:mod:`repro.jobs`): a **cold** phase that computes every cell and
-populates the cache, then a **warm** phase that must serve (almost) all
-of them back from the content-addressed store.  The envelope records,
-per phase, the campaign wall time, the cache hit/miss split, and the
-durable-substrate counters (reclaimed leases, duplicate results,
-dead-lettered cells, quarantined entries) — the numbers the chaos
-drills in CI grep for.
+files it under its content address, then a **warm** phase that must
+serve (almost) all of them back from the directory.  The envelope
+records, per phase, the campaign wall time, the served/computed split
+(``cache_hits`` counts the cells already durable when the phase
+started), and the durable-substrate counters (reclaimed leases,
+duplicate results, dead-lettered cells, quarantined entries) — the
+numbers the chaos drills in CI grep for.
 
 The load-bearing assertion: the warm rerun must skip at least 90 % of
 the compute cells (the flow is a pure function of the netlist
-fingerprint and the options digest, so a correct cache serves every
-cell; the 90 % floor leaves room for a deliberately invalidated entry
-without masking a broken key derivation).
+fingerprint and the options digest, so a correct address serves every
+cell; the 90 % floor leaves room for a deliberately damaged entry
+without masking a broken address derivation).
 
 Artifacts: ``benchmarks/out/BENCH_jobs.txt`` and
 ``benchmarks/out/BENCH_jobs.json`` (validated by ``check_envelopes.py``,
@@ -70,15 +71,15 @@ def _phase_row(phase: str, report, wall_s: float) -> list[object]:
 @pytest.mark.benchmark(group="jobs")
 def test_bench_jobs(benchmark):
     spec = _spec()
-    cache_dir = tempfile.mkdtemp(prefix="repro-jobs-cache-")
+    job_dir = tempfile.mkdtemp(prefix="repro-jobs-")
     METRICS.reset()  # the envelope's metrics block is this run's alone
 
     start = time.perf_counter()
-    cold = run_campaign(spec, cache_dir=cache_dir)
+    cold = run_campaign(spec, job_dir=job_dir)
     cold_s = time.perf_counter() - start
 
     def warm_run():
-        return run_campaign(spec, cache_dir=cache_dir)
+        return run_campaign(spec, job_dir=job_dir)
 
     start = time.perf_counter()
     warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
@@ -87,7 +88,7 @@ def test_bench_jobs(benchmark):
     rows = [_phase_row("cold", cold, cold_s),
             _phase_row("warm", warm, warm_s)]
 
-    table = TextTable("BENCH jobs - cold vs warm-cache campaign", COLUMNS)
+    table = TextTable("BENCH jobs - cold vs warm job-dir campaign", COLUMNS)
     for row in rows:
         table.add_row(*("-" if cell is None else cell for cell in row))
     table.print()
@@ -95,8 +96,8 @@ def test_bench_jobs(benchmark):
     write_json(out_path("BENCH_jobs.json"), COLUMNS, rows,
                metrics=METRICS.snapshot())
 
-    # Both phases produced the identical campaign verdicts: the cache
-    # replays results, it never changes them.
+    # Both phases produced the identical campaign verdicts: the job
+    # dir replays results, it never changes them.
     assert cold.columns == warm.columns
     strip = {"wall_ms", "attempts"}
     indexes = [i for i, c in enumerate(cold.columns) if c not in strip]
@@ -104,7 +105,7 @@ def test_bench_jobs(benchmark):
         assert [row_a[i] for i in indexes] == [row_b[i] for i in indexes]
 
     # Cold phase computed everything; warm phase served >= 90 % of the
-    # compute cells from the content-addressed cache.
+    # compute cells from the content-addressed job dir.
     assert cold.summary["jobs"]["cache_hits"] == 0
     hit_rate = warm.summary["jobs"]["cache_hit_rate"]
     assert hit_rate is not None and hit_rate >= 0.9, warm.summary["jobs"]

@@ -63,7 +63,7 @@ from repro.desync.network import (
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_ENV, TRACER
-from repro.sim.lanes import resolve_lanes
+from repro.sim.lanes import LANES_ENV, resolve_lanes
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.stg.cluster_model import fabric_model
 from repro.stg.stg import Stg
@@ -641,7 +641,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     sweep processes pointed at the same directory cooperate on the
     grid, dead workers' configs are reclaimed by survivors, every
     process returns the complete merged rows, and a rerun on the same
-    directory resumes an interrupted sweep.
+    directory resumes an interrupted sweep.  The directory files each
+    config by content (:func:`_sweep_address`), so a rerun with other
+    parameters recomputes every config it changes.
     """
     from repro.jobs import (ExecutorPolicy, cell_retries, cell_timeout,
                             default_job_dir, run_grid, sweep_jobs)
@@ -670,6 +672,7 @@ def sweep_pipelines(configs: list[str] | None = None,
                      variants=len(grid), jobs=n_jobs) as grid_span:
         outcomes, exec_stats = run_grid(
             tasks, _sweep_config_task, policy,
+            address=_sweep_address(*params) if policy.job_dir else None,
             initializer=_sweep_worker_init,
             initargs=(TRACER.enabled,), metric_prefix="sweep.executor")
         tracks: dict[int, int] = {}
@@ -717,6 +720,29 @@ def sweep_pipelines(configs: list[str] | None = None,
     if exec_stats.jobs is not None:
         summary["jobs"] = exec_stats.jobs
     return list(SWEEP_COLUMNS), rows, summary
+
+
+def _sweep_address(grid, seeds, cycles, max_equiv_instances, hold_rounds,
+                   lanes):
+    """The ``address`` function that files each config of a sweep in a
+    job dir: its name and netlist fingerprint plus every parameter its
+    rows depend on (``REPRO_LANES`` included, which sets the ``lanes``
+    column when ``lanes`` is ``None``)."""
+    from repro.corpus import generate
+    from repro.jobs import payload_digest
+    params = payload_digest({
+        "variants": [[variant.name, variant.pipeline,
+                      variant.options.digest(), variant.sync_banks,
+                      variant.check_equivalence] for variant in grid],
+        "seeds": list(seeds), "cycles": cycles,
+        "max_equiv_instances": max_equiv_instances,
+        "hold_rounds": hold_rounds, "lanes": lanes,
+        "lanes_env": os.environ.get(LANES_ENV, "").strip()})
+
+    def address(config: str, payload: tuple) -> str:
+        return "|".join(("sweep", config, generate(config).fingerprint(),
+                         params))
+    return address
 
 
 def _registry_names() -> list[str]:
@@ -773,7 +799,6 @@ def _sweep_config_task(payload: tuple) -> tuple:
     (config, grid, seeds, cycles, max_equiv_instances, hold_rounds,
      lanes) = payload
     from repro.corpus import generate
-    from repro.equiv import check_flow_equivalence_batch
 
     status_index = SWEEP_COLUMNS.index("status")
     engine_index = SWEEP_COLUMNS.index("desync_engine")
@@ -785,8 +810,7 @@ def _sweep_config_task(payload: tuple) -> tuple:
                          variant=variant.name) as span:
             row, stats = _sweep_cell(
                 config, netlist, variant, seeds, cycles,
-                max_equiv_instances, hold_rounds,
-                check_flow_equivalence_batch, lanes=lanes)
+                max_equiv_instances, hold_rounds, lanes=lanes)
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
         results.append((row, stats))
@@ -818,7 +842,7 @@ def _engine_summary(reports) -> str:
 
 
 def _sweep_cell(config, netlist, variant, seeds, cycles,
-                max_equiv_instances, hold_rounds, check_batch, lanes=None):
+                max_equiv_instances, hold_rounds, lanes=None):
     """One grid cell: ``(row_values, stats)``.
 
     ``stats`` carries the aggregation inputs the row string cannot:
@@ -827,6 +851,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
     ``model_validated`` (a pass checked the cell's timed model).
     """
     from time import perf_counter
+    from repro.equiv import check_flow_equivalence_batch
 
     stats = {"engines": {}, "reasons": {}, "model_validated": False}
     options = replace(variant.options)
@@ -877,7 +902,8 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
     row.update(lanes=cell_lanes)
     verify_start = perf_counter()
     try:
-        reports = check_batch(result, seeds, cycles=cycles, lanes=cell_lanes)
+        reports = check_flow_equivalence_batch(result, seeds, cycles=cycles,
+                                               lanes=cell_lanes)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
                       for check in result.verify_hold(rounds=hold_rounds))

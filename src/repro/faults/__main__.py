@@ -10,19 +10,18 @@ Examples::
     PYTHONPATH=src python -m repro.faults --tier core \
         --out benchmarks/out/BENCH_faults.json
 
-    # interruptible: rerun with the same --job-dir to resume, only
-    # the cells without a durable result run again
+    # interruptible and reusable: a rerun with the same --job-dir
+    # runs only the cells it holds no result for (cells are filed by
+    # content, so a changed --cycles or config list recomputes exactly
+    # the cells it changes)
     PYTHONPATH=src python -m repro.faults --configs pipe4x1 counter6 \
         --job-dir /tmp/faults-jobs
     PYTHONPATH=src python -m repro.faults --configs pipe4x1 counter6 \
         --job-dir /tmp/faults-jobs
 
-    # two cooperating worker processes on one durable job dir, with a
-    # shared content-addressed result cache
-    PYTHONPATH=src python -m repro.faults --tier core \
-        --job-dir /tmp/jobs --cache-dir /tmp/cache &
-    PYTHONPATH=src python -m repro.faults --tier core \
-        --job-dir /tmp/jobs --cache-dir /tmp/cache
+    # two cooperating worker processes on one durable job dir
+    PYTHONPATH=src python -m repro.faults --tier core --job-dir /tmp/jobs &
+    PYTHONPATH=src python -m repro.faults --tier core --job-dir /tmp/jobs
 """
 
 from __future__ import annotations
@@ -71,12 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--job-dir", metavar="DIR", default=None,
                         help="shared durable job directory: processes "
                              "started with the same --job-dir cooperate "
-                             "on the campaign, and a rerun resumes it "
-                             "(default: REPRO_JOB_DIR)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-addressed result cache; cells "
-                             "already computed for the same netlist and "
-                             "options are served from it")
+                             "on the campaign, and a rerun serves every "
+                             "cell already computed for the same netlist, "
+                             "options and cell (default: REPRO_JOB_DIR)")
     parser.add_argument("--worker-id", metavar="NAME", default=None,
                         help="stable worker identity in --job-dir")
     parser.add_argument("--lease-ttl", type=float, default=None,
@@ -102,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     METRICS.reset()  # the envelope's metrics block is this run's alone
     report = run_campaign(spec, jobs=args.jobs,
                           timeout=args.timeout, retries=args.retries,
-                          job_dir=args.job_dir, cache_dir=args.cache_dir,
+                          job_dir=args.job_dir,
                           worker_id=args.worker_id,
                           lease_ttl=args.lease_ttl)
 

@@ -40,7 +40,6 @@ from repro.faults.inject import (
 from repro.jobs import (
     CellOutcome,
     ExecutorPolicy,
-    cache_key,
     cell_retries,
     cell_timeout,
     default_job_dir,
@@ -116,8 +115,9 @@ class CampaignSpec:
 def campaign_cells(spec: CampaignSpec) -> list[tuple[str, dict]]:
     """The deterministic ``(key, payload)`` cell list of a campaign.
 
-    Keys are stable across runs and processes — they are the job-store
-    identity that makes a rerun on the same job dir cell-exact.  Fault
+    Keys are stable across runs and processes, and each payload holds
+    every parameter its row depends on, so a job dir can file the cell
+    by content (:func:`_campaign_address`).  Fault
     cells reference controller nets by *site index* into the seeded
     sample (the actual nets exist only after the worker builds the
     fabric).
@@ -184,9 +184,9 @@ def campaign_options():
     """The serial-mode flow options a campaign uses for every config.
 
     Shared between the worker (which builds the pipeline) and the
-    driver (which derives result-cache keys from
+    driver (which derives job-dir cell addresses from
     :meth:`~repro.desync.flow.DesyncOptions.digest` without building
-    anything), so the cache key always reflects the options actually
+    anything), so the address always reflects the options actually
     run.
     """
     from repro.desync.flow import DesyncOptions, HandshakeMode
@@ -308,8 +308,8 @@ def _margin_cell(row: dict, result, payload: dict) -> None:
 def _campaign_cell(payload: dict) -> dict:
     """One campaign cell, executed in a pool worker or in process.
 
-    Returns the row as a JSON-serializable dict (the job store and the
-    result cache round-trip it); ``attempts`` is filled by the driver.
+    Returns the row as a JSON-serializable dict (the job store
+    round-trips it); ``attempts`` is filled by the driver.
     """
     from time import perf_counter
     _chaos_sleep(payload["cell"])
@@ -353,14 +353,14 @@ class CampaignReport:
     quarantined: list[str] = field(default_factory=list)
 
 
-def _campaign_cache_key():
-    """The ``cache_key`` function that gives each campaign cell its
-    content address, computed driver-side.
+def _campaign_address():
+    """The ``address`` function that gives each campaign cell its
+    content address in a job dir, computed driver-side.
 
     The netlist is generated here (cheap — the expensive part is
-    desynchronizing it, which is exactly what the cache skips) so the
-    key can be derived from its structural fingerprint plus the digest
-    of the flow options and the full cell payload.
+    desynchronizing it, which is exactly what a served cell skips) so
+    the address can name its structural fingerprint plus the digest of
+    the flow options and the full cell payload.
     """
     from repro.corpus import generate
     options_digest = campaign_options().digest()
@@ -370,9 +370,8 @@ def _campaign_cache_key():
         config = payload["config"]
         if config not in fingerprints:
             fingerprints[config] = generate(config).fingerprint()
-        return cache_key(fingerprints[config],
-                         f"{options_digest}:{payload_digest(payload)}",
-                         "campaign")
+        return "|".join(("campaign", fingerprints[config], options_digest,
+                         payload_digest(payload)))
     return address
 
 
@@ -380,7 +379,6 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
                  timeout: float | None = None,
                  retries: int | None = None,
                  job_dir: str | None = None,
-                 cache_dir: str | None = None,
                  worker_id: str | None = None,
                  lease_ttl: float | None = None) -> CampaignReport:
     """Run a fault-injection campaign on the grid runner.
@@ -396,11 +394,9 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
     scheduling through the durable job store: several processes running
     the same campaign against one directory cooperate, crashed workers
     are reclaimed, every process returns the complete merged report, and
-    rerunning on the same directory resumes an interrupted campaign
-    without re-running its finished cells.  ``cache_dir`` points at a
-    content-addressed result cache — cells whose (netlist fingerprint,
-    options digest, payload) was already computed are served from the
-    cache instead of re-run.
+    a rerun on the same directory — to resume an interrupted campaign,
+    or to run an overlapping one — re-runs no cell whose netlist
+    fingerprint, flow options and payload an earlier run finished.
     """
     cells = campaign_cells(spec)
     policy = ExecutorPolicy(
@@ -414,7 +410,7 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
         try:
             outcomes, stats = run_grid(
                 cells, _campaign_cell, policy,
-                cache_key=_campaign_cache_key(), cache_dir=cache_dir,
+                address=_campaign_address() if policy.job_dir else None,
                 initializer=_campaign_worker_init,
                 metric_prefix="faults.executor")
         finally:

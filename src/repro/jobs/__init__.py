@@ -1,20 +1,21 @@
-"""The grid runner, its durable job store, result cache and chaos harness.
+"""The grid runner, its durable job store and chaos harness.
 
 :func:`run_grid` (:mod:`repro.jobs.grid`) is the one scheduler both the
 sweep and the fault campaign run their cells on: in process or on a
 fork pool, with per-cell timeouts, crash recovery, bounded retries and
 quarantine.  Given a *job directory* it becomes a restartable
-multi-process work fabric: several independent OS processes pointed at
-one directory cooperate on a task list, crashed or frozen workers have
-their leases reclaimed by survivors, results are published first-wins
-(duplicates detected and counted, never clobbered), and a rerun on the
-same directory resumes where the last one stopped.  Pure computations
-are memoized in a checksummed content-addressed cache.  A seeded chaos
-harness (:mod:`repro.jobs.chaos`) injects torn writes, checksum
-corruption and fsync denial so the recovery paths stay honest.
+multi-process work fabric: the directory files each cell under its
+content address, several independent OS processes pointed at it
+cooperate on their cells, crashed or frozen workers have their leases
+reclaimed by survivors, results are published first-wins (duplicates
+detected and counted, never clobbered), and a rerun on the same
+directory serves every cell an earlier run with the same inputs
+finished — which both resumes an interrupted run and reuses one that
+completed.  A seeded chaos harness (:mod:`repro.jobs.chaos`) injects
+torn writes, checksum corruption and fsync denial so the recovery
+paths stay honest.
 """
 
-from repro.jobs.cache import CACHE_EPOCH, MISS, ResultCache, cache_key
 from repro.jobs.chaos import (CHAOS_ENV, ChaosInjector, ChaosPolicy,
                               chaos_from_env)
 from repro.jobs.fsio import (QUARANTINE_DIR, encode_entry, payload_digest,
@@ -29,7 +30,6 @@ from repro.jobs.store import (DEFAULT_LEASE_TTL, JOB_DIR_ENV, LEASE_TTL_ENV,
 from repro.utils.errors import JobStoreError
 
 __all__ = [
-    "CACHE_EPOCH",
     "CELL_RETRIES_ENV",
     "CELL_TIMEOUT_ENV",
     "CHAOS_ENV",
@@ -45,12 +45,9 @@ __all__ = [
     "JobStore",
     "JobStoreError",
     "LEASE_TTL_ENV",
-    "MISS",
     "QUARANTINE_DIR",
-    "ResultCache",
     "StoreOutcome",
     "StoreStats",
-    "cache_key",
     "cell_retries",
     "cell_timeout",
     "chaos_from_env",

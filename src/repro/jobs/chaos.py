@@ -1,8 +1,8 @@
-"""Seeded fault injection for the durable job store and result cache.
+"""Seeded fault injection for the durable job store.
 
 Robustness claims rot unless the recovery paths actually fire, so the
-store and cache take an optional :class:`ChaosInjector` that mangles
-their durable writes on the way down:
+store takes an optional :class:`ChaosInjector` that mangles its
+durable writes on the way down:
 
 * **torn writes** — the serialized entry is truncated at a seeded
   offset, modelling a crash (or full disk) landing mid-``write``;
@@ -35,8 +35,7 @@ from repro.obs.trace import TRACER
 from repro.utils.errors import JobStoreError
 
 #: Environment knob arming chaos injection in every process that builds
-#: a :class:`repro.jobs.store.JobStore` or
-#: :class:`repro.jobs.cache.ResultCache` without an explicit injector.
+#: a :class:`repro.jobs.store.JobStore` without an explicit injector.
 #: Format: comma-separated ``knob=value`` pairs among ``torn``,
 #: ``corrupt``, ``fsync`` (probabilities in [0, 1]) and ``seed``.
 CHAOS_ENV = "REPRO_JOBS_CHAOS"
@@ -70,7 +69,7 @@ class ChaosPolicy:
 class ChaosInjector:
     """Applies a :class:`ChaosPolicy` to durable-write primitives.
 
-    The store and cache route every entry serialization through
+    The store routes every entry serialization through
     :meth:`mangle` and every durability barrier through :meth:`fsync`;
     with the default (all-zero) policy both are exact pass-throughs.
     """

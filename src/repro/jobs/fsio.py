@@ -1,7 +1,6 @@
 """Checksummed, atomic, chaos-aware file primitives of ``repro.jobs``.
 
-Both the job store and the result cache persist JSON entries with the
-same discipline:
+The job store persists every JSON entry with the same discipline:
 
 * every entry is wrapped in ``{"sha256": <payload digest>, "payload":
   ...}`` so a reader can prove integrity without trusting the bytes;

@@ -26,17 +26,16 @@ scheduler loop covers every way a grid runs:
   silently dropped;
 * **durability**: with :attr:`ExecutorPolicy.job_dir` every claim,
   failure and result goes through a shared
-  :class:`~repro.jobs.store.JobStore`.  Processes pointed at the same
-  directory cooperate on one task list, a ``SIGKILL``-ed worker's
+  :class:`~repro.jobs.store.JobStore`, which files each cell under its
+  content address ``address(key, payload)``.  Processes pointed at the
+  same directory cooperate on their cells, a ``SIGKILL``-ed worker's
   leases are reclaimed by survivors, a quarantined cell persists as the
   store's ``dead/`` entry, and a rerun on the same directory — the way
-  to resume an interrupted run — executes only the cells that have no
+  to resume an interrupted run, or to reuse any cells an earlier run
+  with the same inputs finished — executes only the cells that have no
   durable outcome yet.  Without a job dir the same protocol runs
-  against an in-memory ledger, so bookkeeping costs no disk I/O;
-* **result cache**: with ``cache_dir``, cells whose content address
-  ``cache_key(key, payload)`` is already cached come back from the
-  :class:`~repro.jobs.cache.ResultCache` with ``attempts == 0`` instead
-  of running, and fresh results are stored.
+  against an in-memory ledger, so bookkeeping costs no disk I/O and no
+  address is computed.
 
 Everything is surfaced: an ``executor:run`` tracer span, ``<prefix>.*``
 metric counters, and an :class:`ExecutorStats` summary.
@@ -61,7 +60,6 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable
 
-from repro.jobs.cache import MISS, ResultCache
 from repro.jobs.store import Claim, JobStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -136,8 +134,8 @@ class ExecutorPolicy:
         poll: scheduler wake-up period in seconds (timeout granularity).
         job_dir: shared durable job directory; when set, scheduling goes
             through a :class:`repro.jobs.store.JobStore` and multiple
-            processes given the same directory cooperate on the task
-            list.
+            processes given the same directory cooperate on the cells
+            they share.
         worker_id: stable identity in the job dir (defaults to a
             pid-derived name).
         lease_ttl: seconds a claimed cell may go un-renewed before
@@ -181,8 +179,8 @@ class CellOutcome:
     ``status`` is ``"ok"`` (``value`` holds the worker's return) or
     ``"quarantined"`` (``error`` holds the last failure; the cell used
     up every retry, in this run or — with a job dir — in an earlier
-    one).  ``attempts`` counts executions charged to the cell; ``0``
-    means the value came from the result cache.
+    one).  ``attempts`` counts executions charged to the cell, in
+    whichever run computed it.
     """
 
     key: str
@@ -207,8 +205,8 @@ class ExecutorStats:
     duplicates: int = 0
     #: Job dir: the underlying job store's own accounting.
     store_stats: dict[str, int] | None = None
-    #: The drivers' ``summary["jobs"]`` block — cache hit split and
-    #: store accounting — when a job dir or a result cache is in play.
+    #: Job dir: the drivers' ``summary["jobs"]`` block — the cells
+    #: served from earlier runs and the store accounting.
     jobs: dict[str, Any] | None = None
 
     def as_dict(self) -> dict[str, Any]:
@@ -274,8 +272,7 @@ class _InlinePool:
 def run_grid(tasks: list[tuple[str, Any]],
              worker: Callable[[Any], Any],
              policy: ExecutorPolicy,
-             cache_key: Callable[[str, Any], str] | None = None,
-             cache_dir: str | None = None,
+             address: Callable[[str, Any], str] | None = None,
              initializer: Callable | None = None,
              initargs: tuple = (),
              metric_prefix: str = "executor",
@@ -285,45 +282,29 @@ def run_grid(tasks: list[tuple[str, Any]],
     Returns ``(outcomes, stats)``: one :class:`CellOutcome` per task
     key — every key is present, quarantined cells included — plus the
     aggregate :class:`ExecutorStats`.  ``worker`` must be picklable
-    (module-level) and its results JSON-serializable when a job dir or
-    a cache is in play.  ``initializer``/``initargs`` forward to the
-    process pool (worker-side tracer/memo setup); in-process runs skip
-    them.  ``cache_key`` maps a cell to its content address in
-    ``cache_dir``.
+    (module-level) and its results JSON-serializable when a job dir is
+    in play.  ``initializer``/``initargs`` forward to the process pool
+    (worker-side tracer/memo setup); in-process runs skip them.
+    ``address`` maps a cell to its content address — a string naming
+    everything the cell's result depends on — and is required with a
+    job dir: equal addresses are served from the directory, so an
+    address that misses an input serves stale results.
     """
     keys = [key for key, _ in tasks]
     if len(set(keys)) != len(keys):
         raise ExecutorError("duplicate cell keys in task list")
-    if cache_dir and cache_key is None:
-        raise ExecutorError("a result cache needs a cache_key function")
+    if policy.job_dir and address is None:
+        raise ExecutorError("a job dir needs an address function")
     for name in _STAT_COUNTERS:
         METRICS.counter(f"{metric_prefix}.{name}").inc(0)
     payloads = dict(tasks)
     outcomes: dict[str, CellOutcome] = {}
     stats = ExecutorStats()
 
-    cache = ResultCache(cache_dir) if cache_dir else None
-    addresses: dict[str, str] = {}
-    if cache is not None:
-        for key, payload in tasks:
-            addresses[key] = cache_key(key, payload)
-            value = cache.get(addresses[key])
-            if value is not MISS:
-                outcomes[key] = CellOutcome(key, "ok", value, attempts=0)
-    cached = [key for key in keys if key in outcomes]
-
     if policy.job_dir:
         ledger = JobStore(policy.job_dir, worker_id=policy.worker_id,
                           ttl=policy.lease_ttl)
-        ledger.ensure_tasks(keys)
-        # Every cooperating process must bring the identical manifest,
-        # so cache hits are published as durable results instead of
-        # being dropped from the task list.
-        if cached:
-            durable = ledger.collect()
-            for key in cached:
-                if key not in durable:
-                    ledger.complete(key, outcomes[key].value, 0)
+        ledger.bind({key: address(key, payload) for key, payload in tasks})
     else:
         ledger = _MemoryLedger()
     rng = random.Random(ledger.worker)  # jitter stream, seeded per worker
@@ -377,6 +358,14 @@ def run_grid(tasks: list[tuple[str, Any]],
             stats.duplicates += 1
             METRICS.counter(f"{metric_prefix}.duplicates").inc()
 
+    def ingest(durable: dict) -> None:
+        for key, outcome in durable.items():
+            if outcome.status == "done":
+                outcomes[key] = CellOutcome(key, "ok", outcome.value,
+                                            attempts=outcome.attempts)
+            else:
+                quarantine(key, outcome.attempts, outcome.error)
+
     def settle(future, key: str, attempt: int) -> bool:
         """Record a finished future; ``True`` if the pool broke."""
         try:
@@ -397,6 +386,8 @@ def run_grid(tasks: list[tuple[str, Any]],
             max_workers=policy.jobs, mp_context=get_context("fork"),
             initializer=initializer, initargs=initargs)
 
+    ingest(ledger.collect())
+    served = sum(outcome.status == "ok" for outcome in outcomes.values())
     with _frozen_heap(), \
             TRACER.span("executor:run", cells=len(tasks), jobs=policy.jobs,
                         worker=ledger.worker, in_process=policy.in_process,
@@ -410,13 +401,7 @@ def run_grid(tasks: list[tuple[str, Any]],
                 if now - last_beat >= beat_every:
                     ledger.heartbeat()
                     last_beat = now
-                for key, durable in ledger.collect(known=outcomes).items():
-                    if durable.status == "done":
-                        outcomes[key] = CellOutcome(
-                            key, "ok", durable.value,
-                            attempts=durable.attempts)
-                    else:
-                        quarantine(key, durable.attempts, durable.error)
+                ingest(ledger.collect(known=outcomes))
                 for key, renewed in list(leased.items()):
                     if now - renewed >= renew_every:
                         ledger.renew(key)
@@ -517,23 +502,14 @@ def run_grid(tasks: list[tuple[str, Any]],
 
     if policy.job_dir:
         stats.store_stats = ledger.stats.as_dict()
-    if cache is not None:
-        for key in keys:
-            if outcomes[key].status == "ok" and outcomes[key].attempts:
-                cache.put(addresses[key], outcomes[key].value)
-    if policy.job_dir or cache is not None:
         stats.jobs = {
-            "cache_hits": len(cached),
-            "cache_misses": (len(keys) - len(cached)
-                             if cache is not None else 0),
-            "cache_hit_rate": (len(cached) / len(keys)
-                               if cache is not None and keys else None),
+            "cache_hits": served,
+            "cache_misses": len(keys) - served,
+            "cache_hit_rate": served / len(keys) if keys else None,
             "reclaimed": stats.reclaimed,
             "duplicates": stats.duplicates,
-            "dead_letter": len(stats.quarantined) if policy.job_dir else 0,
-            "quarantined_entries": (
-                (stats.store_stats or {}).get("quarantined", 0)
-                + (cache.stats()["quarantined"] if cache is not None else 0)),
+            "dead_letter": len(stats.quarantined),
+            "quarantined_entries": stats.store_stats["quarantined"],
         }
     return outcomes, stats
 

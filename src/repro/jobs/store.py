@@ -2,19 +2,21 @@
 
 A *job directory* is the shared coordination point that lets multiple
 independent OS processes — started at different times, on different
-shells, surviving each other's crashes — cooperate on one task list:
+shells, surviving each other's crashes — cooperate on a grid of cells.
+A cell is identified by its **content address** (the caller's digest
+of everything its result depends on), never by its task name: every
+file of a cell is named ``sha256(epoch | address)``.  So a rerun with
+the same inputs is served from the directory, a run whose inputs
+changed computes afresh, and two different task lists sharing one
+directory share exactly the cells they have in common.
 
-``tasks.json``
-    the first-wins task manifest; a second process pointing at the same
-    directory must bring the identical key list or the store refuses
-    (:class:`~repro.utils.errors.JobStoreError`) rather than silently
-    mixing runs;
 ``journal.jsonl``
     the append-only event journal (claim, reclaim, fail, complete,
-    duplicate, dead-letter, quarantine) — the audit trail of the run;
+    duplicate, dead-letter, release), each event naming the cell's task
+    key and address — the audit trail of every run on the directory;
 ``leases/<h>.json``
     one lease per in-flight cell: worker id, attempt, wall-clock expiry.
-    Claims are serialized per key by an ``flock`` on ``locks/<h>.lock``
+    Claims are serialized per cell by an ``flock`` on ``locks/<h>.lock``
     (held only for the claim transition, *not* for the run — a frozen
     worker must be reclaimable, and ``SIGSTOP`` never releases a flock);
 ``hearts/<worker>.json``
@@ -45,7 +47,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -64,6 +66,10 @@ JOB_DIR_ENV = "REPRO_JOB_DIR"
 LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 
 DEFAULT_LEASE_TTL = 10.0
+
+#: Version salt of every cell's file name.  Bump it when a cell's
+#: result changes shape, so no older directory can ever be misread.
+STORE_EPOCH = "repro-jobs/4"
 
 _SUBDIRS = ("leases", "locks", "meta", "results", "dead", "hearts")
 
@@ -98,8 +104,9 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-def _key_hash(key: str) -> str:
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
+def _cell_hash(address: str) -> str:
+    material = f"{STORE_EPOCH}|{address}"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ class JobStore:
                                 f"got {self.skew}")
         self.chaos = chaos if chaos is not None else chaos_from_env()
         self.stats = StoreStats()
-        self._keys: list[str] = []
+        self._address: dict[str, str] = {}
         self._hash_of: dict[str, str] = {}
         self._key_of: dict[str, str] = {}
         os.makedirs(root, exist_ok=True)
@@ -216,7 +223,7 @@ class JobStore:
         record = {"t": round(time.time(), 3), "worker": self.worker,
                   "event": event}
         if key is not None:
-            record["key"] = key
+            record.update(key=key, address=self._address[key])
         record.update(extra)
         path = os.path.join(self.root, "journal.jsonl")
         with open(path, "a", encoding="utf-8") as handle:
@@ -251,40 +258,19 @@ class JobStore:
                     events.append(entry)
         return events
 
-    # -- task manifest ------------------------------------------------
+    # -- cell identity ----------------------------------------------
 
-    def ensure_tasks(self, keys: list[str]) -> None:
-        """Bind this store to ``keys`` (first process wins the write).
-
-        Every cooperating process must bring the identical key list; a
-        mismatch raises :class:`JobStoreError` instead of mixing two
-        different runs in one directory.
-        """
-        ordered = list(keys)
-        if len(set(ordered)) != len(ordered):
-            raise JobStoreError("duplicate task keys")
-        path = os.path.join(self.root, "tasks.json")
-        if not publish_entry(path, {"keys": ordered}, chaos=self.chaos):
-            ok, existing = read_entry(path, "jobs.store.quarantined")
-            if not ok:
-                # The manifest itself was torn/corrupt: it has been
-                # quarantined; republish ours.
-                if not publish_entry(path, {"keys": ordered},
-                                     chaos=self.chaos):
-                    ok, existing = read_entry(
-                        path, "jobs.store.quarantined")
-                    if not ok:
-                        raise JobStoreError(
-                            f"cannot establish task manifest in "
-                            f"{self.root}")
-            if ok and existing["keys"] != ordered:
-                raise JobStoreError(
-                    f"job dir {self.root} already holds a different "
-                    f"task list ({len(existing['keys'])} keys vs "
-                    f"{len(ordered)})")
-        self._keys = ordered
-        self._hash_of = {key: _key_hash(key) for key in ordered}
-        self._key_of = {h: key for key, h in self._hash_of.items()}
+    def bind(self, addresses: dict[str, str]) -> None:
+        """Name this run's cells: ``addresses`` maps each task key to
+        its content address.  Nothing is written; the cells of other
+        runs in the directory stay where they are."""
+        hashes = {key: _cell_hash(address)
+                  for key, address in addresses.items()}
+        if len(set(hashes.values())) != len(hashes):
+            raise JobStoreError("two task keys share one content address")
+        self._address = dict(addresses)
+        self._hash_of = hashes
+        self._key_of = {h: key for key, h in hashes.items()}
 
     # -- heartbeat / liveness -----------------------------------------
 
@@ -315,7 +301,7 @@ class JobStore:
 
     def claim(self, key: str, retries: int) -> Claim:
         """Try to acquire ``key`` for execution."""
-        h = self._hash_of.get(key) or _key_hash(key)
+        h = self._hash_of[key]
         if os.path.exists(self._path("results", h)):
             return Claim("done")
         if os.path.exists(self._path("dead", h)):
@@ -356,7 +342,7 @@ class JobStore:
 
     def renew(self, key: str) -> bool:
         """Extend this worker's lease on ``key``; ``False`` if lost."""
-        h = self._hash_of.get(key) or _key_hash(key)
+        h = self._hash_of[key]
         now = time.time()
         with self._key_lock(h):
             ok, lease = self._read("leases", h)
@@ -371,7 +357,7 @@ class JobStore:
     def release(self, key: str) -> None:
         """Drop this worker's lease without charging an attempt
         (bystander requeue after a local pool rebuild)."""
-        h = self._hash_of.get(key) or _key_hash(key)
+        h = self._hash_of[key]
         with self._key_lock(h):
             ok, lease = self._read("leases", h)
             if ok and isinstance(lease, dict) \
@@ -382,7 +368,7 @@ class JobStore:
     def fail(self, key: str, error: str, retries: int) -> str:
         """Charge a failed execution; returns ``"retry"`` or
         ``"dead-letter"`` (the cell exhausted its cross-worker budget)."""
-        h = self._hash_of.get(key) or _key_hash(key)
+        h = self._hash_of[key]
         with self._key_lock(h):
             ok, meta = self._read("meta", h)
             failures = (int(meta.get("failures", 0))
@@ -422,7 +408,7 @@ class JobStore:
         duplicate — the values are equal by purity, so nothing is
         lost).  Either way this worker's lease is dropped.
         """
-        h = self._hash_of.get(key) or _key_hash(key)
+        h = self._hash_of[key]
         created = publish_entry(self._path("results", h),
                                 {"key": key, "value": value,
                                  "attempts": attempt,

@@ -97,8 +97,7 @@ def build_model(netlist: Netlist,
                 delay_fn: Callable[[str, str], float] | None = None,
                 controller_delay: float | Callable[[str], float] = 0.0,
                 banks: dict[str, LatchBank] | None = None,
-                adjacency: frozenset[tuple[str, str]] | None = None,
-                decoupled: bool = False) -> Stg:
+                adjacency: frozenset[tuple[str, str]] | None = None) -> Stg:
     """Compose the de-synchronization marked graph for ``netlist``.
 
     Args:
@@ -111,8 +110,6 @@ def build_model(netlist: Netlist,
             callable from bank name to per-controller latency.
         banks / adjacency: precomputed structures, to avoid recomputation
             inside larger flows.
-        decoupled: use the semi-decoupled acknowledge refinement (see
-            :func:`repro.stg.patterns.add_pair_arcs`).
 
     Returns:
         A live, consistent :class:`~repro.stg.stg.Stg` whose signals
@@ -137,6 +134,5 @@ def build_model(netlist: Netlist,
                 f"{pred_parity.value}; latchify must alternate phases along "
                 "every path")
         delay = delay_fn(pred, succ) if delay_fn else 0.0
-        add_pair_arcs(model, pred, succ, pred_parity, data_delay=delay,
-                      decoupled=decoupled)
+        add_pair_arcs(model, pred, succ, pred_parity, data_delay=delay)
     return model

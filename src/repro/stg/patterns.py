@@ -74,23 +74,13 @@ class Parity(enum.Enum):
 
 
 def add_pair_arcs(stg: Stg, pred: str, succ: str, pred_parity: Parity,
-                  data_delay: float = 0.0, tag: str = "",
-                  decoupled: bool = False) -> None:
+                  data_delay: float = 0.0, tag: str = "") -> None:
     """Add the four handshake arcs for the pair ``pred -> succ`` to ``stg``.
 
     Both transitions of both signals must already exist.  ``data_delay``
     (the matched combinational delay between the banks, in ps) is carried
     by the request arc ``p+ -> s+``: the successor may open only once the
     data wave launched by the predecessor's opening has settled.
-
-    With ``decoupled`` the acknowledge arc ``s+ -> p-`` is replaced by
-    ``p+ -> p-`` carrying the request delay: the predecessor holds its
-    pulse until its request has *reached* the successor instead of until
-    the successor has opened.  This is the semi-decoupled refinement of
-    the controller family in the paper's reference [1]; it removes the
-    successor's own
-    gating from the predecessor's capture path, which both shortens the
-    cycle and keeps captures fast (the relative-timing/hold story).
     """
     p_rise, p_fall = transition_name(pred, RISE), transition_name(pred, FALL)
     s_rise, s_fall = transition_name(succ, RISE), transition_name(succ, FALL)
@@ -98,11 +88,7 @@ def add_pair_arcs(stg: Stg, pred: str, succ: str, pred_parity: Parity,
     prefix = tag or f"{pred}>{succ}"
     stg.connect(p_rise, s_rise, tokens=1 if even_to_odd else 0,
                 delay=data_delay, place=f"{prefix}:r")
-    if decoupled:
-        stg.connect(p_rise, p_fall, tokens=1 if even_to_odd else 0,
-                    delay=data_delay, place=f"{prefix}:a")
-    else:
-        stg.connect(s_rise, p_fall, tokens=0, place=f"{prefix}:a")
+    stg.connect(s_rise, p_fall, tokens=0, place=f"{prefix}:a")
     stg.connect(p_fall, s_fall, tokens=0 if even_to_odd else 1,
                 place=f"{prefix}:rf")
     stg.connect(s_fall, p_rise, tokens=1, place=f"{prefix}:af")

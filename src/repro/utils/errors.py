@@ -86,11 +86,11 @@ class ExecutorError(ReproError):
 class JobStoreError(ReproError):
     """Durable job-store misuse or an unrecoverable job-dir state.
 
-    Recoverable damage — a torn result entry, a corrupt cache file, a
-    stale lease — is *never* raised: it is quarantined, counted and
-    repaired by recomputation.  This error marks the cases that cannot
-    be repaired automatically, e.g. pointing two different task lists at
-    the same job directory.
+    Recoverable damage — a torn or corrupt result entry, a stale lease —
+    is *never* raised: it is quarantined, counted and repaired by
+    recomputation.  This error marks misuse and settings that cannot be
+    repaired automatically, e.g. a bad lease TTL or chaos knob, or two
+    cells of one run bound to the same content address.
     """
 
 

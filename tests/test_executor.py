@@ -5,8 +5,8 @@ process-pool conditions: clean completion, worker exceptions with
 bounded retry and quarantine, hard worker crashes (``os._exit``) that
 break the pool, per-cell wall-clock timeouts that kill wedged workers
 without losing innocent bystanders — plus the in-process path taken at
-one job without a timeout or job dir, and the result cache.  The
-durable job-dir mode is covered in ``tests/test_jobs.py``.
+one job without a timeout or job dir.  The durable job-dir mode is
+covered in ``tests/test_jobs.py``.
 """
 
 from __future__ import annotations
@@ -180,26 +180,10 @@ class TestRunGrid:
         assert outcomes["bad"].attempts == 2
         assert sorted(stats.quarantined) == ["bad", "good"]
 
-    def test_result_cache_serves_reruns(self, tmp_path):
-        tasks = [(f"c{i}", i) for i in range(3)]
-        policy = ExecutorPolicy(jobs=1)
-        kwargs = dict(cache_key=lambda key, payload: f"grid:{key}",
-                      cache_dir=str(tmp_path / "cache"))
-        cold, cold_stats = run_grid(tasks, double, policy, **kwargs)
-        assert cold_stats.jobs["cache_hits"] == 0
-        assert cold_stats.jobs["cache_misses"] == 3
-        # A failing worker proves the rerun executes nothing.
-        warm, warm_stats = run_grid(tasks, boom, policy, **kwargs)
-        assert {k: o.value for k, o in warm.items()} == \
-            {k: o.value for k, o in cold.items()}
-        assert all(o.attempts == 0 for o in warm.values())
-        assert warm_stats.jobs["cache_hit_rate"] == 1.0
-        assert warm_stats.completed == 0
-
-    def test_cache_needs_a_key_function(self, tmp_path):
-        with pytest.raises(ExecutorError, match="cache_key"):
-            run_grid([("a", 1)], double, FAST,
-                     cache_dir=str(tmp_path / "cache"))
+    def test_job_dir_needs_an_address_function(self, tmp_path):
+        with pytest.raises(ExecutorError, match="address"):
+            run_grid([("a", 1)], double,
+                     ExecutorPolicy(jobs=1, job_dir=str(tmp_path / "jobs")))
 
 
 class TestFrozenHeap:

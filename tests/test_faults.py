@@ -412,6 +412,11 @@ def small_spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**base)
 
 
+def without_wall(rows: list[list[object]]) -> list[list[object]]:
+    wall = CAMPAIGN_COLUMNS.index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows]
+
+
 class TestCampaign:
     def test_cells_deterministic_and_complete(self):
         spec = CampaignSpec(configs=("pipe4x1", "counter6"))
@@ -452,6 +457,28 @@ class TestCampaign:
         resumed = run_campaign(spec, jobs=1, job_dir=job_dir)
         assert resumed.summary["executor"]["completed"] == 0
         assert resumed.rows == first.rows
+
+    def test_changed_cycles_on_one_job_dir_recompute(self, tmp_path):
+        # Cells are filed by content: a rerun with other cycles on the
+        # same job dir must not be served the first run's rows.
+        job_dir = str(tmp_path / "jobs")
+        run_campaign(small_spec(cycles=8), jobs=1, job_dir=job_dir)
+        reused = run_campaign(small_spec(cycles=4), jobs=1, job_dir=job_dir)
+        fresh = run_campaign(small_spec(cycles=4), jobs=1)
+        assert reused.summary["executor"]["completed"] == len(fresh.rows)
+        assert without_wall(reused.rows) == without_wall(fresh.rows)
+
+    def test_overlapping_campaign_runs_only_the_new_cells(self, tmp_path):
+        job_dir = str(tmp_path / "jobs")
+        first = run_campaign(small_spec(), jobs=1, job_dir=job_dir)
+        both = small_spec(configs=("pipe4x1", "counter6"))
+        union = run_campaign(both, jobs=1, job_dir=job_dir)
+        fresh = run_campaign(both, jobs=1)
+        new_cells = len(fresh.rows) - len(first.rows)
+        assert new_cells > 0
+        assert union.summary["executor"]["completed"] == new_cells
+        assert union.summary["jobs"]["cache_hits"] == len(first.rows)
+        assert without_wall(union.rows) == without_wall(fresh.rows)
 
     def test_compiled_campaign_matches_the_interpreter(self, monkeypatch):
         # The campaign runs on the compiled engine; with the interpreter

@@ -1,10 +1,11 @@
-"""The durable job store, result cache, and chaos harness.
+"""The durable job store and chaos harness.
 
 Covers the full robustness story of :mod:`repro.jobs`: checksummed
 atomic entries (torn and corrupt files quarantined, never trusted and
-never fatal), the two-tier content-addressed result cache, the
-lease-based claim protocol (contention, renewal, expiry, reclamation
-from dead *and* frozen workers), idempotent first-wins completion with
+never fatal), cells filed by content address (shared across task
+lists, recomputed when damaged), the lease-based claim protocol
+(contention, renewal, expiry, reclamation from dead *and* frozen
+workers), idempotent first-wins completion with
 duplicate detection, the cross-worker dead-letter state, and the
 durable multi-process mode of :func:`repro.jobs.run_grid` — including
 the ``SIGKILL`` drill where a surviving worker finishes a
@@ -28,10 +29,7 @@ from repro.jobs import (
     ExecutorPolicy,
     JobStore,
     JobStoreError,
-    MISS,
     QUARANTINE_DIR,
-    ResultCache,
-    cache_key,
     chaos_from_env,
     payload_digest,
     publish_entry,
@@ -40,6 +38,15 @@ from repro.jobs import (
     run_grid,
 )
 from repro.obs.metrics import METRICS
+
+
+#: The one cell most store tests bind, with its content address.
+CELL = {"cell": "double:1"}
+
+
+def address(key, payload):
+    """A test grid's content address: the cell's payload names it."""
+    return f"{key}={payload}"
 
 
 # -- module-level workers (fork pools need picklable callables) --------
@@ -68,7 +75,7 @@ def _drive_blocking(job_dir, tasks, ready_path):
     run_grid(tasks, slow_double,
               ExecutorPolicy(jobs=1, job_dir=job_dir, lease_ttl=0.4,
                              backoff=0.01, poll=0.02,
-                             worker_id="victim"))
+                             worker_id="victim"), address=address)
 
 
 def _drive_and_dump(job_dir, tasks, stats_path):
@@ -76,7 +83,7 @@ def _drive_and_dump(job_dir, tasks, stats_path):
     outcomes, stats = run_grid(
         tasks, double,
         ExecutorPolicy(jobs=2, job_dir=job_dir, lease_ttl=0.4,
-                       backoff=0.01, poll=0.02))
+                       backoff=0.01, poll=0.02), address=address)
     with open(stats_path, "w") as handle:
         json.dump({"values": {k: o.value for k, o in outcomes.items()},
                    "statuses": {k: o.status for k, o in outcomes.items()},
@@ -175,77 +182,47 @@ class TestEntries:
         assert not os.path.exists(path)
 
 
-# -- the result cache ---------------------------------------------------
-
-class TestResultCache:
-    def test_memory_and_disk_tiers(self, tmp_path):
-        key = cache_key("fp", "opts", "campaign")
-        cache = ResultCache(str(tmp_path))
-        assert cache.get(key) is MISS
-        cache.put(key, {"rows": [1, 2]})
-        assert cache.get(key) == {"rows": [1, 2]}
-        assert cache.stats()["hits_memory"] == 1
-        # A fresh instance has no memory tier: the hit comes from disk
-        # and is promoted.
-        fresh = ResultCache(str(tmp_path))
-        assert fresh.get(key) == {"rows": [1, 2]}
-        assert fresh.stats()["hits_disk"] == 1
-        assert fresh.get(key) == {"rows": [1, 2]}
-        assert fresh.stats()["hits_memory"] == 1
-        assert fresh.hit_rate() == 1.0
-
-    def test_distinct_keys_distinct_entries(self):
-        assert cache_key("fp", "opts", "campaign") != \
-            cache_key("fp", "opts", "sweep")
-        assert cache_key("fp", "opts", "campaign") != \
-            cache_key("fp2", "opts", "campaign")
-
-    def test_cached_none_is_not_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        key = cache_key("fp", "opts", "none")
-        cache.put(key, None)
-        assert cache.get(key) is None
-        assert key in ResultCache(str(tmp_path))
-
-    def test_corrupt_entry_quarantined_and_recomputed(self, tmp_path):
-        key = cache_key("fp", "opts", "campaign")
-        cache = ResultCache(str(tmp_path))
-        cache.put(key, {"expensive": True})
-        path = cache._path(key)
-        raw = bytearray(open(path, "rb").read())
-        raw[10] ^= 0x20
-        with open(path, "wb") as handle:
-            handle.write(bytes(raw))
-        fresh = ResultCache(str(tmp_path))
-        assert fresh.get(key) is MISS  # damage is a miss, never a crash
-        assert fresh.stats()["quarantined"] == 1
-        assert fresh.stats()["misses"] == 1
-        # Recompute and re-publish: the cache heals.
-        fresh.put(key, {"expensive": True})
-        assert ResultCache(str(tmp_path)).get(key) == {"expensive": True}
-
-    def test_hit_rate_none_before_lookups(self, tmp_path):
-        assert ResultCache(str(tmp_path)).hit_rate() is None
-
-
 # -- the job store ------------------------------------------------------
 
 class TestJobStore:
-    def test_manifest_is_first_wins_and_verified(self, tmp_path):
+    def test_task_lists_share_cells_by_address(self, tmp_path):
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=5.0)
-        a.ensure_tasks(["k1", "k2"])
+        a.bind({"k1": "addr1", "k2": "addr2"})
+        assert a.complete("k1", {"v": 1}, 1)
+        # Another task list on the same directory: the cell with the
+        # same address is shared (whatever its key), the others are not.
         b = JobStore(root, worker_id="b", ttl=5.0)
-        b.ensure_tasks(["k1", "k2"])  # identical list: fine
-        c = JobStore(root, worker_id="c", ttl=5.0)
-        with pytest.raises(JobStoreError, match="different task list"):
-            c.ensure_tasks(["k1", "k3"])
-        with pytest.raises(JobStoreError, match="duplicate"):
-            c.ensure_tasks(["k1", "k1"])
+        b.bind({"renamed": "addr1", "k2": "addr3"})
+        assert b.claim("renamed", retries=2).state == "done"
+        assert b.claim("k2", retries=2).state == "acquired"
+        assert set(b.collect()) == {"renamed"}
+        assert b.collect()["renamed"].value == {"v": 1}
+        with pytest.raises(JobStoreError, match="content address"):
+            b.bind({"x": "same", "y": "same"})
+
+    def test_durable_none_is_a_result(self, tmp_path):
+        store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
+        store.bind(CELL)
+        store.complete("cell", None, 1)
+        fresh = JobStore(store.root, worker_id="v", ttl=5.0)
+        fresh.bind(CELL)
+        outcome = fresh.collect()["cell"]
+        assert outcome.status == "done" and outcome.value is None
+        assert fresh.claim("cell", retries=2).state == "done"
+
+    def test_journal_names_key_and_address(self, tmp_path):
+        store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
+        store.bind(CELL)
+        store.claim("cell", retries=2)
+        store.complete("cell", 2, 1)
+        assert [(e["event"], e["key"], e["address"])
+                for e in store.read_journal()] == \
+            [("claim", "cell", "double:1"), ("complete", "cell", "double:1")]
 
     def test_claim_complete_done(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
-        store.ensure_tasks(["cell"])
+        store.bind(CELL)
         claim = store.claim("cell", retries=2)
         assert claim.state == "acquired"
         assert claim.attempt == 1 and not claim.reclaimed
@@ -259,11 +236,11 @@ class TestJobStore:
     def test_contended_claim_held_by_live_worker(self, tmp_path):
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=5.0)
-        a.ensure_tasks(["cell"])
+        a.bind(CELL)
         a.heartbeat()
         assert a.claim("cell", retries=2).state == "acquired"
         b = JobStore(root, worker_id="b", ttl=5.0)
-        b.ensure_tasks(["cell"])
+        b.bind(CELL)
         held = b.claim("cell", retries=2)
         assert held.state == "held" and held.holder == "a"
         assert b.stats.contended == 1
@@ -271,12 +248,12 @@ class TestJobStore:
     def test_expired_lease_of_silent_worker_is_reclaimed(self, tmp_path):
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=0.1, skew=0.02)
-        a.ensure_tasks(["cell"])
+        a.bind(CELL)
         assert a.claim("cell", retries=2).state == "acquired"
         # No heartbeat from a: after TTL + slack it is provably silent.
         time.sleep(0.2)
         b = JobStore(root, worker_id="b", ttl=0.1, skew=0.02)
-        b.ensure_tasks(["cell"])
+        b.bind(CELL)
         claim = b.claim("cell", retries=2)
         assert claim.state == "acquired" and claim.reclaimed
         assert b.stats.reclaimed == 1
@@ -287,22 +264,22 @@ class TestJobStore:
         # clock or a long poll, not a dead process: never stolen.
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=0.1, skew=0.02)
-        a.ensure_tasks(["cell"])
+        a.bind(CELL)
         assert a.claim("cell", retries=2).state == "acquired"
         time.sleep(0.2)
         a.heartbeat()
         b = JobStore(root, worker_id="b", ttl=0.1, skew=0.02)
-        b.ensure_tasks(["cell"])
+        b.bind(CELL)
         assert b.claim("cell", retries=2).state == "held"
 
     def test_renew_extends_and_release_drops(self, tmp_path):
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=5.0)
-        a.ensure_tasks(["cell"])
+        a.bind(CELL)
         a.claim("cell", retries=2)
         assert a.renew("cell")
         b = JobStore(root, worker_id="b", ttl=5.0)
-        b.ensure_tasks(["cell"])
+        b.bind(CELL)
         assert not b.renew("cell")  # not the owner
         a.release("cell")
         assert b.claim("cell", retries=2).state == "acquired"
@@ -310,9 +287,9 @@ class TestJobStore:
     def test_duplicate_completion_detected_not_fatal(self, tmp_path):
         root = str(tmp_path / "jobs")
         a = JobStore(root, worker_id="a", ttl=5.0)
-        a.ensure_tasks(["cell"])
+        a.bind(CELL)
         b = JobStore(root, worker_id="b", ttl=5.0)
-        b.ensure_tasks(["cell"])
+        b.bind(CELL)
         assert a.complete("cell", {"v": 1}, 1)
         assert not b.complete("cell", {"v": 1}, 1)  # first wins
         assert b.stats.duplicates == 1
@@ -321,7 +298,7 @@ class TestJobStore:
 
     def test_failures_accumulate_to_dead_letter(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
-        store.ensure_tasks(["cell"])
+        store.bind(CELL)
         store.claim("cell", retries=1)
         assert store.fail("cell", "first failure", retries=1) == "retry"
         claim = store.claim("cell", retries=1)
@@ -337,7 +314,7 @@ class TestJobStore:
 
     def test_corrupt_result_quarantined_and_recomputable(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
-        store.ensure_tasks(["cell"])
+        store.bind(CELL)
         store.claim("cell", retries=2)
         store.complete("cell", {"v": 1}, 1)
         results = os.path.join(store.root, "results")
@@ -354,7 +331,7 @@ class TestJobStore:
 
     def test_torn_journal_lines_skipped(self, tmp_path):
         store = JobStore(str(tmp_path / "jobs"), worker_id="w", ttl=5.0)
-        store.ensure_tasks(["cell"])
+        store.bind(CELL)
         store.journal("claim", "cell")
         with open(os.path.join(store.root, "journal.jsonl"), "a") as f:
             f.write('{"event": "compl')  # the kill landed here
@@ -387,7 +364,8 @@ class TestDurableRunGrid:
         durable, stats = run_grid(
             tasks, double,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
-                           job_dir=str(tmp_path / "jobs")))
+                           job_dir=str(tmp_path / "jobs")),
+            address=address)
         assert {k: o.value for k, o in durable.items()} == \
             {k: o.value for k, o in plain.items()}
         assert all(o.status == "ok" for o in durable.values())
@@ -400,16 +378,47 @@ class TestDurableRunGrid:
         tasks = [(f"c{i}", i) for i in range(4)]
         run_grid(tasks, double,
                   ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
-                                 job_dir=job_dir))
+                                 job_dir=job_dir), address=address)
         # A rerun with a worker that would fail proves nothing re-runs:
         # every cell is ingested from the durable store.
         outcomes, stats = run_grid(
             tasks, boom,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
-                           job_dir=job_dir))
+                           job_dir=job_dir), address=address)
         assert {k: o.value for k, o in outcomes.items()} == \
             {f"c{i}": 2 * i for i in range(4)}
         assert stats.completed == 0  # nothing executed locally
+        assert stats.jobs["cache_hits"] == 4
+        assert stats.jobs["cache_misses"] == 0
+        assert stats.jobs["cache_hit_rate"] == 1.0
+
+    def test_corrupt_result_is_recomputed_by_the_rerun(self, tmp_path):
+        job_dir = str(tmp_path / "jobs")
+        tasks = [(f"c{i}", i) for i in range(3)]
+        policy = ExecutorPolicy(jobs=1, backoff=0.01, poll=0.02,
+                                job_dir=job_dir)
+        cold, _ = run_grid(tasks, double, policy, address=address)
+        results = os.path.join(job_dir, "results")
+        path = os.path.join(results, sorted(os.listdir(results))[0])
+        raw = bytearray(open(path, "rb").read())
+        raw[len(raw) // 2] ^= 0x20
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        warm, stats = run_grid(tasks, double, policy, address=address)
+        # Damage reads as absence: one cell runs again, the rest are
+        # served, and the rows are the cold run's.
+        assert {k: o.value for k, o in warm.items()} == \
+            {k: o.value for k, o in cold.items()}
+        assert stats.completed == 1
+        assert stats.jobs["cache_hits"] == 2
+        assert stats.jobs["quarantined_entries"] == 1
+        assert os.listdir(os.path.join(results, QUARANTINE_DIR))
+
+    def test_empty_grid_has_no_hit_rate(self, tmp_path):
+        _, stats = run_grid([], double,
+                            ExecutorPolicy(jobs=1, job_dir=str(tmp_path)),
+                            address=address)
+        assert stats.jobs["cache_hit_rate"] is None
 
     def test_exhausted_retries_quarantine_persists_across_runs(self,
                                                                 tmp_path):
@@ -417,7 +426,7 @@ class TestDurableRunGrid:
         outcomes, stats = run_grid(
             [("bad", 1)], boom,
             ExecutorPolicy(jobs=1, retries=1, backoff=0.01, poll=0.02,
-                           job_dir=job_dir))
+                           job_dir=job_dir), address=address)
         assert outcomes["bad"].status == "quarantined"
         assert outcomes["bad"].attempts == 2
         assert "ValueError" in outcomes["bad"].error
@@ -427,7 +436,7 @@ class TestDurableRunGrid:
         rerun, rerun_stats = run_grid(
             [("bad", 1)], double,
             ExecutorPolicy(jobs=1, retries=1, backoff=0.01, poll=0.02,
-                           job_dir=job_dir))
+                           job_dir=job_dir), address=address)
         assert rerun["bad"].status == "quarantined"
         assert "ValueError" in rerun["bad"].error
         assert rerun_stats.quarantined == ["bad"]
@@ -466,7 +475,8 @@ class TestDurableRunGrid:
         outcomes, stats = run_grid(
             tasks, double,
             ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
-                           job_dir=job_dir, lease_ttl=0.4))
+                           job_dir=job_dir, lease_ttl=0.4),
+            address=address)
         assert {k: o.value for k, o in outcomes.items()} == \
             {f"c{i}": 2 * i for i in range(4)}
         assert all(o.status == "ok" for o in outcomes.values())
@@ -489,7 +499,8 @@ class TestDurableRunGrid:
             outcomes, _ = run_grid(
                 tasks, double,
                 ExecutorPolicy(jobs=2, backoff=0.01, poll=0.02,
-                               job_dir=job_dir, lease_ttl=0.4))
+                               job_dir=job_dir, lease_ttl=0.4),
+            address=address)
         finally:
             peer.join(timeout=30.0)
         assert peer.exitcode == 0

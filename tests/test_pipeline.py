@@ -489,6 +489,28 @@ class TestShardedSweep:
         assert names.count("sweep:grid") == 1
         assert names.count("sweep:cell") == 16  # 2 configs x 8 variants
 
+    def test_changed_seeds_on_one_job_dir_recompute(self, tmp_path):
+        # Configs are filed by content: a rerun with fewer seeds on the
+        # same job dir must not be served the first run's rows.
+        from repro.desync.pipeline import SWEEP_COLUMNS
+        kwargs = dict(configs=["pipe4x1"], cycles=8,
+                      variants=self.SWEEP_KWARGS["variants"])
+        job_dir = str(tmp_path / "jobs")
+        sweep_pipelines(seeds=(0, 1, 2), job_dir=job_dir, **kwargs)
+        _, reused, summary = sweep_pipelines(seeds=(0,), job_dir=job_dir,
+                                             **kwargs)
+        _, fresh, _ = sweep_pipelines(seeds=(0,), **kwargs)
+        assert [row[SWEEP_COLUMNS.index("equiv_seeds")]
+                for row in reused] == [1]
+        assert summary["executor"]["completed"] == 1
+        timing = {SWEEP_COLUMNS.index("build_ms"),
+                  SWEEP_COLUMNS.index("verify_ms")}
+
+        def stable(rows):
+            return [[value for index, value in enumerate(row)
+                     if index not in timing] for row in rows]
+        assert stable(reused) == stable(fresh)
+
     def test_cell_timeout_applies_at_one_job(self, monkeypatch):
         # REPRO_CELL_TIMEOUT needs a process it can kill, so even a
         # one-job sweep forks once a timeout is set; the forked worker
