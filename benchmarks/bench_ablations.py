@@ -21,10 +21,10 @@ from tests.circuits import inverter_pipeline, ripple_counter
 
 
 def _cycle(netlist, mode, margin=0.10):
-    # Pipeline API: the ablations only need the timed model, so the
-    # FlowContext is consumed directly (no DesyncResult packaging).
-    ctx = run_pipeline(netlist, DesyncOptions(mode=mode, margin=margin))
-    return ctx.desync_cycle_time().cycle_time, ctx.sync_period()
+    # Pipeline API: the ablations only read the timed model's cycle
+    # time and the synchronous period off the flow's DesyncResult.
+    result = run_pipeline(netlist, DesyncOptions(mode=mode, margin=margin))
+    return result.desync_cycle_time().cycle_time, result.sync_period()
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -14,7 +14,10 @@ The load-bearing assertion: the warm rerun must skip at least 90 % of
 the compute cells (the flow is a pure function of the netlist
 fingerprint and the options digest, so a correct address serves every
 cell; the 90 % floor leaves room for a deliberately damaged entry
-without masking a broken address derivation).
+without masking a broken address derivation).  A served cell did no
+work in the warm phase, so that phase must also add no work counters
+(``equiv.*``, ``sim.*``): the job dir keeps a cell's value, never the
+telemetry of the run that computed it.
 
 Artifacts: ``benchmarks/out/BENCH_jobs.txt`` and
 ``benchmarks/out/BENCH_jobs.json`` (validated by ``check_envelopes.py``,
@@ -59,6 +62,14 @@ def _spec() -> CampaignSpec:
     return CampaignSpec(configs=configs, margin_configs=("counter6",))
 
 
+def _work_counters() -> dict[str, float]:
+    """The nonzero ``equiv.*``/``sim.*`` counters: work done by cells."""
+    return {name: entry["value"]
+            for name, entry in METRICS.snapshot().items()
+            if entry["type"] == "counter" and entry["value"]
+            and name.startswith(("equiv.", "sim."))}
+
+
 def _phase_row(phase: str, report, wall_s: float) -> list[object]:
     jobs = report.summary["jobs"]
     return [phase, report.summary["cells"], round(wall_s, 3),
@@ -81,9 +92,11 @@ def test_bench_jobs(benchmark):
     def warm_run():
         return run_campaign(spec, job_dir=job_dir)
 
+    cold_work = _work_counters()
     start = time.perf_counter()
     warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
     warm_s = time.perf_counter() - start
+    warm_work = _work_counters()
 
     rows = [_phase_row("cold", cold, cold_s),
             _phase_row("warm", warm, warm_s)]
@@ -110,3 +123,10 @@ def test_bench_jobs(benchmark):
     hit_rate = warm.summary["jobs"]["cache_hit_rate"]
     assert hit_rate is not None and hit_rate >= 0.9, warm.summary["jobs"]
     assert not warm.quarantined and not cold.quarantined
+    # The cold phase's pool workers reported their work; the served
+    # warm phase replays none of it.
+    assert cold_work, "the cold phase folded in no worker counters"
+    assert warm_work == cold_work, {
+        name: warm_work.get(name, 0) - cold_work.get(name, 0)
+        for name in set(warm_work) | set(cold_work)
+        if warm_work.get(name) != cold_work.get(name)}

@@ -20,6 +20,7 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_sim_throughput.py -q
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -40,6 +41,9 @@ SPEEDUP_FLOOR = {"mult4": 3.0, "pipe8x2": 3.0}
 #: ratio is ~1.0; the generous bound only exists to catch someone
 #: accidentally putting a span in the event loop.
 TRACE_OVERHEAD_CEILING = 1.5
+
+#: Tracer-off/tracer-on run pairs behind the overhead ratio.
+OVERHEAD_PAIRS = 11
 
 COLUMNS = ["name", "generator", "instances", "nets", "cycles", "events",
            "event_ms", "compiled_ms", "event_eps", "compiled_eps",
@@ -77,36 +81,46 @@ def _sweep() -> list[list[object]]:
     return rows
 
 
-def _traced_overhead() -> tuple[float, float]:
-    """Best-of-``REPEATS`` event-engine wall time (ms) on ``pipe8x2``,
-    tracer disabled then enabled.
+def _traced_overhead() -> tuple[float, float, float]:
+    """Event-engine wall time (ms) on ``pipe8x2`` with the tracer
+    disabled and enabled: ``(disabled_ms, enabled_ms, ratio)``.
+
+    The runs come in :data:`OVERHEAD_PAIRS` adjacent off/on pairs, in
+    alternating order, so a drift in host speed lands on both sides of
+    a pair rather than on one side of the comparison.  The times are
+    medians over the pairs and ``ratio`` is the median of the paired
+    enabled/disabled ratios.
 
     If the tracer is already armed (``REPRO_TRACE`` covers the whole
-    process) both measurements run enabled rather than disarming an
+    process) both runs of a pair are enabled rather than disarming an
     externally owned trace — the ratio then trivially holds, which is
     correct: there is no disabled baseline to regress against.
     """
     netlist = generate("pipe8x2")
     stimulus = random_stimulus(netlist, CYCLES, seed=DEFAULT_SEED)
+    externally_armed = TRACER.enabled
 
-    def best() -> float:
-        wall = float("inf")
-        for _ in range(REPEATS):
+    def run_ms(traced: bool) -> float:
+        if traced and not externally_armed:
+            TRACER.start()
+        try:
             start = time.perf_counter()
             drive_clocked(netlist, "event", stimulus)
-            wall = min(wall, time.perf_counter() - start)
-        return wall * 1e3
+            return (time.perf_counter() - start) * 1e3
+        finally:
+            if traced and not externally_armed:
+                TRACER.stop()
 
-    externally_armed = TRACER.enabled
-    disabled_ms = best()
-    if not externally_armed:
-        TRACER.start()
-    try:
-        enabled_ms = best()
-    finally:
-        if not externally_armed:
-            TRACER.stop()
-    return disabled_ms, enabled_ms
+    disabled, enabled = [], []
+    for pair in range(OVERHEAD_PAIRS):
+        if pair % 2:
+            enabled.append(run_ms(True))
+            disabled.append(run_ms(False))
+        else:
+            disabled.append(run_ms(False))
+            enabled.append(run_ms(True))
+    ratio = statistics.median(on / off for off, on in zip(disabled, enabled))
+    return statistics.median(disabled), statistics.median(enabled), ratio
 
 
 @pytest.mark.benchmark(group="sim-throughput")
@@ -124,13 +138,12 @@ def test_bench_sim_throughput(benchmark):
 
     # Enabled-vs-disabled tracing overhead on the largest pipeline —
     # the measured guarantee behind "tracing off costs nothing".
-    disabled_ms, enabled_ms = _traced_overhead()
-    ratio = enabled_ms / disabled_ms
+    disabled_ms, enabled_ms, ratio = _traced_overhead()
     METRICS.gauge("sim.trace_overhead.disabled_ms").set(disabled_ms)
     METRICS.gauge("sim.trace_overhead.enabled_ms").set(enabled_ms)
     METRICS.gauge("sim.trace_overhead.ratio").set(ratio)
     overhead = TextTable("BENCH sim - tracing overhead (pipe8x2, event)",
-                         ["tracer", "best_ms"])
+                         ["tracer", "median_ms"])
     overhead.add_row("disabled", f"{disabled_ms:.2f}")
     overhead.add_row("enabled", f"{enabled_ms:.2f}")
     overhead.add_row("ratio", f"{ratio:.3f}")

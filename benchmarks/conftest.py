@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.desync import DesyncOptions, make_result, run_pipeline
+from repro.desync import DesyncOptions, run_pipeline
 from repro.dlx import DlxConfig, build_dlx
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -46,11 +46,11 @@ def dlx_sim_scale():
 
 @pytest.fixture(scope="session")
 def desync_paper_scale(dlx_paper_scale):
-    ctx = run_pipeline(dlx_paper_scale.netlist, DesyncOptions())
-    write_out("table1_provenance.txt", ctx.provenance())
-    return make_result(ctx)
+    result = run_pipeline(dlx_paper_scale.netlist, DesyncOptions())
+    write_out("table1_provenance.txt", result.provenance())
+    return result
 
 
 @pytest.fixture(scope="session")
 def desync_sim_scale(dlx_sim_scale):
-    return make_result(run_pipeline(dlx_sim_scale.netlist, DesyncOptions()))
+    return run_pipeline(dlx_sim_scale.netlist, DesyncOptions())

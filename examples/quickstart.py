@@ -47,7 +47,7 @@ def main() -> None:
     print(result.describe())
     print()
     print("pass pipeline:")
-    for record in result.provenance:
+    for record in result.records:
         print(f"  {record.describe()}")
 
     # The model the controllers implement (Figure 2 of the paper).

@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.stg.patterns import Parity, add_latch_cycle
+from repro.stg.patterns import Parity
 from repro.stg.stg import Stg, transition_name, RISE, FALL
-from repro.utils.errors import DesyncError, StgError
+from repro.utils.errors import StgError
 
 if TYPE_CHECKING:
     from repro.netlist.core import Netlist
@@ -92,25 +92,19 @@ def nonoverlap_model(latched: "Netlist",
     predecessor's initial transparency), so each data token traverses
     open/close of every latch sequentially — the serialization penalty
     the paper's overlapping patterns exist to avoid, here measurable on
-    real corpus netlists.
+    real corpus netlists.  The banks and their alternation self-loops
+    are :func:`repro.stg.desync_model.build_model`'s; only the pair arcs
+    differ.
     """
-    from repro.stg.desync_model import extract_banks, latch_adjacency
+    from repro.stg.desync_model import build_model
 
-    if banks is None:
-        banks = extract_banks(latched)
-    if adjacency is None:
-        adjacency = latch_adjacency(latched, banks)
-    stg = Stg(f"nonoverlap:{latched.name}")
-    for bank in sorted(banks.values(), key=lambda b: b.name):
-        stg.add_signal(bank.name, bank.parity.initial_control,
-                       delay=controller_delay)
-        add_latch_cycle(stg, bank.name, bank.parity)
-    for pred, succ in sorted(adjacency):
-        if banks[succ].parity is not banks[pred].parity.opposite:
-            raise DesyncError(
-                f"adjacent banks {pred} -> {succ} share parity "
-                f"{banks[pred].parity.value}; latchify must alternate "
-                "phases along every path")
-        delay = delay_fn(pred, succ) if delay_fn else 0.0
-        add_nonoverlap_arcs(stg, pred, succ, data_delay=delay)
-    return stg
+    def pair_arcs(stg: Stg, pred: str, succ: str, pred_parity: Parity,
+                  data_delay: float) -> None:
+        add_nonoverlap_arcs(stg, pred, succ, data_delay=data_delay)
+
+    model = build_model(latched, delay_fn=delay_fn,
+                        controller_delay=controller_delay,
+                        banks=banks, adjacency=adjacency,
+                        pair_arcs=pair_arcs)
+    model.name = f"nonoverlap:{latched.name}"
+    return model

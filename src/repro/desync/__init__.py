@@ -1,10 +1,12 @@
 """The paper's core contribution: automatic de-synchronization.
 
 ``desynchronize()`` runs the default staged pass pipeline
-(:mod:`repro.desync.pipeline`); the pipeline API itself — pass objects,
-pluggable clustering strategies, partial (hybrid sync/async)
-conversion, baseline pass sequences and the sweep driver — is exported
-here too.
+(:mod:`repro.desync.pipeline`) and returns its :class:`DesyncResult`;
+the pipeline API itself — pass objects, the registered pass sequences
+(:data:`PIPELINES`, run by :func:`run_pipeline`, each filling one
+:class:`DesyncResult`), pluggable clustering strategies, partial
+(hybrid sync/async) conversion and the sweep driver — is exported here
+too.
 """
 
 from repro.desync.clustering import (
@@ -31,8 +33,6 @@ from repro.desync.pipeline import (
     BaselineModelPass,
     ClusterPass,
     ControllerNetworkPass,
-    FlowContext,
-    FlowPipeline,
     LatchifyPass,
     MatchedDelayPass,
     PIPELINES,
@@ -40,9 +40,7 @@ from repro.desync.pipeline import (
     Pass,
     PassRecord,
     PipelineVariant,
-    build_pipeline,
     default_variants,
-    make_result,
     run_pipeline,
     sweep_pipelines,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "BaselineModelPass",
     "ClusterPass",
     "ControllerNetworkPass",
-    "FlowContext",
-    "FlowPipeline",
     "LatchifyPass",
     "MatchedDelayPass",
     "PIPELINES",
@@ -81,9 +77,7 @@ __all__ = [
     "Pass",
     "PassRecord",
     "PipelineVariant",
-    "build_pipeline",
     "default_variants",
-    "make_result",
     "run_pipeline",
     "sweep_pipelines",
 ]

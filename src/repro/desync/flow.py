@@ -11,17 +11,17 @@ synchronous flip-flop netlist:
    that a software-verified flow can guarantee
    (:mod:`repro.desync.clustering`).
 
-Since the pass-pipeline refactor the heavy lifting lives in
-:mod:`repro.desync.pipeline`: ``desynchronize()`` is the stable
-convenience wrapper that runs the default pass sequence and packages
-the :class:`~repro.desync.pipeline.FlowContext` as a
-:class:`DesyncResult`.  Use the pipeline API directly for alternative
-clustering strategies, partial (hybrid sync/async) conversion, baseline
-pass sequences, or per-pass provenance.
+The steps are the passes of :mod:`repro.desync.pipeline`:
+``desynchronize()`` runs the default ``desync`` pass sequence, and
+:func:`repro.desync.pipeline.run_pipeline` runs any registered one
+(clustering strategies and partial hybrid sync/async conversion are
+:class:`DesyncOptions`; the related-work baselines are their own
+sequences).
 
-The returned :class:`DesyncResult` bundles every intermediate artifact —
-the latch-based netlist, the timed marked-graph model of the fabric, the
-final self-timed netlist — plus the analyses the evaluation needs: the
+Every pass sequence fills one :class:`DesyncResult`, which bundles every
+intermediate artifact — the latch-based netlist, the timed
+marked-graph model of the fabric, the final self-timed netlist — plus
+the per-pass provenance and the analyses the evaluation needs: the
 synchronous period, the de-synchronized cycle time (maximum cycle ratio
 of the model), and area accounting.  The paper's *per-latch* Figure-4
 model of the same design is available through
@@ -55,7 +55,7 @@ from repro.stg.desync_model import (
 from repro.stg.stg import Stg
 from repro.timing.delays import DEFAULT_MARGIN
 from repro.timing.sta import DEFAULT_SETUP, DEFAULT_SKEW, TimingResult, analyze
-from repro.utils.errors import OptionsError
+from repro.utils.errors import DesyncError, OptionsError
 
 if TYPE_CHECKING:
     from repro.desync.pipeline import PassRecord
@@ -192,28 +192,47 @@ class HoldCheck:
 
 @dataclass
 class DesyncResult:
-    """Everything the flow produced."""
+    """Everything one pass sequence produced.
+
+    :func:`repro.desync.pipeline.run_pipeline` creates the result with
+    the synchronous netlist and the options, and its passes fill the
+    artifact fields in order; a field stays ``None`` when no pass of
+    the sequence produces it.  The ``desync`` sequence fills every
+    field; the model-only baselines (``doubly_latched``,
+    ``nonoverlap``) build no controller ``network``.
+    """
 
     sync_netlist: Netlist
-    latched: Netlist
-    network: DesyncNetwork
-    clustering: Clustering
-    timing: TimingResult
-    stage_max: dict[tuple[str, str], float]
-    stage_min: dict[tuple[str, str], float]
-    model: Stg
     options: DesyncOptions
+    #: Name of the pass sequence that produced this result.
+    pipeline: str = "desync"
+    latched: Netlist | None = None
+    clustering: Clustering | None = None
+    timing: TimingResult | None = None
+    stage_max: dict[tuple[str, str], float] | None = None
+    stage_min: dict[tuple[str, str], float] | None = None
+    #: Worst primary-input-to-D delay per input-fed cluster.
+    env_stage: dict[str, float] | None = None
+    network: DesyncNetwork | None = None
+    model: Stg | None = None
     #: Controller domain kept on the synchronous clock by partial
     #: de-synchronization, or None for a full conversion.
     sync_island: str | None = None
-    #: Per-pass provenance recorded by the pipeline that produced this
-    #: result (empty when constructed by hand).
-    provenance: list["PassRecord"] = field(default_factory=list)
+    #: One record per executed pass, in order.
+    records: list["PassRecord"] = field(default_factory=list)
     _cycle_time: CycleTimeResult | None = field(default=None, repr=False)
 
     @property
     def desync_netlist(self) -> Netlist:
-        return self.network.netlist
+        return self._fabric().netlist
+
+    def _fabric(self) -> DesyncNetwork:
+        if self.network is None:
+            raise DesyncError(
+                f"pipeline {self.pipeline!r} produced no controller "
+                "network (model-level pass sequences have no gate-level "
+                "de-synchronized netlist)")
+        return self.network
 
     def sync_period(self) -> float:
         """Clock period of the synchronous reference, ps."""
@@ -221,10 +240,16 @@ class DesyncResult:
 
     def desync_cycle_time(self) -> CycleTimeResult:
         """Steady-state cycle time of the de-synchronized circuit, ps
-        (maximum cycle ratio of the timed fabric model)."""
+        (maximum cycle ratio of the timed model)."""
         if self._cycle_time is None:
             self._cycle_time = cycle_time(self.model)
         return self._cycle_time
+
+    def provenance(self) -> str:
+        """Human-readable pass-by-pass account of this run."""
+        lines = [f"pipeline {self.pipeline!r} on {self.sync_netlist.name}:"]
+        lines.extend(f"  {record.describe()}" for record in self.records)
+        return "\n".join(lines)
 
     def spec_model(self, controller_delay: float = 0.0,
                    timed: bool = True) -> Stg:
@@ -267,7 +292,12 @@ class DesyncResult:
         discharges these checks with commercial timing signoff; the
         definitive functional check in this reproduction is
         :func:`repro.equiv.check_flow_equivalence`.
+
+        A model-only result raises :class:`DesyncError`: its model's
+        signals are latch banks, not the clusters screened here, so the
+        screen would pass vacuously.
         """
+        self._fabric()
         latch_delay = self.sync_netlist.library["LATCH_H"].delay
         if use_model:
             trace = simulate(self.model, rounds=rounds)
@@ -336,6 +366,7 @@ class DesyncResult:
         }
 
     def describe(self) -> str:
+        network = self._fabric()
         cycle = self.desync_cycle_time()
         lines = [
             f"de-synchronization of {self.sync_netlist.name}:",
@@ -344,8 +375,8 @@ class DesyncResult:
             f"  domain adjacencies {len(self.clustering.edges)}",
             f"  sync period        {self.sync_period():,.0f} ps",
             f"  desync cycle time  {cycle.cycle_time:,.0f} ps",
-            f"  controller area    {self.network.controller_area:,.0f} um^2",
-            f"  delay-line area    {self.network.delay_line_area:,.0f} um^2",
+            f"  controller area    {network.controller_area:,.0f} um^2",
+            f"  delay-line area    {network.delay_line_area:,.0f} um^2",
         ]
         if self.sync_island is not None:
             island = self.clustering.clusters[self.sync_island]
@@ -384,11 +415,11 @@ def desynchronize(netlist: Netlist,
     :class:`DesyncError` on structural problems (no flip-flops, clock
     used as data...).
 
-    This is a thin wrapper over the default pass pipeline of
-    :mod:`repro.desync.pipeline` — ``options`` selects every variation
-    (clustering strategy, handshake mode, partial conversion); use
-    :func:`repro.desync.pipeline.run_pipeline` directly for baseline
-    pass sequences or custom pass lists.
+    This is the default pass sequence of :mod:`repro.desync.pipeline`
+    — ``options`` selects every variation (clustering strategy,
+    handshake mode, partial conversion); use
+    :func:`repro.desync.pipeline.run_pipeline` directly for the baseline
+    pass sequences.
     """
-    from repro.desync.pipeline import make_result, run_pipeline
-    return make_result(run_pipeline(netlist, options))
+    from repro.desync.pipeline import run_pipeline
+    return run_pipeline(netlist, options)

@@ -2,9 +2,10 @@
 
 The paper's flow is inherently staged — latch conversion, matched-delay
 sizing, controller-network substitution — and this module makes the
-stages first-class.  A :class:`FlowContext` (netlist + timing +
-clustering + per-stage artifacts + provenance) is threaded through a
-sequence of :class:`Pass` objects:
+stages first-class.  A sequence of :class:`Pass` objects fills one
+:class:`~repro.desync.flow.DesyncResult` (netlist + timing + clustering
++ per-stage artifacts + provenance), each pass reading what earlier
+passes produced:
 
 ``ClusterPass``
     picks the controller granularity via a pluggable strategy
@@ -27,25 +28,23 @@ sequence of :class:`Pass` objects:
     the same engine as the main flow.
 
 :data:`PIPELINES` registers the stock pass sequences (``desync``,
-``doubly_latched``, ``nonoverlap``); :func:`run_pipeline` runs one;
-:func:`make_result` packages a completed context as the classic
-:class:`~repro.desync.flow.DesyncResult`;
+``doubly_latched``, ``nonoverlap``); :func:`run_pipeline` runs one and
+returns its :class:`~repro.desync.flow.DesyncResult`;
 :func:`sweep_pipelines` drives (corpus config x pipeline variant) grids
 through the batched flow-equivalence checker for the
 ``BENCH_pipeline`` series.
 
-``repro.desync.flow.desynchronize()`` is a thin wrapper over the
-``desync`` pipeline and remains the stable entry point.
+``repro.desync.flow.desynchronize()`` runs the ``desync`` pipeline and
+remains the stable entry point.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 from repro.desync.clustering import (
-    Clustering,
     cluster_registers,
     cluster_stage_delays,
     clustering_from_partition,
@@ -55,20 +54,17 @@ from repro.desync.clustering import (
 from repro.desync.flow import DesyncOptions, DesyncResult, latch_analysis
 from repro.desync.latchify import latchify
 from repro.desync.network import (
-    DesyncNetwork,
     HandshakeMode,
     build_network,
     controller_latency,
 )
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACE_ENV, TRACER
+from repro.obs.trace import TRACER
 from repro.sim.lanes import LANES_ENV, resolve_lanes
-from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.stg.cluster_model import fabric_model
-from repro.stg.stg import Stg
 from repro.timing.sta import INPUTS as STA_INPUTS
-from repro.timing.sta import TimingResult, analyze
+from repro.timing.sta import analyze
 from repro.utils.errors import DesyncError, OptionsError, ReproError
 
 
@@ -94,80 +90,17 @@ class PassRecord:
         return f"{self.name}: {facts}" if facts else self.name
 
 
-@dataclass
-class FlowContext:
-    """Everything a pass sequence reads and produces.
-
-    Passes fill the artifact fields in order; consumers that only need
-    the classic bundle call :func:`make_result`.  The context mirrors
-    the :class:`~repro.desync.flow.DesyncResult` surface that the
-    equivalence checker uses (``sync_netlist``, ``desync_netlist``,
-    ``desync_cycle_time``), so a completed context can be handed to
-    :func:`repro.equiv.check_flow_equivalence` directly.
-    """
-
-    sync_netlist: Netlist
-    options: DesyncOptions
-    pipeline: str = "desync"
-    latched: Netlist | None = None
-    clustering: Clustering | None = None
-    timing: TimingResult | None = None
-    stage_max: dict[tuple[str, str], float] | None = None
-    stage_min: dict[tuple[str, str], float] | None = None
-    env_stage: dict[str, float] | None = None
-    network: DesyncNetwork | None = None
-    model: Stg | None = None
-    sync_island: str | None = None
-    records: list[PassRecord] = field(default_factory=list)
-    _cycle_time: CycleTimeResult | None = field(default=None, repr=False)
-
-    @property
-    def desync_netlist(self) -> Netlist:
-        if self.network is None:
-            raise DesyncError(
-                f"pipeline {self.pipeline!r} produced no controller "
-                "network (model-level pass sequences have no gate-level "
-                "de-synchronized netlist)")
-        return self.network.netlist
-
-    def require(self, **artifacts: object) -> None:
-        """Raise a located error when a required artifact is missing."""
-        for name, value in artifacts.items():
-            if value is None:
-                raise DesyncError(
-                    f"pipeline {self.pipeline!r}: artifact {name!r} is "
-                    "missing — add the pass that produces it before this "
-                    "one")
-
-    def sync_period(self) -> float:
-        """Clock period of the synchronous reference, ps."""
-        self.require(timing=self.timing)
-        return self.timing.sync_period()
-
-    def desync_cycle_time(self) -> CycleTimeResult:
-        """Steady-state cycle time of the produced model, ps."""
-        if self._cycle_time is None:
-            self.require(model=self.model)
-            self._cycle_time = cycle_time(self.model)
-        return self._cycle_time
-
-    def provenance(self) -> str:
-        """Human-readable pass-by-pass account of this run."""
-        lines = [f"pipeline {self.pipeline!r} on {self.sync_netlist.name}:"]
-        lines.extend(f"  {record.describe()}" for record in self.records)
-        return "\n".join(lines)
-
-
 class Pass:
     """One composable transform stage.
 
-    Subclasses set :attr:`name` and implement :meth:`run`, returning a
-    dict of summary facts for the provenance record (or None).
+    Subclasses set :attr:`name` and implement :meth:`run`, which fills
+    fields of the flow's :class:`~repro.desync.flow.DesyncResult` and
+    returns a dict of summary facts for the provenance record (or None).
     """
 
     name = "pass"
 
-    def run(self, ctx: FlowContext) -> dict[str, object] | None:
+    def run(self, ctx: DesyncResult) -> dict[str, object] | None:
         raise NotImplementedError
 
 
@@ -176,18 +109,13 @@ class ClusterPass(Pass):
 
     name = "cluster"
 
-    def __init__(self, strategy: str | None = None, cap: int | None = None):
-        self.strategy = strategy
-        self.cap = cap
-
-    def run(self, ctx: FlowContext) -> dict[str, object]:
-        strategy = self.strategy if self.strategy is not None \
-            else ctx.options.strategy
-        cap = self.cap if self.cap is not None else ctx.options.cluster_cap
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
+        opts = ctx.options
         ctx.clustering = cluster_registers(ctx.sync_netlist,
-                                           strategy=strategy, cap=cap)
+                                           strategy=opts.strategy,
+                                           cap=opts.cluster_cap)
         return {
-            "strategy": strategy,
+            "strategy": opts.strategy,
             "domains": len(ctx.clustering.clusters),
             "edges": len(ctx.clustering.edges),
         }
@@ -216,15 +144,10 @@ class PartialDesyncPass(Pass):
 
     name = "partial"
 
-    def __init__(self, sync_banks: tuple[str, ...] | None = None):
-        self.sync_banks = sync_banks
-
-    def run(self, ctx: FlowContext) -> dict[str, object]:
-        selected = self.sync_banks if self.sync_banks is not None \
-            else ctx.options.sync_banks
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
+        selected = ctx.options.sync_banks
         if not selected:
             return {"skipped": "no sync_banks selected"}
-        ctx.require(clustering=ctx.clustering)
         clustering = ctx.clustering
         island: set[str] = set()
         for entry in selected:
@@ -268,8 +191,7 @@ class MatchedDelayPass(Pass):
 
     name = "matched-delay"
 
-    def run(self, ctx: FlowContext) -> dict[str, object]:
-        ctx.require(clustering=ctx.clustering)
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
         opts = ctx.options
         ctx.timing = analyze(ctx.sync_netlist, setup=opts.setup,
                              skew=opts.skew)
@@ -307,7 +229,7 @@ class LatchifyPass(Pass):
 
     name = "latchify"
 
-    def run(self, ctx: FlowContext) -> dict[str, object]:
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
         ctx.latched = ctx.sync_netlist.memo(
             "latchify", lambda: latchify(ctx.sync_netlist))
         return {"latches": len(ctx.latched.latch_instances())}
@@ -318,9 +240,7 @@ class ControllerNetworkPass(Pass):
 
     name = "controller-network"
 
-    def run(self, ctx: FlowContext) -> dict[str, object]:
-        ctx.require(latched=ctx.latched, clustering=ctx.clustering,
-                    stage_max=ctx.stage_max)
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
         opts = ctx.options
         ctx.network = build_network(ctx.latched, ctx.clustering,
                                     ctx.stage_max, margin=opts.margin,
@@ -359,11 +279,10 @@ class BaselineModelPass(Pass):
             raise DesyncError(f"unknown baseline model kind {kind!r}")
         self.kind = kind
 
-    def run(self, ctx: FlowContext) -> dict[str, object]:
+    def run(self, ctx: DesyncResult) -> dict[str, object]:
         from repro.baselines.doubly_latched import dlap_model
         from repro.baselines.nonoverlap import nonoverlap_model
 
-        ctx.require(latched=ctx.latched)
         opts = ctx.options
         banks, adjacency, latch_timing = latch_analysis(
             ctx.latched, setup=opts.setup, skew=opts.skew)
@@ -386,110 +305,50 @@ class BaselineModelPass(Pass):
         }
 
 
-@dataclass
-class FlowPipeline:
-    """A named, ordered pass sequence."""
-
-    name: str
-    passes: list[Pass]
-
-    def run(self, netlist: Netlist,
-            options: DesyncOptions | None = None) -> FlowContext:
-        from time import perf_counter
-
-        opts = options if options is not None else DesyncOptions()
-        netlist.validate()
-        ctx = FlowContext(sync_netlist=netlist, options=opts,
-                          pipeline=self.name)
-        with TRACER.span(f"pipeline:{self.name}", netlist=netlist.name):
-            for stage in self.passes:
-                start = perf_counter()
-                with TRACER.span(f"pass:{stage.name}") as span:
-                    info = stage.run(ctx)
-                    span.set(**(info or {}))
-                ctx.records.append(PassRecord(
-                    stage.name, dict(info or {}),
-                    duration_ms=(perf_counter() - start) * 1e3))
-        return ctx
-
-
-def _desync_pipeline() -> FlowPipeline:
-    return FlowPipeline("desync", [
-        ClusterPass(),
-        PartialDesyncPass(),
-        MatchedDelayPass(),
-        LatchifyPass(),
-        ControllerNetworkPass(),
-    ])
-
-
-def _doubly_latched_pipeline() -> FlowPipeline:
-    return FlowPipeline("doubly_latched", [
-        ClusterPass(),
-        MatchedDelayPass(),
-        LatchifyPass(),
-        BaselineModelPass("dlap"),
-    ])
-
-
-def _nonoverlap_pipeline() -> FlowPipeline:
-    return FlowPipeline("nonoverlap", [
-        ClusterPass(),
-        MatchedDelayPass(),
-        LatchifyPass(),
-        BaselineModelPass("nonoverlap"),
-    ])
-
-
 #: Stock pass sequences.  ``desync`` is the paper's flow (what
-#: ``desynchronize()`` runs); the baselines produce model-level
-#: :class:`FlowContext` outputs from the same staged artifacts.
-PIPELINES: dict[str, Callable[[], FlowPipeline]] = {
-    "desync": _desync_pipeline,
-    "doubly_latched": _doubly_latched_pipeline,
-    "nonoverlap": _nonoverlap_pipeline,
+#: ``desynchronize()`` runs); the baselines build a model-only
+#: :class:`~repro.desync.flow.DesyncResult` (no controller network) from
+#: the same staged artifacts.  Every sequence produces each artifact
+#: before the pass that reads it.
+PIPELINES: dict[str, tuple[Pass, ...]] = {
+    "desync": (ClusterPass(), PartialDesyncPass(), MatchedDelayPass(),
+               LatchifyPass(), ControllerNetworkPass()),
+    "doubly_latched": (ClusterPass(), MatchedDelayPass(), LatchifyPass(),
+                       BaselineModelPass("dlap")),
+    "nonoverlap": (ClusterPass(), MatchedDelayPass(), LatchifyPass(),
+                   BaselineModelPass("nonoverlap")),
 }
 
 
-def build_pipeline(name: str = "desync") -> FlowPipeline:
-    """Instantiate a registered pass sequence by name."""
+def run_pipeline(netlist: Netlist, options: DesyncOptions | None = None,
+                 pipeline: str = "desync") -> DesyncResult:
+    """Run the registered pass sequence ``pipeline`` on ``netlist``.
+
+    Each pass runs in a ``pass:<name>`` tracer span (inside one
+    ``pipeline:<name>`` span) and leaves a :class:`PassRecord` in the
+    result's ``records``.
+    """
     try:
-        factory = PIPELINES[name]
+        passes = PIPELINES[pipeline]
     except KeyError:
         raise DesyncError(
-            f"unknown pipeline {name!r} "
+            f"unknown pipeline {pipeline!r} "
             f"(have: {', '.join(sorted(PIPELINES))})") from None
-    return factory()
-
-
-def run_pipeline(netlist: Netlist, options: DesyncOptions | None = None,
-                 pipeline: str | FlowPipeline = "desync") -> FlowContext:
-    """Run a registered (or explicit) pass sequence on ``netlist``."""
-    if isinstance(pipeline, FlowPipeline):
-        return pipeline.run(netlist, options)
-    return build_pipeline(pipeline).run(netlist, options)
-
-
-def make_result(ctx: FlowContext) -> DesyncResult:
-    """Package a completed full-flow context as a :class:`DesyncResult`."""
-    ctx.require(latched=ctx.latched, clustering=ctx.clustering,
-                timing=ctx.timing, stage_max=ctx.stage_max,
-                stage_min=ctx.stage_min, network=ctx.network,
-                model=ctx.model)
-    return DesyncResult(
-        sync_netlist=ctx.sync_netlist,
-        latched=ctx.latched,
-        network=ctx.network,
-        clustering=ctx.clustering,
-        timing=ctx.timing,
-        stage_max=ctx.stage_max,
-        stage_min=ctx.stage_min,
-        model=ctx.model,
-        options=ctx.options,
-        sync_island=ctx.sync_island,
-        provenance=list(ctx.records),
-        _cycle_time=ctx._cycle_time,
-    )
+    netlist.validate()
+    result = DesyncResult(sync_netlist=netlist,
+                          options=options if options is not None
+                          else DesyncOptions(),
+                          pipeline=pipeline)
+    with TRACER.span(f"pipeline:{pipeline}", netlist=netlist.name):
+        for stage in passes:
+            start = perf_counter()
+            with TRACER.span(f"pass:{stage.name}") as span:
+                info = stage.run(result)
+                span.set(**(info or {}))
+            result.records.append(PassRecord(
+                stage.name, dict(info or {}),
+                duration_ms=(perf_counter() - start) * 1e3))
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -627,11 +486,11 @@ def sweep_pipelines(configs: list[str] | None = None,
     The grid runs on :func:`repro.jobs.run_grid`, one task per config.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
     workers share the configs; at one worker, with no cell timeout and
-    no job dir, the configs run in this process.  Pool workers record
-    their own ``sweep:cell`` spans, which this process ingests as
-    per-worker trace tracks; their metric counters are folded into this process's
-    registry, so rows, summary and metrics equal the in-process run's
-    (only the wall-time ``build_ms``/``verify_ms`` fields differ).  A
+    no job dir, the configs run in this process.  The grid runner folds
+    a pool worker's spans and metric counters into this process (see
+    :func:`repro.jobs.run_grid`), so rows, summary and metrics equal the
+    in-process run's (only the wall-time ``build_ms``/``verify_ms``
+    fields differ).  A
     config that outlives ``REPRO_CELL_TIMEOUT`` or crashes its worker is
     retried (``REPRO_CELL_RETRIES``) and, if it keeps failing,
     quarantined — its rows report ``status='quarantined: ...'``.
@@ -643,7 +502,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     process returns the complete merged rows, and a rerun on the same
     directory resumes an interrupted sweep.  The directory files each
     config by content (:func:`_sweep_address`), so a rerun with other
-    parameters recomputes every config it changes.
+    parameters recomputes every config it changes.  A config served
+    from the directory adds no work counters and no spans: only the
+    run that computed it did that work.
     """
     from repro.jobs import (ExecutorPolicy, cell_retries, cell_timeout,
                             default_job_dir, run_grid, sweep_jobs)
@@ -673,9 +534,7 @@ def sweep_pipelines(configs: list[str] | None = None,
         outcomes, exec_stats = run_grid(
             tasks, _sweep_config_task, policy,
             address=_sweep_address(*params) if policy.job_dir else None,
-            initializer=_sweep_worker_init,
-            initargs=(TRACER.enabled,), metric_prefix="sweep.executor")
-        tracks: dict[int, int] = {}
+            metric_prefix="sweep.executor")
         for config in config_names:
             outcome = outcomes[config]
             if outcome.status != "ok":
@@ -683,15 +542,7 @@ def sweep_pipelines(configs: list[str] | None = None,
                             {"engines": {}, "reasons": {}})
                            for variant in grid]
             else:
-                results, events, worker_pid, deltas = outcome.value
-                for name, delta in sorted(deltas.items()):
-                    METRICS.counter(name).inc(delta)
-                if events:
-                    # One trace track per worker process; labels are
-                    # assigned in grid order of first appearance (this
-                    # process itself records as pid 1).
-                    track = tracks.setdefault(worker_pid, len(tracks) + 2)
-                    TRACER.ingest(events, pid=track)
+                results = outcome.value
             for row, stats in results:
                 rows.append(row)
                 status = (row[status_index] or "").split(":")[0]
@@ -764,45 +615,15 @@ def _quarantined_row(config: str, variant: PipelineVariant,
     return [row[column] for column in SWEEP_COLUMNS]
 
 
-#: Set in pool workers by :func:`_sweep_worker_init`.  A shard that
-#: runs in the sweeping process itself already recorded its spans and
-#: counters there, so it ships neither back.
-_POOL_WORKER = False
-
-
-def _sweep_worker_init(tracing: bool = False) -> None:
-    """Per-worker setup: sever inherited trace state and arm in-memory
-    tracing when the parent traces."""
-    global _POOL_WORKER
-    _POOL_WORKER = True
-    os.environ.pop(TRACE_ENV, None)
-    TRACER.disarm()
-    if tracing:
-        TRACER.start()
-
-
-def _counter_values() -> dict[str, int | float]:
-    return {name: entry["value"]
-            for name, entry in METRICS.snapshot().items()
-            if entry["type"] == "counter"}
-
-
-def _sweep_config_task(payload: tuple) -> tuple:
-    """One shard task: every variant of one config.
-
-    Returns ``([(row, stats), ...], trace_events, worker_pid,
-    counter_deltas)`` — everything the sweeping process needs to merge
-    the shard back as if it had run there: rows in variant order and,
-    from a pool worker, its span recording since the previous task and
-    the deltas its cells added to the process-local metric counters.
-    """
+def _sweep_config_task(payload: tuple) -> list:
+    """One shard task: every variant of one config, as ``[(row,
+    stats), ...]`` in variant order."""
     (config, grid, seeds, cycles, max_equiv_instances, hold_rounds,
      lanes) = payload
     from repro.corpus import generate
 
     status_index = SWEEP_COLUMNS.index("status")
     engine_index = SWEEP_COLUMNS.index("desync_engine")
-    counters_before = _counter_values() if _POOL_WORKER else {}
     netlist = generate(config)
     results = []
     for variant in grid:
@@ -814,18 +635,7 @@ def _sweep_config_task(payload: tuple) -> tuple:
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
         results.append((row, stats))
-    if not _POOL_WORKER:
-        return results, [], os.getpid(), {}
-    deltas = {}
-    for name, value in _counter_values().items():
-        delta = value - counters_before.get(name, 0)
-        if delta:
-            deltas[name] = delta
-    events: list[dict[str, object]] = []
-    if TRACER.enabled:
-        events = TRACER.events()
-        TRACER.start()  # clear: the next task reports only its own spans
-    return results, events, os.getpid(), deltas
+    return results
 
 
 def _engine_summary(reports) -> str:
@@ -850,7 +660,6 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
     reason -> seed count), both empty for unverified cells, and
     ``model_validated`` (a pass checked the cell's timed model).
     """
-    from time import perf_counter
     from repro.equiv import check_flow_equivalence_batch
 
     stats = {"engines": {}, "reasons": {}, "model_validated": False}
@@ -870,35 +679,34 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
 
     build_start = perf_counter()
     try:
-        ctx = run_pipeline(netlist, options, pipeline=variant.pipeline)
+        result = run_pipeline(netlist, options, pipeline=variant.pipeline)
     except ReproError as exc:
         row.update(status=f"invalid: {exc}"[:120],
                    build_ms=(perf_counter() - build_start) * 1e3)
         return cell(row)
     row.update(build_ms=(perf_counter() - build_start) * 1e3)
     stats["model_validated"] = any(record.info.get("model_validated")
-                                   for record in ctx.records)
-    sync_period = ctx.sync_period()
-    desync_cycle = ctx.desync_cycle_time().cycle_time
-    row.update(domains=len(ctx.clustering.clusters),
-               edges=len(ctx.clustering.edges),
-               sync_island=ctx.sync_island,
+                                   for record in result.records)
+    sync_period = result.sync_period()
+    desync_cycle = result.desync_cycle_time().cycle_time
+    row.update(domains=len(result.clustering.clusters),
+               edges=len(result.clustering.edges),
+               sync_island=result.sync_island,
                sync_period_ps=sync_period,
                desync_cycle_ps=desync_cycle,
                cycle_ratio=desync_cycle / sync_period)
-    if ctx.network is None:
+    if result.network is None:
         row.update(status="model-only")
         return cell(row)
-    row.update(area_ratio=(ctx.desync_netlist.total_area()
-                           / ctx.sync_netlist.total_area()))
+    row.update(area_ratio=(result.desync_netlist.total_area()
+                           / result.sync_netlist.total_area()))
     if not variant.check_equivalence:
         row.update(status="unchecked")
         return cell(row)
-    if len(ctx.sync_netlist) > max_equiv_instances:
+    if len(result.sync_netlist) > max_equiv_instances:
         row.update(status="unchecked", equiv_seeds=0)
         return cell(row)
-    result = make_result(ctx)
-    cell_lanes = resolve_lanes(ctx.sync_netlist, lanes)
+    cell_lanes = resolve_lanes(result.sync_netlist, lanes)
     row.update(lanes=cell_lanes)
     verify_start = perf_counter()
     try:

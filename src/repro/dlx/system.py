@@ -141,11 +141,10 @@ class DlxSystem:
         engine (``backend`` selects interpreter or compiled).
 
         ``desync_netlist`` may be the bare :class:`Netlist` (then
-        ``cycle_time_ps`` is required) or any pipeline product exposing
-        ``desync_netlist`` / ``desync_cycle_time()`` — a
-        :class:`~repro.desync.flow.DesyncResult` or
-        :class:`~repro.desync.pipeline.FlowContext` — from which the
-        cycle time defaults to the model's maximum cycle ratio.
+        ``cycle_time_ps`` is required) or the
+        :class:`~repro.desync.flow.DesyncResult` of a pass sequence,
+        from which the cycle time defaults to the model's maximum cycle
+        ratio.
 
         Memory is serviced every ``slice_ps``; stores commit when the
         write-enable output is observed asserted with a changed
@@ -160,7 +159,7 @@ class DlxSystem:
         if cycle_time_ps is None:
             raise SimulationError(
                 "run_desync needs cycle_time_ps when given a bare netlist "
-                "(pass the DesyncResult/FlowContext to default it)")
+                "(pass the DesyncResult to default it)")
         width = self.core.width
         initial: dict[str, int] = {}
         for i, bit in enumerate(int_to_bits(self._fetch(0), 32)):

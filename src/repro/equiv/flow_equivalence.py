@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.desync.flow import DesyncResult
 from repro.desync.latchify import master_name
-from repro.desync.pipeline import FlowContext
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -182,13 +181,13 @@ def _walk_input_fed(netlist: Netlist, masters) -> tuple[str, ...]:
     return tuple(sorted(fed))
 
 
-def _masters(result: DesyncResult | FlowContext) -> dict[str, str]:
+def _masters(result: DesyncResult) -> dict[str, str]:
     """Master-latch name -> original flip-flop name."""
     return {master_name(inst.name): inst.name
             for inst in result.sync_netlist.dff_instances()}
 
 
-def _paced_run(sim, result: DesyncResult | FlowContext, cycles: int,
+def _paced_run(sim, result: DesyncResult, cycles: int,
                inputs_per_cycle, masters: dict[str, str],
                time_limit: float | None = None,
                delay_model=None) -> None:
@@ -256,7 +255,7 @@ def _paced_run(sim, result: DesyncResult | FlowContext, cycles: int,
             f"captured fewer than {cycles} values within {horizon:.0f} ps")
 
 
-def _stall_watch(sim, result: DesyncResult | FlowContext):
+def _stall_watch(sim, result: DesyncResult):
     """The control cone to watch on ``sim``, or None when the periodic
     stall rule does not apply (see :func:`_paced_run`).  The verdict is
     memoized per fabric, so the replay proof runs, and is traced, once.
@@ -354,7 +353,7 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
     return horizon, None
 
 
-def desync_streams(result: DesyncResult | FlowContext, cycles: int,
+def desync_streams(result: DesyncResult, cycles: int,
                    inputs: dict[str, Value] | None = None,
                    inputs_per_cycle: list[dict[str, Value]] | None = None,
                    time_limit: float | None = None,
@@ -364,11 +363,10 @@ def desync_streams(result: DesyncResult | FlowContext, cycles: int,
                    ) -> dict[str, list[Value]]:
     """Per-register capture streams from the de-synchronized circuit.
 
-    ``result`` is a :class:`~repro.desync.flow.DesyncResult` or a
-    completed pipeline :class:`~repro.desync.pipeline.FlowContext` (any
+    ``result`` is the :class:`~repro.desync.flow.DesyncResult` of any
     pass sequence that materialized a controller network — including
     partial-desync hybrids, whose sync island is just another local
-    clock domain to the fabric simulation).
+    clock domain to the fabric simulation.
 
     Runs the event-driven simulator (the engine named by ``backend``) on
     the controller fabric until every master latch has captured
@@ -418,7 +416,7 @@ def desync_streams(result: DesyncResult | FlowContext, cycles: int,
         }
 
 
-def replay_simulator(result: DesyncResult | FlowContext,
+def replay_simulator(result: DesyncResult,
                      stimuli: list[list[dict[str, Value]]],
                      cycles: int,
                      backend: str = DEFAULT_BACKEND,
@@ -452,7 +450,7 @@ def replay_simulator(result: DesyncResult | FlowContext,
     return sim
 
 
-def desync_streams_batch(result: DesyncResult | FlowContext, cycles: int,
+def desync_streams_batch(result: DesyncResult, cycles: int,
                          stimuli: list[list[dict[str, Value]]],
                          backend: str = DEFAULT_BACKEND,
                          lanes: int | None = None,
@@ -532,7 +530,7 @@ def desync_streams_batch(result: DesyncResult | FlowContext, cycles: int,
     return streams, engines
 
 
-def check_flow_equivalence(result: DesyncResult | FlowContext,
+def check_flow_equivalence(result: DesyncResult,
                            cycles: int = 20,
                            inputs: dict[str, Value] | None = None,
                            inputs_per_cycle: list[dict[str, Value]] | None = None,
@@ -599,7 +597,7 @@ def compare_streams(sync: dict[str, list[Value]],
     )
 
 
-def check_flow_equivalence_batch(result: DesyncResult | FlowContext,
+def check_flow_equivalence_batch(result: DesyncResult,
                                  seeds: Iterable[int],
                                  cycles: int = 20,
                                  backend: str = DEFAULT_BACKEND,

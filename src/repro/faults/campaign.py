@@ -173,13 +173,6 @@ def campaign_cells(spec: CampaignSpec) -> list[tuple[str, dict]]:
 _RESULT_CACHE: dict[str, object] = {}
 
 
-def _campaign_worker_init() -> None:
-    from repro.obs.trace import TRACE_ENV
-    os.environ.pop(TRACE_ENV, None)
-    TRACER.disarm()
-    _RESULT_CACHE.clear()
-
-
 def campaign_options():
     """The serial-mode flow options a campaign uses for every config.
 
@@ -197,9 +190,8 @@ def _campaign_result(config: str):
     result = _RESULT_CACHE.get(config)
     if result is None:
         from repro.corpus import generate
-        from repro.desync.pipeline import make_result, run_pipeline
-        result = make_result(run_pipeline(generate(config),
-                                          campaign_options()))
+        from repro.desync.pipeline import run_pipeline
+        result = run_pipeline(generate(config), campaign_options())
         _RESULT_CACHE[config] = result
     return result
 
@@ -411,7 +403,6 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = None,
             outcomes, stats = run_grid(
                 cells, _campaign_cell, policy,
                 address=_campaign_address() if policy.job_dir else None,
-                initializer=_campaign_worker_init,
                 metric_prefix="faults.executor")
         finally:
             _RESULT_CACHE.clear()  # pipelines an in-process run built

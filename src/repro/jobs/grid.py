@@ -38,7 +38,14 @@ scheduler loop covers every way a grid runs:
   address is computed.
 
 Everything is surfaced: an ``executor:run`` tracer span, ``<prefix>.*``
-metric counters, and an :class:`ExecutorStats` summary.
+metric counters, and an :class:`ExecutorStats` summary.  A pool worker
+starts with its inherited ``REPRO_TRACE`` file disarmed (it records in
+memory when the caller traces) and hands back, beside each value, the
+metric-counter deltas and the spans its cell added; the caller folds
+them into its own :data:`~repro.obs.metrics.METRICS` and
+:data:`~repro.obs.trace.TRACER` (one trace track per worker process),
+so a pooled grid reports what an in-process one does.  The job dir
+keeps only the value: a cell served from it adds no counters or spans.
 
 While the grid runs, the heap that existed before it is frozen
 (:func:`gc.freeze`, unless the caller already froze one), so full
@@ -48,6 +55,7 @@ forked workers do not touch the parent's pages to collect them.
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
 import random
@@ -62,7 +70,7 @@ from typing import Any, Callable
 
 from repro.jobs.store import Claim, JobStore
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACE_ENV, TRACER
 from repro.utils.errors import ExecutorError, OptionsError
 
 #: Environment knob: default worker process count of both drivers.
@@ -269,12 +277,41 @@ class _InlinePool:
         pass
 
 
+def _pool_init(tracing: bool) -> None:
+    """Pool worker set-up: forget the caller's armed trace (its output
+    file and ``atexit`` hook are the caller's) and record in memory
+    when the caller traces."""
+    os.environ.pop(TRACE_ENV, None)
+    TRACER.disarm()
+    if tracing:
+        TRACER.start()
+
+
+def _counter_values() -> dict[str, int | float]:
+    return {name: entry["value"]
+            for name, entry in METRICS.snapshot().items()
+            if entry["type"] == "counter"}
+
+
+def _pool_cell(worker: Callable[[Any], Any], payload: Any) -> tuple:
+    """Run one cell in a pool worker: ``(value, (pid, counter deltas,
+    trace events))`` — the telemetry is what this cell added."""
+    before = _counter_values()
+    value = worker(payload)
+    deltas = {name: total - before.get(name, 0)
+              for name, total in _counter_values().items()
+              if total != before.get(name, 0)}
+    events: list[dict[str, Any]] = []
+    if TRACER.enabled:
+        events = TRACER.events()
+        TRACER.start()  # clear: the next cell reports only its own spans
+    return value, (os.getpid(), deltas, events)
+
+
 def run_grid(tasks: list[tuple[str, Any]],
              worker: Callable[[Any], Any],
              policy: ExecutorPolicy,
              address: Callable[[str, Any], str] | None = None,
-             initializer: Callable | None = None,
-             initargs: tuple = (),
              metric_prefix: str = "executor",
              ) -> tuple[dict[str, CellOutcome], ExecutorStats]:
     """Run ``worker(payload)`` for every ``(key, payload)`` cell.
@@ -283,12 +320,10 @@ def run_grid(tasks: list[tuple[str, Any]],
     key — every key is present, quarantined cells included — plus the
     aggregate :class:`ExecutorStats`.  ``worker`` must be picklable
     (module-level) and its results JSON-serializable when a job dir is
-    in play.  ``initializer``/``initargs`` forward to the process pool
-    (worker-side tracer/memo setup); in-process runs skip them.
-    ``address`` maps a cell to its content address — a string naming
-    everything the cell's result depends on — and is required with a
-    job dir: equal addresses are served from the directory, so an
-    address that misses an input serves stale results.
+    in play.  ``address`` maps a cell to its content address — a string
+    naming everything the cell's result depends on — and is required
+    with a job dir: equal addresses are served from the directory, so
+    an address that misses an input serves stale results.
     """
     keys = [key for key, _ in tasks]
     if len(set(keys)) != len(keys):
@@ -300,6 +335,9 @@ def run_grid(tasks: list[tuple[str, Any]],
     payloads = dict(tasks)
     outcomes: dict[str, CellOutcome] = {}
     stats = ExecutorStats()
+    cell = worker if policy.in_process \
+        else functools.partial(_pool_cell, worker)
+    telemetry: dict[str, tuple] = {}  # key -> pool worker's telemetry
 
     if policy.job_dir:
         ledger = JobStore(policy.job_dir, worker_id=policy.worker_id,
@@ -376,6 +414,8 @@ def run_grid(tasks: list[tuple[str, Any]],
         except Exception as exc:  # worker raised: a real error
             charge_failure(key, attempt, f"{type(exc).__name__}: {exc}")
         else:
+            if not policy.in_process:
+                value, telemetry[key] = value
             publish(key, value, attempt)
         return False
 
@@ -384,7 +424,7 @@ def run_grid(tasks: list[tuple[str, Any]],
             return _InlinePool()
         return ProcessPoolExecutor(
             max_workers=policy.jobs, mp_context=get_context("fork"),
-            initializer=initializer, initargs=initargs)
+            initializer=_pool_init, initargs=(TRACER.enabled,))
 
     ingest(ledger.collect())
     served = sum(outcome.status == "ok" for outcome in outcomes.values())
@@ -427,7 +467,7 @@ def run_grid(tasks: list[tuple[str, Any]],
                         TRACER.instant("executor:reclaim", key=key,
                                        attempt=claim.attempt)
                     try:
-                        future = pool.submit(worker, payloads[key])
+                        future = pool.submit(cell, payloads[key])
                     except BrokenProcessPool:
                         # Pool already poisoned by an earlier crash that
                         # surfaced out of order: rebuild and resubmit.
@@ -500,6 +540,18 @@ def run_grid(tasks: list[tuple[str, Any]],
         finally:
             _drain_pool(pool, inflight)
 
+    tracks: dict[int, int] = {}
+    for key in keys:
+        if key not in telemetry:
+            continue
+        pid, deltas, events = telemetry[key]
+        for name, delta in sorted(deltas.items()):
+            METRICS.counter(name).inc(delta)
+        if events:
+            # One trace track per worker process, labelled in task order
+            # of first appearance (this process records as pid 1).
+            track = tracks.setdefault(pid, len(tracks) + 2)
+            TRACER.ingest(events, pid=track)
     if policy.job_dir:
         stats.store_stats = ledger.stats.as_dict()
         stats.jobs = {

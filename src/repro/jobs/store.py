@@ -69,7 +69,7 @@ DEFAULT_LEASE_TTL = 10.0
 
 #: Version salt of every cell's file name.  Bump it when a cell's
 #: result changes shape, so no older directory can ever be misread.
-STORE_EPOCH = "repro-jobs/4"
+STORE_EPOCH = "repro-jobs/5"
 
 _SUBDIRS = ("leases", "locks", "meta", "results", "dead", "hearts")
 

@@ -181,7 +181,7 @@ class Tracer:
         """Disable and forget everything — recording, armed path, events.
 
         Unlike :meth:`stop` nothing is written: this is for forked
-        sweep workers that inherit the parent's armed tracer (and its
+        grid-pool workers that inherit the parent's armed tracer (and its
         ``atexit`` write hook) but must not clobber the parent's output
         file.  Workers re-:meth:`start` with no path and hand their
         events back for the parent to :meth:`ingest`.

@@ -8,7 +8,6 @@ from repro.stg.desync_model import (
 )
 from repro.stg.patterns import (
     Parity,
-    add_environment_arcs,
     add_latch_cycle,
     add_pair_arcs,
     even_to_odd,
@@ -25,7 +24,6 @@ __all__ = [
     "extract_banks",
     "latch_adjacency",
     "Parity",
-    "add_environment_arcs",
     "add_latch_cycle",
     "add_pair_arcs",
     "even_to_odd",

@@ -97,7 +97,9 @@ def build_model(netlist: Netlist,
                 delay_fn: Callable[[str, str], float] | None = None,
                 controller_delay: float | Callable[[str], float] = 0.0,
                 banks: dict[str, LatchBank] | None = None,
-                adjacency: frozenset[tuple[str, str]] | None = None) -> Stg:
+                adjacency: frozenset[tuple[str, str]] | None = None,
+                pair_arcs: Callable[[Stg, str, str, Parity, float], None]
+                = add_pair_arcs) -> Stg:
     """Compose the de-synchronization marked graph for ``netlist``.
 
     Args:
@@ -110,6 +112,10 @@ def build_model(netlist: Netlist,
             callable from bank name to per-controller latency.
         banks / adjacency: precomputed structures, to avoid recomputation
             inside larger flows.
+        pair_arcs: adds the handshake arcs of one adjacency
+            ``(stg, pred, succ, pred_parity, data_delay)`` — the paper's
+            Figure-4 overlap pattern by default; the non-overlapping
+            baseline passes its strict-alternation arcs.
 
     Returns:
         A live, consistent :class:`~repro.stg.stg.Stg` whose signals
@@ -134,5 +140,5 @@ def build_model(netlist: Netlist,
                 f"{pred_parity.value}; latchify must alternate phases along "
                 "every path")
         delay = delay_fn(pred, succ) if delay_fn else 0.0
-        add_pair_arcs(model, pred, succ, pred_parity, data_delay=delay)
+        pair_arcs(model, pred, succ, pred_parity, delay)
     return model

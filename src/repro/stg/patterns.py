@@ -108,11 +108,6 @@ def add_latch_cycle(stg: Stg, latch: str, parity: Parity) -> None:
     stg.connect(fall, rise, tokens=0 if even else 1, place=f"self:{latch}:fr")
 
 
-# Boundary latches have no real neighbours on one side; their self-loop
-# doubles as the paper's auxiliary environment arcs.
-add_environment_arcs = add_latch_cycle
-
-
 def pairwise_pattern(pred: str, succ: str, pred_parity: Parity,
                      data_delay: float = 0.0) -> Stg:
     """Build the standalone Figure-4 pattern for ``pred -> succ``.

@@ -595,9 +595,9 @@ def run_differential_async(result, seeds: Iterable[int], cycles: int = 10,
                            ) -> dict[int, DifferentialReport]:
     """Differentially test the schedule-replay engine on a desync fabric.
 
-    ``result`` is a :class:`~repro.desync.flow.DesyncResult` (or
-    completed pipeline context).  One seeded stimulus per entry of
-    ``seeds``: the lane-parallel
+    ``result`` is the :class:`~repro.desync.flow.DesyncResult` of a
+    pass sequence that built a controller network.  One seeded stimulus
+    per entry of ``seeds``: the lane-parallel
     :class:`~repro.sim.vector_async.ScheduleReplaySimulator` runs them
     in ``ceil(N / lanes)`` recorded-and-replayed blocks (via
     :func:`repro.equiv.desync_streams_batch`), each lane is demuxed, and

@@ -480,6 +480,34 @@ class TestCampaign:
         assert union.summary["jobs"]["cache_hits"] == len(first.rows)
         assert without_wall(union.rows) == without_wall(fresh.rows)
 
+    def test_pooled_campaign_folds_worker_telemetry(self):
+        # Pool workers hand back the counters and spans of each cell
+        # beside its row, so this process's metrics and trace show the
+        # checks they ran.
+        from repro.obs import METRICS, TRACER
+
+        def traced(jobs):
+            METRICS.reset()
+            TRACER.start()
+            try:
+                run_campaign(small_spec(), jobs=jobs)
+                events = TRACER.events()
+            finally:
+                TRACER.stop()
+            work = {name: entry["value"]
+                    for name, entry in METRICS.snapshot().items()
+                    if entry["type"] == "counter" and entry["value"]
+                    and name.startswith(("equiv.", "sim."))}
+            checks = [event["pid"] for event in events
+                      if event["name"] == "equiv:check"]
+            return work, checks
+
+        solo_work, solo_checks = traced(1)
+        pool_work, pool_checks = traced(2)
+        assert pool_work == solo_work != {}
+        assert len(pool_checks) == len(solo_checks) > 0
+        assert set(solo_checks) == {1} and 1 not in pool_checks
+
     def test_compiled_campaign_matches_the_interpreter(self, monkeypatch):
         # The campaign runs on the compiled engine; with the interpreter
         # substituted under the same name, every row but the wall time

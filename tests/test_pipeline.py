@@ -19,10 +19,8 @@ from repro.desync import (
     DesyncOptions,
     HandshakeMode,
     PipelineVariant,
-    build_pipeline,
     cluster_registers,
     desynchronize,
-    make_result,
     run_pipeline,
     sweep_pipelines,
 )
@@ -95,47 +93,53 @@ class TestWrapperIdentity:
         assert _fingerprint(result) == SERIAL_DESYNC_PINS[config]
 
     def test_wrapper_equals_explicit_pipeline(self):
+        # desynchronize() is the registered ``desync`` sequence, run on
+        # a fresh netlist so no per-netlist memo is shared.
         netlist = generate("lfsr8")
         via_wrapper = desynchronize(netlist)
-        via_pipeline = make_result(
-            build_pipeline("desync").run(generate("lfsr8")))
+        via_pipeline = run_pipeline(generate("lfsr8"), pipeline="desync")
+        assert via_pipeline.pipeline == via_wrapper.pipeline == "desync"
         assert (netlist_signature(via_wrapper.desync_netlist)
                 == netlist_signature(via_pipeline.desync_netlist))
 
 
 class TestPassSequencing:
     def test_provenance_records_every_pass(self):
-        ctx = run_pipeline(lfsr3())
-        assert [r.name for r in ctx.records] == [
+        result = run_pipeline(lfsr3())
+        assert [r.name for r in result.records] == [
             "cluster", "partial", "matched-delay", "latchify",
             "controller-network"]
-        assert ctx.records[0].info["strategy"] == "scc"
-        assert "skipped" in ctx.records[1].info
-        assert "controllers" in ctx.records[-1].info
-        assert "pipeline 'desync'" in ctx.provenance()
+        assert result.records[0].info["strategy"] == "scc"
+        assert "skipped" in result.records[1].info
+        assert "controllers" in result.records[-1].info
+        assert "pipeline 'desync'" in result.provenance()
 
     def test_result_carries_provenance(self):
         result = desynchronize(lfsr3())
-        assert [r.name for r in result.provenance] == [
+        assert [r.name for r in result.records] == [
             "cluster", "partial", "matched-delay", "latchify",
             "controller-network"]
-
-    def test_missing_artifact_is_located(self):
-        from repro.desync import ControllerNetworkPass, FlowPipeline
-        broken = FlowPipeline("broken", [ControllerNetworkPass()])
-        with pytest.raises(DesyncError, match="artifact 'latched'"):
-            broken.run(lfsr3())
+        assert all(r.duration_ms is not None for r in result.records)
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(DesyncError, match="unknown pipeline"):
             run_pipeline(lfsr3(), pipeline="nope")
 
     def test_model_only_context_has_no_desync_netlist(self):
-        ctx = run_pipeline(lfsr3(), pipeline="doubly_latched")
+        result = run_pipeline(lfsr3(), pipeline="doubly_latched")
+        assert result.network is None and result.model is not None
         with pytest.raises(DesyncError, match="no controller network"):
-            _ = ctx.desync_netlist
-        with pytest.raises(DesyncError):
-            make_result(ctx)
+            _ = result.desync_netlist
+        with pytest.raises(DesyncError, match="no controller network"):
+            result.describe()
+
+    @pytest.mark.parametrize("pipeline", ["doubly_latched", "nonoverlap"])
+    def test_model_only_result_refuses_hold_screen(self, pipeline):
+        # The baselines' model signals are latch banks, not clusters:
+        # screening them would pass vacuously, so verify_hold refuses.
+        result = run_pipeline(lfsr3(), pipeline=pipeline)
+        with pytest.raises(DesyncError, match="no controller network"):
+            result.verify_hold()
 
 
 class TestOptionsValidation:
@@ -510,6 +514,35 @@ class TestShardedSweep:
             return [[value for index, value in enumerate(row)
                      if index not in timing] for row in rows]
         assert stable(reused) == stable(fresh)
+
+    def test_served_sweep_adds_no_worker_telemetry(self, tmp_path):
+        # A config served from the job dir did no work in this run: the
+        # computing run's worker counters and spans must not come back
+        # with it.
+        from repro.obs import METRICS, TRACER
+        kwargs = dict(configs=["pipe4x1"], seeds=(0,), cycles=8,
+                      variants=self.SWEEP_KWARGS["variants"],
+                      job_dir=str(tmp_path / "jobs"))
+
+        def traced():
+            METRICS.reset()
+            TRACER.start()
+            try:
+                _, _, summary = sweep_pipelines(**kwargs)
+                events = TRACER.events()
+            finally:
+                TRACER.stop()
+            work = {name: entry["value"]
+                    for name, entry in METRICS.snapshot().items()
+                    if entry["type"] == "counter" and entry["value"]
+                    and name.startswith(("equiv.", "sim."))}
+            worker_spans = [event for event in events
+                            if event.get("pid", 1) != 1]
+            return summary["executor"]["completed"], work, worker_spans
+
+        completed, work, worker_spans = traced()
+        assert completed == 1 and work and worker_spans
+        assert traced() == (0, {}, [])
 
     def test_cell_timeout_applies_at_one_job(self, monkeypatch):
         # REPRO_CELL_TIMEOUT needs a process it can kill, so even a
