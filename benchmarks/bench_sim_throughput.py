@@ -29,7 +29,8 @@ from benchmarks.conftest import out_path, write_out
 from repro.corpus import generate, iter_corpus
 from repro.obs import METRICS, TRACER
 from repro.report import TextTable, write_json
-from repro.testing import DEFAULT_SEED, drive_clocked, random_stimulus
+from repro.testing import DEFAULT_SEED, random_stimulus
+from tests.differential import drive_clocked
 
 CYCLES = 256
 REPEATS = 3

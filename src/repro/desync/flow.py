@@ -37,15 +37,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.desync.clustering import CLUSTERING_STRATEGIES, Clustering
-from repro.desync.network import (
-    DEFAULT_HOLD_SLACK,
-    DesyncNetwork,
-    HandshakeMode,
-)
+from repro.desync.network import DesyncNetwork, HandshakeMode
 from repro.netlist.core import Netlist
 from repro.petri.analysis import CycleTimeResult, cycle_time
 from repro.petri.simulate import simulate
-from repro.sim.backends import DEFAULT_BACKEND
+from repro.sim.backends import DEFAULT_BACKEND, make_simulator
 from repro.stg.desync_model import (
     LatchBank,
     build_model,
@@ -54,8 +50,9 @@ from repro.stg.desync_model import (
 )
 from repro.stg.stg import Stg
 from repro.timing.delays import DEFAULT_MARGIN
-from repro.timing.sta import DEFAULT_SETUP, DEFAULT_SKEW, TimingResult, analyze
+from repro.timing.sta import TimingResult, analyze
 from repro.utils.errors import DesyncError, OptionsError
+from repro.utils.naming import clock_net_name
 
 if TYPE_CHECKING:
     from repro.desync.pipeline import PassRecord
@@ -67,18 +64,10 @@ class DesyncOptions:
 
     Attributes:
         margin: matched-delay guard band (fraction of the stage delay).
-        setup / skew: synchronous capture margins, used only for the
-            reference synchronous period (the de-synchronized circuit
-            replaces the skew margin by the matched-delay margin).
         mode: acknowledge discipline — the paper's concurrent OVERLAP
             protocol (default) or the statically race-free SERIAL one
             (see :class:`repro.desync.network.HandshakeMode`); the
             protocol name string is accepted too.
-        hold_slack: overlap-mode self-pacing stretch in ps.
-        validate_model: run the structure / liveness / boundedness /
-            consistency checks of :meth:`repro.stg.stg.Stg.check_model`
-            on the composed fabric model (exact and polynomial in the
-            model size, so they stay on for every design).
         strategy: clustering strategy name (an entry of
             :data:`repro.desync.clustering.CLUSTERING_STRATEGIES`).
         cluster_cap: register cap forwarded to size-capped strategies
@@ -90,16 +79,20 @@ class DesyncOptions:
             de-synchronization; see
             :class:`repro.desync.pipeline.PartialDesyncPass`).
 
+    Everything else the flow fixes: the synchronous capture margins of
+    the reference period are :data:`repro.timing.sta.DEFAULT_SETUP` and
+    :data:`~repro.timing.sta.DEFAULT_SKEW`, the overlap-mode pacing
+    stretch is :data:`repro.desync.network.DEFAULT_HOLD_SLACK`, and
+    every pass that builds a timed model checks it with
+    :meth:`repro.stg.stg.Stg.check_model` (exact and polynomial in the
+    model size, so no design is too large for it).
+
     Invalid values raise :class:`repro.utils.errors.OptionsError`
     located at the offending field.
     """
 
     margin: float = DEFAULT_MARGIN
-    setup: float = DEFAULT_SETUP
-    skew: float = DEFAULT_SKEW
     mode: HandshakeMode = HandshakeMode.OVERLAP
-    hold_slack: float = DEFAULT_HOLD_SLACK
-    validate_model: bool = True
     strategy: str = "scc"
     cluster_cap: int | None = None
     sync_banks: tuple[str, ...] = ()
@@ -117,15 +110,14 @@ class DesyncOptions:
         elif not isinstance(self.mode, HandshakeMode):
             raise OptionsError(
                 "mode", f"expected a HandshakeMode, got {self.mode!r}")
-        for name in ("margin", "setup", "skew", "hold_slack"):
-            value = getattr(self, name)
-            # NaN slips through a bare `value < 0` (all comparisons are
-            # False), so finiteness is checked explicitly.
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(value) or value < 0:
-                raise OptionsError(
-                    name,
-                    f"must be a finite non-negative number, got {value!r}")
+        margin = self.margin
+        # NaN slips through a bare `margin < 0` (all comparisons are
+        # False), so finiteness is checked explicitly.
+        if not isinstance(margin, (int, float)) or isinstance(margin, bool) \
+                or not math.isfinite(margin) or margin < 0:
+            raise OptionsError(
+                "margin",
+                f"must be a finite non-negative number, got {margin!r}")
         if self.strategy not in CLUSTERING_STRATEGIES:
             raise OptionsError(
                 "strategy",
@@ -178,7 +170,8 @@ class HoldCheck:
     ``margin`` is the worst observed slack (ps) between a consumer's
     capture and the earliest corrupting data wave from this producer;
     negative margins mean the relative-timing assumption is violated and
-    the edge needs min-delay padding or a larger ``hold_slack``.
+    the edge needs min-delay padding or a longer overlap-mode pacing
+    stretch (:data:`repro.desync.network.DEFAULT_HOLD_SLACK`).
     """
 
     pred: str
@@ -261,8 +254,7 @@ class DesyncResult:
         under relative-timing assumptions); the constructed fabric is its
         clustered refinement.
         """
-        banks, adjacency, latch_timing = latch_analysis(
-            self.latched, setup=self.options.setup, skew=self.options.skew)
+        banks, adjacency, latch_timing = latch_analysis(self.latched)
 
         def delay_fn(pred: str, succ: str) -> float:
             if not timed:
@@ -273,8 +265,8 @@ class DesyncResult:
                            controller_delay=controller_delay,
                            banks=banks, adjacency=adjacency)
 
-    def verify_hold(self, rounds: int = 10, use_model: bool = True,
-                    backend: str = DEFAULT_BACKEND) -> list[HoldCheck]:
+    def verify_hold(self, rounds: int = 10,
+                    use_model: bool = True) -> list[HoldCheck]:
         """Check the overlap-mode relative-timing (hold) conditions.
 
         For every inter-cluster edge ``g -> p``, measures the worst
@@ -285,8 +277,8 @@ class DesyncResult:
         fast, conservative screening — the model's eager schedule can
         launch earlier than the gate-level fabric, so negative margins
         here are warnings); otherwise the gate-level fabric itself is
-        simulated (by the event-driven engine named ``backend``) and
-        the realized local-clock edges are compared.  A model with a
+        simulated (:meth:`_free_run`) and the realized local-clock edges
+        are compared.  A model with a
         token-free cycle raises :class:`~repro.utils.errors.PetriError`
         rather than passing vacuously.  The paper's flow
         discharges these checks with commercial timing signoff; the
@@ -304,18 +296,13 @@ class DesyncResult:
             rises = {bank: trace.times_of(f"{bank}+")
                      for bank in self.clustering.clusters}
         else:
-            from repro.desync.network import clock_net_name
-            from repro.sim.backends import make_simulator
-            nets = [clock_net_name(bank)
-                    for bank in self.clustering.clusters]
-            sim = make_simulator(self.desync_netlist, backend, record=nets)
-            horizon = (rounds + 4) * max(
-                1.0, self.desync_cycle_time().cycle_time)
-            sim.run(horizon)
-            rises = {}
-            for bank in self.clustering.clusters:
-                history = sim.history.get(clock_net_name(bank), [])
-                rises[bank] = [t for t, v in history if v == 1]
+            banks = list(self.clustering.clusters)
+            sim = self._free_run(rounds, record=[clock_net_name(bank)
+                                                 for bank in banks])
+            rises = {bank: [t for t, v
+                            in sim.history.get(clock_net_name(bank), [])
+                            if v == 1]
+                     for bank in banks}
         checks: list[HoldCheck] = []
         for pred, succ in sorted(self.clustering.edges):
             min_cl = self.stage_min.get((pred, succ), 0.0)
@@ -329,31 +316,37 @@ class DesyncResult:
             checks.append(HoldCheck(pred, succ, worst))
         return checks
 
+    def _free_run(self, rounds: int, record: list[str] | None = None,
+                  record_all: bool = False):
+        """Free-run the gate-level fabric for about ``rounds`` handshake
+        rounds (``rounds + 4`` model cycle times) on the default event
+        engine, recording ``record`` (every net with ``record_all``);
+        returns the engine."""
+        sim = make_simulator(self.desync_netlist, DEFAULT_BACKEND,
+                             record=record, record_all=record_all)
+        sim.run((rounds + 4) * max(1.0, self.desync_cycle_time().cycle_time))
+        return sim
+
     def dump_vcd(self, path: str, rounds: int = 10,
-                 backend: str = DEFAULT_BACKEND,
                  nets: list[str] | None = None) -> str:
         """Simulate the de-synchronized fabric and write a VCD file.
 
-        Free-runs the fabric for about ``rounds`` handshake rounds on
-        the event engine named ``backend`` and writes the recorded
-        waveforms as standard VCD (GTKWave-openable) to ``path``.
+        Free-runs the fabric for about ``rounds`` handshake rounds
+        (:meth:`_free_run`) and writes the recorded waveforms as
+        standard VCD (GTKWave-openable) to ``path``.
         ``nets`` restricts the dump; by default every net is recorded —
         handshake signals (``lt:*``, ``req:*``, ``ack:*``, ``tok:*``)
         and data alike.  Returns ``path``.
         """
         from repro.obs.vcd import write_vcd
-        from repro.sim.backends import make_simulator
 
-        sim = make_simulator(self.desync_netlist, backend,
-                             record=nets, record_all=nets is None)
-        horizon = (rounds + 4) * max(1.0,
-                                     self.desync_cycle_time().cycle_time)
-        sim.run(horizon)
+        sim = self._free_run(rounds, record=nets, record_all=nets is None)
         return write_vcd(path, sim.history,
                          module=self.desync_netlist.name,
                          comment=f"desync fabric of "
                                  f"{self.sync_netlist.name}, "
-                                 f"{backend} engine, t<={sim.now:.0f}ps")
+                                 f"{DEFAULT_BACKEND} engine, "
+                                 f"t<={sim.now:.0f}ps")
 
     def overhead_summary(self) -> dict[str, float]:
         """Area accounting of what de-synchronization added/removed."""
@@ -386,8 +379,7 @@ class DesyncResult:
         return "\n".join(lines)
 
 
-def latch_analysis(latched: Netlist, setup: float = DEFAULT_SETUP,
-                   skew: float = DEFAULT_SKEW,
+def latch_analysis(latched: Netlist,
                    ) -> tuple[dict[str, LatchBank],
                               frozenset[tuple[str, str]], TimingResult]:
     """Controller banks, bank adjacency and bank-to-bank STA of a latch
@@ -403,7 +395,7 @@ def latch_analysis(latched: Netlist, setup: float = DEFAULT_SETUP,
         return banks, latch_adjacency(latched, banks)
 
     banks, adjacency = latched.memo("latch_banks", structure)
-    return banks, adjacency, analyze(latched, setup=setup, skew=skew)
+    return banks, adjacency, analyze(latched)
 
 
 def desynchronize(netlist: Netlist,

@@ -102,7 +102,7 @@ SELF_LOOP_BUFFERS = 2
 #: random-netlist corpus, where inputs fan out to several domains).
 ENV_BANK = "<env>"
 
-# Default extra pacing slack of the overlap mode, ps (see HandshakeMode).
+# Extra pacing slack of the overlap mode, ps (see HandshakeMode).
 DEFAULT_HOLD_SLACK = 600.0
 
 
@@ -123,7 +123,7 @@ class HandshakeMode(enum.Enum):
         conditions the paper's flow discharges with timing signoff; the
         fabric guards them with per-edge self-pacing (a producer never
         gets more than one launch ahead of its own slowest request,
-        stretched by ``hold_slack``) and
+        stretched by :data:`DEFAULT_HOLD_SLACK`) and
         :func:`repro.desync.flow.verify_hold` checks the realized
         margins on the timed model.
     """
@@ -150,7 +150,6 @@ class DesyncNetwork:
     netlist: Netlist
     clustering: Clustering
     mode: HandshakeMode = HandshakeMode.OVERLAP
-    hold_slack: float = DEFAULT_HOLD_SLACK
     controllers: dict[str, ControllerReport] = field(default_factory=dict)
     delay_plans: dict[tuple[str, str], DelayPlan] = field(default_factory=dict)
 
@@ -168,15 +167,11 @@ class DesyncNetwork:
         return (self.delay_plans[(pred, succ)].achieved
                 + library["BUF"].delay + library["REQC"].delay)
 
-    def request_fall_delay(self, pred: str, succ: str) -> float:
-        """Fall delay of the (symmetric) request path, in ps."""
-        return self.request_delay(pred, succ)
-
     def pacing_delay(self, pred: str, succ: str) -> float:
         """Overlap-mode self-pacing delay of an edge, in ps."""
         library = self.netlist.library
-        return (self.delay_plans[(pred, succ)].achieved + self.hold_slack
-                + library["REQC"].delay)
+        return (self.delay_plans[(pred, succ)].achieved
+                + DEFAULT_HOLD_SLACK + library["REQC"].delay)
 
     def ack_delay(self) -> float:
         """Acknowledge-path delay (consumer capture to producer arm), ps.
@@ -196,7 +191,6 @@ def build_network(latched: Netlist, clustering: Clustering,
                   stage_max: dict[tuple[str, str], float],
                   margin: float = DEFAULT_MARGIN,
                   mode: HandshakeMode = HandshakeMode.OVERLAP,
-                  hold_slack: float = DEFAULT_HOLD_SLACK,
                   name: str | None = None,
                   env_stage: dict[str, float] | None = None,
                   ) -> DesyncNetwork:
@@ -209,7 +203,6 @@ def build_network(latched: Netlist, clustering: Clustering,
             self-pairs for clusters with internal feedback.
         margin: matched-delay guard band.
         mode: acknowledge discipline (see :class:`HandshakeMode`).
-        hold_slack: overlap-mode pacing stretch in ps.
         name: name of the produced netlist.
         env_stage: worst primary-input-to-register stage delay (ps) per
             input-fed cluster.  In SERIAL mode a non-empty map adds the
@@ -261,8 +254,7 @@ def build_network(latched: Netlist, clustering: Clustering,
             yield inst.name, inst.cell, inst.init, bound
     result.add_copies(copies())
 
-    network = DesyncNetwork(netlist=result, clustering=clustering,
-                            mode=mode, hold_slack=hold_slack)
+    network = DesyncNetwork(netlist=result, clustering=clustering, mode=mode)
     banks = clustering.clusters
 
     # Edge fabric, per edge (self edges included):
@@ -270,7 +262,7 @@ def build_network(latched: Netlist, clustering: Clustering,
     #     input, so the request rises after the matched delay but
     #     retracts immediately (return-to-zero does not serialize falls);
     #   * a request token latch (REQC) holding "new data arrived";
-    #   * in overlap mode, a pacing token tapped ``hold_slack`` further
+    #   * in overlap mode, a pacing token tapped DEFAULT_HOLD_SLACK further
     #     down the chain, fed back to the *producer* so it never runs
     #     more than one launch ahead of its slowest request;
     #   * an acknowledge token cell per inter-cluster edge (marked
@@ -308,7 +300,8 @@ def build_network(latched: Netlist, clustering: Clustering,
                    Q=result.net(token_net_name(pred, succ)))
         if mode is HandshakeMode.OVERLAP:
             pace_plan = plan_delay_line(
-                hold_slack, library, context=f"pacing {pred}->{succ}")
+                DEFAULT_HOLD_SLACK, library,
+                context=f"pacing {pred}->{succ}")
             pace_chain = insert_delay_line(result, chain,
                                            f"pc:{pred}>{succ}", pace_plan)
             pace_token = result.add(

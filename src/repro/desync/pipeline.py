@@ -40,7 +40,6 @@ remains the stable entry point.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -61,7 +60,7 @@ from repro.desync.network import (
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.sim.lanes import LANES_ENV, resolve_lanes
+from repro.sim import lanes as lane_policy
 from repro.stg.cluster_model import fabric_model
 from repro.timing.sta import INPUTS as STA_INPUTS
 from repro.timing.sta import analyze
@@ -192,9 +191,7 @@ class MatchedDelayPass(Pass):
     name = "matched-delay"
 
     def run(self, ctx: DesyncResult) -> dict[str, object]:
-        opts = ctx.options
-        ctx.timing = analyze(ctx.sync_netlist, setup=opts.setup,
-                             skew=opts.skew)
+        ctx.timing = analyze(ctx.sync_netlist)
         ctx.stage_max, ctx.stage_min = cluster_stage_delays(
             ctx.timing.max_delay, ctx.timing.min_delay, ctx.clustering)
         # Worst primary-input-to-D delay per input-fed cluster, for the
@@ -245,19 +242,16 @@ class ControllerNetworkPass(Pass):
         ctx.network = build_network(ctx.latched, ctx.clustering,
                                     ctx.stage_max, margin=opts.margin,
                                     mode=opts.mode,
-                                    hold_slack=opts.hold_slack,
                                     env_stage=ctx.env_stage)
         ctx.model = fabric_model(ctx.clustering, ctx.network,
                                  ctx.sync_netlist.library,
                                  name=f"desync:{ctx.sync_netlist.name}")
-        if opts.validate_model:
-            ctx.model.check_model()
+        ctx.model.check_model()
         return {
             "controllers": len(ctx.network.controllers),
             "delay_lines": len(ctx.network.delay_plans),
             "controller_area_um2": round(ctx.network.controller_area, 1),
             "delay_line_area_um2": round(ctx.network.delay_line_area, 1),
-            "model_validated": opts.validate_model,
         }
 
 
@@ -283,9 +277,7 @@ class BaselineModelPass(Pass):
         from repro.baselines.doubly_latched import dlap_model
         from repro.baselines.nonoverlap import nonoverlap_model
 
-        opts = ctx.options
-        banks, adjacency, latch_timing = latch_analysis(
-            ctx.latched, setup=opts.setup, skew=opts.skew)
+        banks, adjacency, latch_timing = latch_analysis(ctx.latched)
 
         def delay_fn(pred: str, succ: str) -> float:
             return latch_timing.max_delay.get((pred, succ), 0.0)
@@ -295,13 +287,11 @@ class BaselineModelPass(Pass):
         ctx.model = builder(ctx.latched, banks=banks, adjacency=adjacency,
                             delay_fn=delay_fn,
                             controller_delay=controller_delay)
-        if opts.validate_model:
-            ctx.model.check_model()
+        ctx.model.check_model()
         return {
             "kind": self.kind,
             "controllers": len(banks),
             "controller_delay_ps": round(controller_delay, 1),
-            "model_validated": opts.validate_model,
         }
 
 
@@ -437,14 +427,20 @@ SWEEP_COLUMNS = [
 #: not one event simulation per seed.
 SWEEP_SEEDS = tuple(range(8))
 
+#: Designs with more instances than this skip equivalence and the hold
+#: screen (fabric simulation dominates the sweep cost): their rows
+#: report ``status='unchecked'``.
+MAX_EQUIV_INSTANCES = 200
+
+#: Model rounds of each verified cell's hold screen.
+HOLD_ROUNDS = 8
+
+
 def sweep_pipelines(configs: list[str] | None = None,
                     variants: list[PipelineVariant] | None = None,
                     seeds: tuple[int, ...] = SWEEP_SEEDS,
                     cycles: int = 10,
-                    max_equiv_instances: int = 200,
-                    hold_rounds: int = 8,
                     jobs: int | None = None,
-                    lanes: int | None = None,
                     job_dir: str | None = None,
                     ) -> tuple[list[str], list[list[object]], dict]:
     """Run a (corpus config x pipeline variant) grid.
@@ -457,25 +453,22 @@ def sweep_pipelines(configs: list[str] | None = None,
     flow-equivalence sweep — synchronous references lane-parallel on the
     vector backend, the de-synchronized side on the schedule-replay
     engine, with a logged per-seed event-simulation fallback — and
-    hold-screened on the timed model, unless the design exceeds
-    ``max_equiv_instances`` (fabric simulation dominates the sweep
-    cost), in which case the row reports ``status='unchecked'``.
+    hold-screened on the timed model (:data:`HOLD_ROUNDS` rounds),
+    unless the design exceeds :data:`MAX_EQUIV_INSTANCES`, in which
+    case the row reports ``status='unchecked'``.
     A variant that is structurally inapplicable (e.g. ``per-register``
     on a cyclic register graph) reports ``status='invalid'`` instead of
     failing the sweep.  Every cell that builds a timed model validates
     it (:meth:`repro.stg.stg.Stg.check_model` is exact and polynomial,
-    so no design is too large for it) unless its variant turns
-    ``validate_model`` off; ``summary["model_validated"]`` counts the
-    cells whose model was checked.
+    so no design is too large for it).
 
     Each row records the build-vs-verify wall-time split (``build_ms`` /
     ``verify_ms``), the engine(s) that produced the desync streams
     (``desync_engine`` — replay fallbacks are reported per row, never
     silent), and the lane width the batched equivalence check ran at
-    (``lanes`` — from the explicit ``lanes`` argument, else the
-    ``REPRO_LANES``/size-tuned :func:`repro.sim.lanes.resolve_lanes`
-    policy, resolved per cell against its synchronous netlist; ``None``
-    on rows that never reached verification).  ``summary`` aggregates
+    (``lanes`` — the size-tuned :func:`repro.sim.lanes.resolve_lanes`
+    width of the cell's synchronous netlist; ``None`` on rows that
+    never reached verification).  ``summary`` aggregates
     across the whole grid what the per-row strings only show locally:
     status counts, per-seed desync engine counts, fallback-reason
     counts, and the grid runner's accounting (``executor``, plus
@@ -512,7 +505,7 @@ def sweep_pipelines(configs: list[str] | None = None,
     config_names = configs if configs is not None else _registry_names()
     grid = variants if variants is not None else default_variants()
     n_jobs = jobs if jobs is not None else sweep_jobs()
-    params = (grid, seeds, cycles, max_equiv_instances, hold_rounds, lanes)
+    params = (grid, seeds, cycles)
     tasks = [(config, (config, *params)) for config in config_names]
     policy = ExecutorPolicy(
         jobs=max(1, min(n_jobs, len(tasks))), timeout=cell_timeout(),
@@ -522,7 +515,6 @@ def sweep_pipelines(configs: list[str] | None = None,
     statuses: dict[str, int] = {}
     engines: dict[str, int] = {}
     reasons: dict[str, int] = {}
-    validated = 0
     status_index = SWEEP_COLUMNS.index("status")
 
     # Register the replay-fallback counter up front so every sweep
@@ -547,7 +539,6 @@ def sweep_pipelines(configs: list[str] | None = None,
                 rows.append(row)
                 status = (row[status_index] or "").split(":")[0]
                 statuses[status] = statuses.get(status, 0) + 1
-                validated += bool(stats.get("model_validated"))
                 for engine, count in stats["engines"].items():
                     engines[engine] = engines.get(engine, 0) + count
                 for reason, count in stats["reasons"].items():
@@ -559,11 +550,9 @@ def sweep_pipelines(configs: list[str] | None = None,
         METRICS.counter(f"sweep.desync_engine.{engine}").inc(count)
     if reasons:
         METRICS.counter("sweep.replay_fallbacks").inc(sum(reasons.values()))
-    METRICS.counter("sweep.model_validated").inc(validated)
     summary = {
         "cells": len(rows),
         "statuses": dict(sorted(statuses.items())),
-        "model_validated": validated,
         "desync_engines": dict(sorted(engines.items())),
         "fallback_reasons": dict(sorted(reasons.items())),
         "executor": exec_stats.as_dict(),
@@ -573,12 +562,13 @@ def sweep_pipelines(configs: list[str] | None = None,
     return list(SWEEP_COLUMNS), rows, summary
 
 
-def _sweep_address(grid, seeds, cycles, max_equiv_instances, hold_rounds,
-                   lanes):
+def _sweep_address(grid, seeds, cycles):
     """The ``address`` function that files each config of a sweep in a
-    job dir: its name and netlist fingerprint plus every parameter its
-    rows depend on (``REPRO_LANES`` included, which sets the ``lanes``
-    column when ``lanes`` is ``None``)."""
+    job dir: its name and netlist fingerprint plus every parameter and
+    module constant its rows depend on (:data:`MAX_EQUIV_INSTANCES`,
+    :data:`HOLD_ROUNDS`, and the lane-width
+    :data:`~repro.sim.lanes.TUNING_TABLE` that sets the ``lanes``
+    column)."""
     from repro.corpus import generate
     from repro.jobs import payload_digest
     params = payload_digest({
@@ -586,9 +576,9 @@ def _sweep_address(grid, seeds, cycles, max_equiv_instances, hold_rounds,
                       variant.options.digest(), variant.sync_banks,
                       variant.check_equivalence] for variant in grid],
         "seeds": list(seeds), "cycles": cycles,
-        "max_equiv_instances": max_equiv_instances,
-        "hold_rounds": hold_rounds, "lanes": lanes,
-        "lanes_env": os.environ.get(LANES_ENV, "").strip()})
+        "max_equiv_instances": MAX_EQUIV_INSTANCES,
+        "hold_rounds": HOLD_ROUNDS,
+        "tuning_table": [list(row) for row in lane_policy.TUNING_TABLE]})
 
     def address(config: str, payload: tuple) -> str:
         return "|".join(("sweep", config, generate(config).fingerprint(),
@@ -618,8 +608,7 @@ def _quarantined_row(config: str, variant: PipelineVariant,
 def _sweep_config_task(payload: tuple) -> list:
     """One shard task: every variant of one config, as ``[(row,
     stats), ...]`` in variant order."""
-    (config, grid, seeds, cycles, max_equiv_instances, hold_rounds,
-     lanes) = payload
+    config, grid, seeds, cycles = payload
     from repro.corpus import generate
 
     status_index = SWEEP_COLUMNS.index("status")
@@ -629,9 +618,8 @@ def _sweep_config_task(payload: tuple) -> list:
     for variant in grid:
         with TRACER.span("sweep:cell", config=config,
                          variant=variant.name) as span:
-            row, stats = _sweep_cell(
-                config, netlist, variant, seeds, cycles,
-                max_equiv_instances, hold_rounds, lanes=lanes)
+            row, stats = _sweep_cell(config, netlist, variant, seeds,
+                                     cycles)
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
         results.append((row, stats))
@@ -651,18 +639,16 @@ def _engine_summary(reports) -> str:
     return label
 
 
-def _sweep_cell(config, netlist, variant, seeds, cycles,
-                max_equiv_instances, hold_rounds, lanes=None):
+def _sweep_cell(config, netlist, variant, seeds, cycles):
     """One grid cell: ``(row_values, stats)``.
 
     ``stats`` carries the aggregation inputs the row string cannot:
     ``engines`` (desync engine -> seed count) and ``reasons`` (fallback
-    reason -> seed count), both empty for unverified cells, and
-    ``model_validated`` (a pass checked the cell's timed model).
+    reason -> seed count), both empty for unverified cells.
     """
     from repro.equiv import check_flow_equivalence_batch
 
-    stats = {"engines": {}, "reasons": {}, "model_validated": False}
+    stats = {"engines": {}, "reasons": {}}
     options = replace(variant.options)
     if variant.sync_banks == AUTO_SYNC_BANKS:
         options.sync_banks = auto_sync_banks(netlist)
@@ -685,8 +671,6 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
                    build_ms=(perf_counter() - build_start) * 1e3)
         return cell(row)
     row.update(build_ms=(perf_counter() - build_start) * 1e3)
-    stats["model_validated"] = any(record.info.get("model_validated")
-                                   for record in result.records)
     sync_period = result.sync_period()
     desync_cycle = result.desync_cycle_time().cycle_time
     row.update(domains=len(result.clustering.clusters),
@@ -703,10 +687,10 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
     if not variant.check_equivalence:
         row.update(status="unchecked")
         return cell(row)
-    if len(result.sync_netlist) > max_equiv_instances:
+    if len(result.sync_netlist) > MAX_EQUIV_INSTANCES:
         row.update(status="unchecked", equiv_seeds=0)
         return cell(row)
-    cell_lanes = resolve_lanes(result.sync_netlist, lanes)
+    cell_lanes = lane_policy.resolve_lanes(result.sync_netlist)
     row.update(lanes=cell_lanes)
     verify_start = perf_counter()
     try:
@@ -714,7 +698,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles,
                                                lanes=cell_lanes)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
-                      for check in result.verify_hold(rounds=hold_rounds))
+                      for check in result.verify_hold(rounds=HOLD_ROUNDS))
     except ReproError as exc:
         # A deadlocked/stalled fabric is a per-row verdict, not a reason
         # to abort the grid and lose every completed row.

@@ -24,7 +24,7 @@ from repro.dlx.cpu import DlxCore
 from repro.dlx.golden import CommitRecord, GoldenDlx, GoldenResult
 from repro.dlx.isa import NOP
 from repro.netlist.core import Netlist
-from repro.sim.backends import DEFAULT_BACKEND, make_simulator
+from repro.sim.backends import make_simulator
 from repro.sim.logic import int_to_bits
 from repro.sim.sync import CycleSimulator
 from repro.utils.errors import SimulationError
@@ -135,10 +135,10 @@ class DlxSystem:
 
     # ------------------------------------------------------------------
     def run_desync(self, desync_netlist, cycle_time_ps: float | None = None,
-                   max_cycles: int = 400, slice_ps: float = 150.0,
-                   backend: str = DEFAULT_BACKEND) -> RunResult:
-        """Run on the de-synchronized netlist with an event-driven
-        engine (``backend`` selects interpreter or compiled).
+                   max_cycles: int = 400,
+                   slice_ps: float = 150.0) -> RunResult:
+        """Run on the de-synchronized netlist on the default event
+        engine.
 
         ``desync_netlist`` may be the bare :class:`Netlist` (then
         ``cycle_time_ps`` is required) or the
@@ -166,8 +166,7 @@ class DlxSystem:
             initial[f"imem_data[{i}]"] = bit
         for i in range(width):
             initial[f"dmem_rdata[{i}]"] = 0
-        sim = make_simulator(desync_netlist, backend,
-                             initial_inputs=initial)
+        sim = make_simulator(desync_netlist, initial_inputs=initial)
 
         def drive(base: str, value: int, bits: int, time: float) -> None:
             for i, bit in enumerate(int_to_bits(value, bits)):

@@ -189,7 +189,6 @@ def _masters(result: DesyncResult) -> dict[str, str]:
 
 def _paced_run(sim, result: DesyncResult, cycles: int,
                inputs_per_cycle, masters: dict[str, str],
-               time_limit: float | None = None,
                delay_model=None) -> None:
     """Drive the fabric simulation ``sim`` under observational pacing.
 
@@ -236,8 +235,7 @@ def _paced_run(sim, result: DesyncResult, cycles: int,
     with TRACER.span("sim:paced-run",
                      engine=type(sim).__name__, cycles=cycles) as span:
         horizon, periodic = _paced_run_inner(
-            sim, result, cycles, inputs_per_cycle, masters, time_limit,
-            delay_model)
+            sim, result, cycles, inputs_per_cycle, masters, delay_model)
         span.count("sim.events_popped", getattr(sim, "n_events", 0))
         captures = sim.captures
         shortfall = {m for m in masters
@@ -269,7 +267,7 @@ def _stall_watch(sim, result: DesyncResult):
 
 
 def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
-                     time_limit, delay_model=None):
+                     delay_model=None):
     """The paced loop; returns the horizon and, for a stall proved
     periodic, ``(period, stop time)``."""
     period = result.desync_cycle_time().cycle_time
@@ -283,8 +281,7 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
     if delay_model is not None and not delay_model.is_identity:
         stretch = max(1.0, delay_model.max_factor())
         shrink = min(1.0, max(delay_model.min_factor(), 1e-3))
-    horizon = time_limit if time_limit is not None else \
-        max(1.0, period) * (cycles + 8) * 2 * stretch
+    horizon = max(1.0, period) * (cycles + 8) * 2 * stretch
     feeds: tuple[str, ...] = ()
     # Registers-only circuits produce all-empty vectors; there is then
     # nothing to pace and the cheap polling granularity suffices.
@@ -356,7 +353,6 @@ def _paced_run_inner(sim, result, cycles, inputs_per_cycle, masters,
 def desync_streams(result: DesyncResult, cycles: int,
                    inputs: dict[str, Value] | None = None,
                    inputs_per_cycle: list[dict[str, Value]] | None = None,
-                   time_limit: float | None = None,
                    backend: str = DEFAULT_BACKEND,
                    delay_model=None,
                    arm=None,
@@ -370,9 +366,9 @@ def desync_streams(result: DesyncResult, cycles: int,
 
     Runs the event-driven simulator (the engine named by ``backend``) on
     the controller fabric until every master latch has captured
-    ``cycles`` values (or ``time_limit`` ps elapse, which raises — a
-    stalled handshake is a real failure).  Streams are keyed by the
-    *original flip-flop name*.
+    ``cycles`` values, or raises when the pacing horizon of
+    :func:`_paced_run` passes first (a stalled handshake is a real
+    failure).  Streams are keyed by the *original flip-flop name*.
 
     ``inputs_per_cycle`` supplies a varying stimulus with the same
     alignment as :func:`reference_streams`: vector k is the environment
@@ -408,7 +404,7 @@ def desync_streams(result: DesyncResult, cycles: int,
         if arm is not None:
             arm(sim)
         _paced_run(sim, result, cycles, inputs_per_cycle, masters,
-                   time_limit=time_limit, delay_model=delay_model)
+                   delay_model=delay_model)
         captures = sim.captures
         return {
             masters[m]: [capture.value for capture in captures[m][:cycles]]
@@ -420,7 +416,6 @@ def replay_simulator(result: DesyncResult,
                      stimuli: list[list[dict[str, Value]]],
                      cycles: int,
                      backend: str = DEFAULT_BACKEND,
-                     time_limit: float | None = None,
                      lanes: int | None = None,
                      ) -> ScheduleReplaySimulator:
     """Run one lane-parallel schedule-replay pass over ``stimuli``.
@@ -444,8 +439,7 @@ def replay_simulator(result: DesyncResult,
         lanes=len(stimuli) if lanes is None else lanes,
         scalar_backend=backend,
         initial_inputs=packed[0] if packed else None)
-    _paced_run(sim, result, cycles, packed, _masters(result),
-               time_limit=time_limit)
+    _paced_run(sim, result, cycles, packed, _masters(result))
     sim.replay()
     return sim
 
@@ -454,7 +448,6 @@ def desync_streams_batch(result: DesyncResult, cycles: int,
                          stimuli: list[list[dict[str, Value]]],
                          backend: str = DEFAULT_BACKEND,
                          lanes: int | None = None,
-                         delay_model=None,
                          ) -> tuple[list[dict[str, list[Value]]],
                                     list[tuple[str, str | None]]]:
     """De-synchronized capture streams for N stimuli, batched.
@@ -470,43 +463,31 @@ def desync_streams_batch(result: DesyncResult, cycles: int,
 
     Returns ``(streams, engines)``: per stimulus, the streams keyed by
     original flip-flop name, and an ``(engine, fallback_reason)`` pair
-    (``("replay", None)`` or ``("scalar", reason)``).
-
-    A non-identity ``delay_model`` forces the scalar path by design —
-    the replay engine's transfer proof assumes the recorded schedule's
-    constant delays — with the reason recorded on every report, but it
-    is *not* a fallback: the ``sim.replay.fallbacks`` counter only
-    counts blocks where replay was expected to work and didn't.
+    (``("replay", None)`` or ``("scalar", reason)``).  Every scalar
+    block counts on the ``sim.replay.fallbacks`` counter.
     """
     lanes = resolve_lanes(result.desync_netlist, lanes)
-    perturbed = delay_model is not None and not delay_model.is_identity
-    if perturbed:
-        reason = "delay-model active (replay assumes nominal delays)"
-    else:
-        reason = check_schedule_replayable(result.desync_netlist)
+    reason = check_schedule_replayable(result.desync_netlist)
     masters = _masters(result)
     streams: list[dict[str, list[Value]]] = []
     engines: list[tuple[str, str | None]] = []
 
-    def scalar_block(block, why: str | None,
-                     fallen_back: bool) -> None:
+    def scalar_block(block, why: str) -> None:
         with TRACER.span("equiv:desync-block", engine="scalar",
                          lanes=len(block), fallback_reason=why):
             for stimulus in block:
                 streams.append(desync_streams(result, cycles,
                                               inputs_per_cycle=stimulus,
-                                              backend=backend,
-                                              delay_model=delay_model))
+                                              backend=backend))
                 engines.append(("scalar", why))
-        if fallen_back:
-            METRICS.counter("sim.replay.fallbacks").inc()
-            METRICS.counter("equiv.blocks.scalar_fallback").inc()
-            METRICS.counter("equiv.seeds.scalar_fallback").inc(len(block))
+        METRICS.counter("sim.replay.fallbacks").inc()
+        METRICS.counter("equiv.blocks.scalar_fallback").inc()
+        METRICS.counter("equiv.seeds.scalar_fallback").inc(len(block))
 
     for start in range(0, len(stimuli), lanes):
         block = stimuli[start:start + lanes]
         if reason is not None:
-            scalar_block(block, reason, fallen_back=not perturbed)
+            scalar_block(block, reason)
             continue
         try:
             with TRACER.span("equiv:desync-block", engine="replay",
@@ -519,7 +500,7 @@ def desync_streams_batch(result: DesyncResult, cycles: int,
             # The lane-0 replay check failed: the settlement semantics
             # did not hold on this run (e.g. data in flight at a capture
             # under a violated hold assumption).  Fall back, loudly.
-            scalar_block(block, str(exc), fallen_back=True)
+            scalar_block(block, str(exc))
             continue
         METRICS.counter("equiv.blocks.replay").inc()
         for lane in range(len(block)):
@@ -537,7 +518,6 @@ def check_flow_equivalence(result: DesyncResult,
                            backend: str = DEFAULT_BACKEND,
                            delay_model=None,
                            arm=None,
-                           time_limit: float | None = None,
                            ) -> FlowEquivalenceReport:
     """Compare the two circuits over ``cycles`` register captures.
 
@@ -568,7 +548,7 @@ def check_flow_equivalence(result: DesyncResult,
         desync = desync_streams(result, cycles, inputs=inputs,
                                 inputs_per_cycle=inputs_per_cycle,
                                 backend=backend, delay_model=delay_model,
-                                arm=arm, time_limit=time_limit)
+                                arm=arm)
         report = compare_streams(sync, desync, cycles)
         span.set(equivalent=report.equivalent)
     return report
@@ -602,17 +582,15 @@ def check_flow_equivalence_batch(result: DesyncResult,
                                  cycles: int = 20,
                                  backend: str = DEFAULT_BACKEND,
                                  lanes: int | None = None,
-                                 delay_model=None,
                                  ) -> dict[int, FlowEquivalenceReport]:
     """Flow-equivalence sweep over N seeded random stimuli, batched on
     **both** sides.
 
     One seeded stimulus per entry of ``seeds`` (see
     :func:`repro.testing.stimulus.random_stimulus`).  ``lanes=None``
-    asks :func:`repro.sim.lanes.resolve_lanes` — explicit width, then
-    the ``REPRO_LANES`` env knob, then the measured per-size tuning
-    table — resolved once against the synchronous netlist so both sides
-    run the same width.  The synchronous reference side runs
+    asks :func:`repro.sim.lanes.resolve_lanes` for the measured
+    per-size width, resolved once against the synchronous netlist so
+    both sides run the same width.  The synchronous reference side runs
     lane-parallel in ``ceil(N / lanes)`` vector passes
     (:func:`reference_streams_batch`); the de-synchronized side runs on
     the schedule-replay engine (:func:`desync_streams_batch`) —
@@ -620,11 +598,9 @@ def check_flow_equivalence_batch(result: DesyncResult,
     falling back to per-seed event simulation, with the reason recorded
     on the reports, when the fabric fails the data-independence proof.
     ``backend`` names the event engine that records the schedule and
-    runs any scalar seed.  A non-identity ``delay_model`` perturbs the
-    de-synchronized side (the reference is the specification and stays
-    nominal) and forces scalar simulation — recorded per report, not
-    counted as a fallback.  Returns a report
-    per seed, in ``seeds`` order.
+    runs any scalar seed.  The check runs at nominal delays; a delay
+    model perturbs the scalar :func:`check_flow_equivalence`.  Returns
+    a report per seed, in ``seeds`` order.
     """
     from repro.testing.stimulus import random_stimulus
     seeds = list(seeds)
@@ -639,8 +615,7 @@ def check_flow_equivalence_batch(result: DesyncResult,
         sync_streams = reference_streams_batch(result.sync_netlist, cycles,
                                                stimuli, lanes=lanes)
         desync_list, engines = desync_streams_batch(
-            result, cycles, stimuli, backend=backend, lanes=lanes,
-            delay_model=delay_model)
+            result, cycles, stimuli, backend=backend, lanes=lanes)
         reports: dict[int, FlowEquivalenceReport] = {}
         for seed, sync, desync, (engine, reason) in zip(
                 seeds, sync_streams, desync_list, engines):

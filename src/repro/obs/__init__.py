@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_metrics,
 )
 from repro.obs.trace import (
     NULL_SPAN,
@@ -32,9 +31,7 @@ from repro.obs.trace import (
     TRACER,
     Span,
     Tracer,
-    get_tracer,
     span,
-    trace_count,
 )
 
 #: Lazily re-exported names -> home module (these modules import the
@@ -54,15 +51,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_metrics",
     "NULL_SPAN",
     "TRACE_ENV",
     "TRACER",
     "Span",
     "Tracer",
-    "get_tracer",
     "span",
-    "trace_count",
     *sorted(_LAZY),
 ]
 

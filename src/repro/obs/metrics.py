@@ -152,8 +152,3 @@ class MetricsRegistry:
 
 #: The process-global registry most instrumentation records into.
 METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-global metrics registry."""
-    return METRICS

@@ -29,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.sim.backends import DEFAULT_BACKEND, make_simulator
 from repro.sim.waves import WaveGroup, overlap_intervals
 from repro.utils.naming import (
     clock_net_name,
@@ -118,22 +117,17 @@ class HandshakeProbe:
 
 
 def probe_handshakes(result, rounds: int = 8,
-                     backend: str = DEFAULT_BACKEND,
                      registry: MetricsRegistry | None = None
                      ) -> dict[str, dict]:
     """Simulate ``result``'s fabric with the probe attached.
 
     ``result`` is a :class:`~repro.desync.flow.DesyncResult`; the fabric
-    free-runs for about ``rounds`` handshake rounds under the event
-    engine named ``backend`` with only the probe nets recorded, and the
-    collected metrics snapshot is returned (also left in ``registry``,
-    the global one by default).
+    free-runs for about ``rounds`` handshake rounds on the default event
+    engine with only the probe nets recorded, and the collected metrics
+    snapshot is returned (also left in ``registry``, the global one by
+    default).
     """
     probe = HandshakeProbe(result.clustering, result.desync_netlist,
                            registry=registry)
-    sim = make_simulator(result.desync_netlist, backend,
-                         record=probe.record_nets)
-    horizon = (rounds + 4) * max(1.0,
-                                 result.desync_cycle_time().cycle_time)
-    sim.run(horizon)
+    sim = result._free_run(rounds, record=probe.record_nets)
     return probe.collect(sim.history, until=sim.now)

@@ -319,19 +319,9 @@ class Tracer:
 TRACER = Tracer()
 
 
-def get_tracer() -> Tracer:
-    """The process-global tracer."""
-    return TRACER
-
-
 def span(name: str, **attrs) -> Span | _NullSpan:
     """Open a span on the process-global tracer."""
     return TRACER.span(name, **attrs)
-
-
-def trace_count(name: str, value: int | float = 1) -> None:
-    """Accumulate a counter on the process-global tracer."""
-    TRACER.count(name, value)
 
 
 def _activate_from_env() -> None:

@@ -3,7 +3,6 @@
 from repro.power.activity import (
     ActivityProfile,
     from_cycle_simulation,
-    from_event_simulation,
 )
 from repro.power.clock_tree import ClockTreeModel, build_clock_tree
 from repro.power.emi import (
@@ -24,7 +23,6 @@ from repro.power.power import (
 __all__ = [
     "ActivityProfile",
     "from_cycle_simulation",
-    "from_event_simulation",
     "ClockTreeModel",
     "build_clock_tree",
     "CurrentProfile",

@@ -40,11 +40,3 @@ def from_cycle_simulation(netlist: Netlist, toggle_counts: dict[str, int],
     del netlist
     return ActivityProfile(toggles=dict(toggle_counts),
                            duration_ps=cycles * period_ps, cycles=cycles)
-
-
-def from_event_simulation(toggle_counts: dict[str, int],
-                          duration_ps: float,
-                          cycles: int = 0) -> ActivityProfile:
-    """Wrap an :class:`~repro.sim.simulator.EventSimulator` run."""
-    return ActivityProfile(toggles=dict(toggle_counts),
-                           duration_ps=duration_ps, cycles=cycles)

@@ -17,7 +17,7 @@ from repro.sim.simulator import (
     SimStats,
     settle_combinational,
 )
-from repro.sim.lanes import DEFAULT_LANES, LANES_ENV, resolve_lanes
+from repro.sim.lanes import resolve_lanes
 from repro.sim.sync import CycleSimulator, LatchCycleSimulator
 from repro.sim.vector import (
     VectorCycleSimulator,
@@ -48,8 +48,6 @@ __all__ = [
     "settle_combinational",
     "CycleSimulator",
     "LatchCycleSimulator",
-    "DEFAULT_LANES",
-    "LANES_ENV",
     "resolve_lanes",
     "VectorCycleSimulator",
     "pack_lanes",

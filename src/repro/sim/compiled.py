@@ -31,7 +31,7 @@ action)``.  The sequence numbers are allocated in the same order as the
 interpreter's pushes (control pushes included), which is what makes the
 two engines tie-break simultaneous events identically and therefore
 agree exactly — the property the differential harness in
-:mod:`repro.testing` asserts.
+``tests/differential.py`` asserts.
 
 :meth:`CompiledSimulator.reset` returns an engine to the state its
 construction left without recompiling, so callers that simulate one

@@ -392,10 +392,6 @@ class VectorCycleSimulator:
             return (self.V[slot] >> lane) & 1
         return None
 
-    def lane_values(self, lane: int) -> dict[str, Value]:
-        """Every net's value as lane ``lane`` sees it."""
-        return {name: self.lane_value(name, lane) for name in self._names}
-
     def lane_captures(self, lane: int) -> dict[str, list[Value]]:
         """Demux one lane's capture streams to scalar values."""
         return {

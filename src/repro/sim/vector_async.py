@@ -58,8 +58,8 @@ handshake discipline keeps next-token launches out of the capture window
 (the hold conditions).  Those are worst-case — data-independent —
 properties, which is why the settled capture values transfer across
 lanes; the differential harness
-(:func:`repro.testing.run_differential_async`) closes the loop
-empirically per seed.
+(``run_differential_async`` in ``tests/differential.py``) closes the
+loop empirically per seed.
 """
 
 from __future__ import annotations

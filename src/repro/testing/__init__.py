@@ -1,48 +1,15 @@
-"""Differential testing across simulator backends.
+"""Seeded randomized stimulus for simulation and equivalence checks.
 
-The repo's claims all rest on simulation; this package is the
-infrastructure that keeps the simulators honest.  It generates seeded
-randomized stimulus, runs the independent execution models (cycle,
-event, compiled) on it, asserts agreement on capture streams, final
-register state and toggle counts, and minimizes any disagreement to its
-shortest failing stimulus prefix.  See :mod:`repro.testing.differential`
-for the model.
+:mod:`repro.testing.stimulus` draws the per-cycle input vectors that the
+fault campaign, the batched flow-equivalence check and the test suite
+drive circuits with.  The cross-backend differential harness built on it
+lives with the tests (``tests/differential.py``).
 """
 
-from repro.testing.differential import (
-    DEFAULT_BACKENDS,
-    DEFAULT_BATCH_BACKENDS,
-    BackendRun,
-    DifferentialReport,
-    Mismatch,
-    RUNNERS,
-    compare_runs,
-    differential_corpus,
-    drive_clocked,
-    minimize_prefix,
-    run_differential,
-    run_differential_async,
-    run_differential_batch,
-    vector_runs,
-)
 from repro.testing.stimulus import DEFAULT_SEED, data_inputs, random_stimulus
 
 __all__ = [
-    "DEFAULT_BACKENDS",
-    "DEFAULT_BATCH_BACKENDS",
     "DEFAULT_SEED",
-    "BackendRun",
-    "DifferentialReport",
-    "Mismatch",
-    "RUNNERS",
-    "compare_runs",
     "data_inputs",
-    "differential_corpus",
-    "drive_clocked",
-    "minimize_prefix",
     "random_stimulus",
-    "run_differential",
-    "run_differential_async",
-    "run_differential_batch",
-    "vector_runs",
 ]

@@ -1,4 +1,4 @@
-"""Cross-backend differential testing.
+"""Cross-backend differential testing: the suite's harness.
 
 Three independent execution models can run the same synchronous
 netlist: the interpreter event simulator, the compiled event simulator
@@ -13,7 +13,9 @@ same way: by differencing behaviours against the synchronous original).
 
 The harness:
 
-* generates a seeded per-cycle stimulus (:mod:`repro.testing.stimulus`);
+* generates a seeded per-cycle stimulus (:mod:`repro.testing.stimulus`,
+  the one part that stays in the library: the fault campaign and the
+  batched equivalence check draw their stimuli from it);
 * runs every requested backend on it, driving the event engines with an
   explicit clock whose period comes from static timing analysis (so
   every cycle fully settles, making the engines cycle-comparable);
@@ -31,6 +33,9 @@ Backends are pluggable: a runner is any callable
 differentially tested against the reference ones by passing it in
 ``runners`` — which is also how the harness's own failure path is
 tested.
+
+Run from the repository root (``python -m pytest``), so the suite and
+the benchmarks import it as ``tests.differential``.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ from repro.sim import (
 )
 from repro.sim.backends import EVENT_BACKENDS, reused_simulator
 from repro.sim.simulator import INVERT
-from repro.testing import drive_clocked, random_stimulus
+from repro.testing import random_stimulus
 from repro.timing import DelayModel
 from repro.timing.sta import analyze
 from repro.utils.errors import SimulationError
 
 from tests.circuits import all_circuits, lfsr3
+from tests.differential import drive_clocked
 
 CIRCUITS = all_circuits()
 

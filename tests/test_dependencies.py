@@ -1,20 +1,28 @@
-"""Import footprint: the de-synchronization flow runs on the standard
-library alone.
+"""Import and environment footprint: the de-synchronization flow runs
+on the standard library alone, and reads only the documented knobs.
 
 numpy is declared for :mod:`repro.power` (the EMI spectra), and only
 that package may load it.  networkx is a test-only oracle
 (``tests/oracles.py``): the flow's graph passes are its own.  Each
-check runs in a fresh interpreter so no other test's imports leak into
-``sys.modules``.
+import check runs in a fresh interpreter so no other test's imports
+leak into ``sys.modules``.  Every ``REPRO_*`` name the library spells
+out must be a row of the README's environment-knob table, and every
+row must still be read.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+REPO = os.path.dirname(os.path.dirname(__file__))
+SRC = os.path.join(REPO, "src")
+
+#: An environment knob's name.
+KNOB = re.compile(r"REPRO_[A-Z_]+")
 
 #: The modules a flow process imports: the corpus, the pass pipeline
 #: and its sweep, equivalence checking and the fault campaign.
@@ -97,3 +105,34 @@ def test_graph_passes_run_with_networkx_blocked():
     absorbed = [int(line.split()[-1]) for line in out.splitlines()
                 if " absorbed " in line]
     assert len(absorbed) == 3 and min(absorbed) > 0
+
+
+def _source_knobs() -> set[str]:
+    """Every ``REPRO_*`` name in a string literal under ``src/``."""
+    knobs: set[str] = set()
+    for root, _, files in os.walk(SRC):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    knobs.update(KNOB.findall(node.value))
+    return knobs
+
+
+def _readme_knobs() -> set[str]:
+    """The first-column names of the README's environment-knob table."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Environment knobs\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
+
+
+def test_every_knob_is_documented():
+    knobs = _source_knobs()
+    assert "REPRO_TRACE" in knobs  # the scan sees the library's knobs
+    assert knobs == _readme_knobs()

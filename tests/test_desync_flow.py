@@ -44,8 +44,7 @@ class TestOptionsDigest:
     def test_explicit_defaults_equal_implicit_defaults(self):
         implicit = DesyncOptions()
         explicit = DesyncOptions(mode=HandshakeMode.OVERLAP,
-                                 validate_model=True, strategy="scc",
-                                 sync_banks=())
+                                 strategy="scc", sync_banks=())
         assert implicit.digest() == explicit.digest()
 
     def test_normalized_forms_share_a_digest(self):
@@ -62,7 +61,8 @@ class TestOptionsDigest:
         assert base.digest() != \
             DesyncOptions(mode=HandshakeMode.SERIAL).digest()
         assert base.digest() != \
-            DesyncOptions(validate_model=False).digest()
+            DesyncOptions(strategy="single").digest()
+        assert base.digest() != DesyncOptions(cluster_cap=4).digest()
         assert base.digest() != \
             DesyncOptions(sync_banks=("r0",)).digest()
 

@@ -10,18 +10,16 @@ extra backend.
 import pytest
 
 from repro.corpus import generate, names
-from repro.testing import (
-    DEFAULT_SEED,
-    RUNNERS,
-    data_inputs,
-    differential_corpus,
-    minimize_prefix,
-    random_stimulus,
-    run_differential,
-)
+from repro.testing import DEFAULT_SEED, data_inputs, random_stimulus
 from repro.utils.errors import DifferentialError
 
 from tests.circuits import lfsr3, mixed_feedback
+from tests.differential import (
+    RUNNERS,
+    differential_corpus,
+    minimize_prefix,
+    run_differential,
+)
 
 
 class TestStimulus:

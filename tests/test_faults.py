@@ -548,8 +548,7 @@ class TestCampaign:
 
 class TestOptionsAndPlanningErrors:
     @pytest.mark.parametrize("field,value", [
-        ("margin", -0.1), ("margin", float("nan")),
-        ("setup", float("nan")), ("hold_slack", -1.0)])
+        ("margin", -0.1), ("margin", float("nan"))])
     def test_options_reject_bad_margins(self, field, value):
         with pytest.raises(OptionsError, match=field):
             DesyncOptions(**{field: value})

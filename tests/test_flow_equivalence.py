@@ -253,7 +253,7 @@ class TestMutationDetection:
 
 
 def poll_every_chunk(sim, result, cycles, inputs_per_cycle, masters,
-                     time_limit=None, delay_model=None):
+                     delay_model=None):
     """Oracle: the paced environment loop with one ``run`` per grid
     point, idle or not — ``_paced_run`` before it skipped idle polls."""
     period = result.desync_cycle_time().cycle_time
@@ -261,8 +261,7 @@ def poll_every_chunk(sim, result, cycles, inputs_per_cycle, masters,
     if delay_model is not None and not delay_model.is_identity:
         stretch = max(1.0, delay_model.max_factor())
         shrink = min(1.0, max(delay_model.min_factor(), 1e-3))
-    horizon = time_limit if time_limit is not None else \
-        max(1.0, period) * (cycles + 8) * 2 * stretch
+    horizon = max(1.0, period) * (cycles + 8) * 2 * stretch
     feeds = []
     if inputs_per_cycle and any(vector for vector in inputs_per_cycle[1:]):
         feeds = _input_fed_masters(result.desync_netlist, masters) \

@@ -88,7 +88,6 @@ def test_shared_artifacts_are_not_mutated():
     netlist = generate(CONFIG)
     contexts = _build_variants(netlist)
     latched = contexts[0].latched
-    setup, skew = contexts[0].options.setup, contexts[0].options.skew
     fresh_latched = latchify(generate(CONFIG))
     for ctx in contexts:
         assert ctx.latched is latched
@@ -98,8 +97,8 @@ def test_shared_artifacts_are_not_mutated():
     assert latched.fingerprint() == fresh_latched.fingerprint()
     for subject in (netlist, latched):
         fresh = sta._analyze(subject, dict(iter_register_banks(subject)),
-                             setup, skew)
-        shared = sta.analyze(subject, setup=setup, skew=skew)
+                             sta.DEFAULT_SETUP, sta.DEFAULT_SKEW)
+        shared = sta.analyze(subject)
         assert shared.max_delay == fresh.max_delay
         assert shared.min_delay == fresh.min_delay
         assert shared.clk_to_q == fresh.clk_to_q
@@ -122,8 +121,8 @@ def test_mutation_recomputes(calls):
     second = run_pipeline(netlist)
     assert calls["latchify"] == 2
     assert calls["register_edges"] == 2
-    assert calls[("sta", netlist.name, first.options.setup,
-                  first.options.skew)] == 2
+    assert calls[("sta", netlist.name, sta.DEFAULT_SETUP,
+                  sta.DEFAULT_SKEW)] == 2
     assert calls[("validate", netlist.name)] == 2
     assert second.latched is not first.latched
     assert "extra_inv" in second.latched.instances

@@ -477,12 +477,12 @@ class TestHandshakeProbe:
 
 class TestDifferentialDumps:
     def test_mismatch_dumps_vcd_and_report_lists_it(self, tmp_path):
-        from repro.testing.differential import run_differential
+        from tests.differential import run_differential
 
         netlist = generate("pipe4x1")
 
         def broken(net, stimulus):
-            from repro.testing.differential import RUNNERS
+            from tests.differential import RUNNERS
             run = RUNNERS["event"](net, stimulus)
             for stream in run.captures.values():
                 if stream:
@@ -508,7 +508,7 @@ class TestDifferentialDumps:
                    for path in report.dumps)
 
     def test_clean_run_dumps_nothing(self, tmp_path):
-        from repro.testing.differential import run_differential
+        from tests.differential import run_differential
 
         report = run_differential(generate("pipe4x1"), cycles=4,
                                   dump_dir=str(tmp_path))

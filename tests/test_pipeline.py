@@ -143,8 +143,7 @@ class TestPassSequencing:
 
 
 class TestOptionsValidation:
-    @pytest.mark.parametrize("name", ["margin", "setup", "skew",
-                                      "hold_slack"])
+    @pytest.mark.parametrize("name", ["margin"])
     def test_negative_numbers_rejected(self, name):
         with pytest.raises(OptionsError, match=name) as info:
             DesyncOptions(**{name: -0.5})
@@ -370,20 +369,15 @@ class TestSweepDriver:
                             options=DesyncOptions(strategy="per-register",
                                                   mode=HandshakeMode.SERIAL)),
             PipelineVariant("dlap", pipeline="doubly_latched",
-                            options=DesyncOptions(validate_model=False),
                             check_equivalence=False),
         ]
         columns, rows, summary = sweep_pipelines(configs=["pipe4x1", "lfsr8"],
                                                  variants=variants, seeds=(0,),
                                                  cycles=8)
         assert len(rows) == 6
-        assert set(summary) == {"cells", "statuses", "model_validated",
-                                "desync_engines", "fallback_reasons",
-                                "executor"}
+        assert set(summary) == {"cells", "statuses", "desync_engines",
+                                "fallback_reasons", "executor"}
         assert summary["cells"] == 6
-        # The serial and per-register models are checked wherever they
-        # build; the dlap variant turns its check off.
-        assert summary["model_validated"] == 3
         assert summary["executor"]["completed"] == 2  # one task per config
         assert sum(summary["statuses"].values()) == 6
         assert summary["statuses"]["ok"] >= 1
@@ -407,6 +401,44 @@ class TestSweepDriver:
         strategies = {variant.options.strategy
                       for variant in default_variants()}
         assert strategies == set(CLUSTERING_STRATEGIES)
+
+
+#: One change per input a sweep config's rows depend on: a call
+#: argument, a variant's options, or a module constant the cell reads.
+ADDRESS_CHANGES = {
+    "seeds": lambda monkeypatch: {"seeds": (0, 2)},
+    "cycles": lambda monkeypatch: {"cycles": 9},
+    "options": lambda monkeypatch: {"grid": [PipelineVariant(
+        "serial", options=DesyncOptions(mode=HandshakeMode.SERIAL,
+                                        margin=0.2))]},
+    "MAX_EQUIV_INSTANCES": lambda monkeypatch: monkeypatch.setattr(
+        "repro.desync.pipeline.MAX_EQUIV_INSTANCES", 100),
+    "HOLD_ROUNDS": lambda monkeypatch: monkeypatch.setattr(
+        "repro.desync.pipeline.HOLD_ROUNDS", 4),
+    "TUNING_TABLE": lambda monkeypatch: monkeypatch.setattr(
+        "repro.sim.lanes.TUNING_TABLE", ((None, 64),)),
+}
+
+
+class TestSweepAddress:
+    """A job dir files each sweep config under an address that names
+    every input its rows depend on, so a changed input never serves
+    stale rows."""
+
+    @staticmethod
+    def address(grid=None, seeds=(0, 1), cycles=8) -> str:
+        from repro.desync.pipeline import _sweep_address
+        if grid is None:
+            grid = [PipelineVariant(
+                "serial", options=DesyncOptions(mode=HandshakeMode.SERIAL))]
+        return _sweep_address(grid, seeds, cycles)("pipe4x1", None)
+
+    @pytest.mark.parametrize("change", sorted(ADDRESS_CHANGES))
+    def test_each_row_input_changes_the_address(self, monkeypatch, change):
+        base = self.address()
+        assert self.address() == base
+        kwargs = ADDRESS_CHANGES[change](monkeypatch) or {}
+        assert self.address(**kwargs) != base
 
 
 class TestShardedSweep:

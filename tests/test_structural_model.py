@@ -118,8 +118,8 @@ def core_models():
     for config in names("core"):
         netlist = generate(config)
         for label, pipeline, mode in MODEL_KINDS:
-            ctx = run_pipeline(netlist, DesyncOptions(
-                mode=mode, validate_model=False), pipeline=pipeline)
+            ctx = run_pipeline(netlist, DesyncOptions(mode=mode),
+                               pipeline=pipeline)
             yield f"{config}/{label}", ctx.model
 
 
@@ -399,7 +399,7 @@ class TestNonLiveModel:
 
     def test_verify_hold_is_not_a_vacuous_pass(self):
         result = desynchronize(inverter_pipeline(3), DesyncOptions(
-            mode=HandshakeMode.SERIAL, validate_model=False))
+            mode=HandshakeMode.SERIAL))
         checks = result.verify_hold(rounds=4)
         assert checks and all(check.ok for check in checks)
         for place in result.model.places:

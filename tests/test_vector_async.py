@@ -37,9 +37,10 @@ from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
 )
-from repro.testing import random_stimulus, run_differential_async
-from repro.timing import DelayModel
+from repro.testing import random_stimulus
 from repro.utils.errors import SimulationError
+
+from tests.differential import run_differential_async
 
 CYCLES = 8
 SEEDS = range(6)
@@ -268,46 +269,6 @@ class TestDataDependenceFallback:
                                              inputs_per_cycle=stimulus)
 
 
-class TestDelayModelScalarPath:
-    """A non-identity delay model forces the scalar engine by design —
-    the replay transfer proof assumes the recorded schedule's constant
-    delays — and the scalar path must stay *correct* under the
-    perturbation, not just reachable."""
-
-    def test_forced_scalar_matches_per_seed_reference(self):
-        result = serial_desync("pipe4x1")
-        model = DelayModel.jittered(0.03, seed=2)
-        stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
-                   for seed in range(3)]
-        before = METRICS.snapshot().get("sim.replay.fallbacks",
-                                        {}).get("value", 0)
-        streams, engines = desync_streams_batch(result, CYCLES, stimuli,
-                                                delay_model=model)
-        for engine, reason in engines:
-            assert engine == "scalar"
-            assert "delay-model" in reason
-        for stimulus, batched in zip(stimuli, streams):
-            assert batched == desync_streams(result, CYCLES,
-                                             inputs_per_cycle=stimulus,
-                                             delay_model=model)
-        # By-design scalar routing is not a fallback: the counter the
-        # sweep bench asserts on must not move.
-        after = METRICS.snapshot().get("sim.replay.fallbacks",
-                                       {}).get("value", 0)
-        assert after == before
-
-    def test_check_batch_equivalent_under_jitter(self):
-        result = serial_desync("counter6")
-        model = DelayModel.jittered(0.03, seed=5)
-        reports = check_flow_equivalence_batch(result, range(4),
-                                               cycles=CYCLES,
-                                               delay_model=model)
-        for report in reports.values():
-            assert report.desync_engine == "scalar"
-            assert "delay-model" in report.fallback_reason
-            assert report.equivalent
-
-
 class TestPackingValidation:
     def test_word_spill_rejected(self):
         result = serial_desync("pipe4x1")
@@ -340,14 +301,13 @@ class TestLaneWidthPolicy:
     the policy, off-word widths replay correctly, and a wide block
     width lets tail blocks reuse the compiled segments."""
 
-    def test_default_lanes_resolve(self, monkeypatch):
-        from repro.sim import LANES_ENV, resolve_lanes
+    def test_default_lanes_resolve(self):
+        from repro.sim import resolve_lanes
         result = serial_desync("counter6")
-        monkeypatch.delenv(LANES_ENV, raising=False)
         sim = ScheduleReplaySimulator(result.desync_netlist)
         assert sim.lanes == resolve_lanes(result.desync_netlist)
-        monkeypatch.setenv(LANES_ENV, "72")
-        assert ScheduleReplaySimulator(result.desync_netlist).lanes == 72
+        assert ScheduleReplaySimulator(result.desync_netlist,
+                                       lanes=72).lanes == 72
 
     @pytest.mark.parametrize("lanes", (1, 63, 65, 130))
     def test_off_word_width_replays(self, lanes):

@@ -31,7 +31,6 @@ from repro.equiv import (
 from repro.netlist.cells import GENERIC, CellKind
 from repro.netlist.core import Netlist
 from repro.sim import (
-    LANES_ENV,
     CycleSimulator,
     VectorCycleSimulator,
     pack_lanes,
@@ -40,14 +39,15 @@ from repro.sim import (
     unpack_lanes,
 )
 from repro.sim.lanes import TUNING_TABLE
-from repro.testing import (
+from repro.testing import random_stimulus
+from repro.utils.errors import SimulationError
+
+from tests.differential import (
     RUNNERS,
-    random_stimulus,
     run_differential,
     run_differential_batch,
     vector_runs,
 )
-from repro.utils.errors import SimulationError
 
 COMB_CELLS = [cell for cell in GENERIC.cells.values()
               if cell.kind is CellKind.COMB]
@@ -368,41 +368,26 @@ class TestLaneWidths:
 
 
 class TestResolveLanes:
-    """The lane-width policy: explicit > environment > tuning table."""
+    """The lane-width policy: an explicit width, else the tuning table."""
 
-    def test_requested_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV, "128")
+    def test_requested_wins_over_table(self):
         assert resolve_lanes(generate("lfsr8"), requested=7) == 7
 
-    def test_env_overrides_table(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV, "96")
-        assert resolve_lanes(generate("lfsr8")) == 96
-
-    def test_env_must_be_positive_integer(self, monkeypatch):
-        monkeypatch.setenv(LANES_ENV, "wide")
-        with pytest.raises(SimulationError, match=LANES_ENV):
-            resolve_lanes()
-        monkeypatch.setenv(LANES_ENV, "0")
-        with pytest.raises(SimulationError, match="must be >= 1"):
-            resolve_lanes()
-
-    def test_table_buckets_by_instance_count(self, monkeypatch):
-        monkeypatch.delenv(LANES_ENV, raising=False)
+    def test_table_buckets_by_instance_count(self):
         small = resolve_lanes(generate("lfsr8"))   # 9 instances
         large = resolve_lanes(generate("mult8"))   # 352 instances
         assert small == dict(TUNING_TABLE)[48]
         assert large == dict(TUNING_TABLE)[None]
-        assert resolve_lanes() == dict(TUNING_TABLE)[None]
 
     def test_requested_validated(self):
         with pytest.raises(SimulationError, match="lane count"):
-            resolve_lanes(requested=0)
+            resolve_lanes(generate("lfsr8"), requested=0)
+        with pytest.raises(SimulationError, match="must be >= 1"):
+            resolve_lanes(generate("lfsr8"), requested=-3)
 
-    def test_default_flows_into_engines(self, monkeypatch):
-        monkeypatch.delenv(LANES_ENV, raising=False)
+    def test_default_flows_into_engines(self):
         netlist = generate("lfsr8")
         assert VectorCycleSimulator(netlist).lanes == \
             resolve_lanes(netlist)
-        monkeypatch.setenv(LANES_ENV, "80")
-        assert VectorCycleSimulator(netlist).lanes == 80
+        assert VectorCycleSimulator(netlist, lanes=80).lanes == 80
 
