@@ -8,8 +8,9 @@ Full-flow variants are verified by the batched flow-equivalence checker
 the self-timed side lane-parallel on the schedule-replay engine (one
 recorded event simulation plus one bitwise replay per cell, falling
 back to per-seed event simulation with the reason in the
-``desync_engine`` column) — and hold-screened on the timed model;
-model-only baselines report cycle-time metrics.  Since the batched
+``desync_engine`` column) — and hold-checked on the local-clock edges
+that the recording captured; model-only baselines report cycle-time
+metrics.  Since the batched
 desync side made per-seed cost marginal, every verified cell runs the
 default eight-seed grid (``repro.desync.pipeline.SWEEP_SEEDS``), and
 each row carries its build-vs-verify wall-time split.

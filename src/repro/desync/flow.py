@@ -40,8 +40,7 @@ from repro.desync.clustering import CLUSTERING_STRATEGIES, Clustering
 from repro.desync.network import DesyncNetwork, HandshakeMode
 from repro.netlist.core import Netlist
 from repro.petri.analysis import CycleTimeResult, cycle_time
-from repro.petri.simulate import simulate
-from repro.sim.backends import DEFAULT_BACKEND, make_simulator
+from repro.sim.backends import DEFAULT_BACKEND
 from repro.stg.desync_model import (
     LatchBank,
     build_model,
@@ -52,7 +51,6 @@ from repro.stg.stg import Stg
 from repro.timing.delays import DEFAULT_MARGIN
 from repro.timing.sta import TimingResult, analyze
 from repro.utils.errors import DesyncError, OptionsError
-from repro.utils.naming import clock_net_name
 
 if TYPE_CHECKING:
     from repro.desync.pipeline import PassRecord
@@ -265,87 +263,57 @@ class DesyncResult:
                            controller_delay=controller_delay,
                            banks=banks, adjacency=adjacency)
 
-    def verify_hold(self, rounds: int = 10,
-                    use_model: bool = True) -> list[HoldCheck]:
+    def verify_hold(self, rounds: int = 10) -> list[HoldCheck]:
         """Check the overlap-mode relative-timing (hold) conditions.
 
         For every inter-cluster edge ``g -> p``, measures the worst
-        margin between the consumer's k-th capture (``p+``) and the
-        corrupting wave of the producer's same-epoch launch (``g+`` plus
-        latch delay plus the *minimum* combinational path).  With
-        ``use_model`` the schedule comes from the timed fabric model (a
-        fast, conservative screening — the model's eager schedule can
-        launch earlier than the gate-level fabric, so negative margins
-        here are warnings); otherwise the gate-level fabric itself is
-        simulated (:meth:`_free_run`) and the realized local-clock edges
-        are compared.  A model with a
-        token-free cycle raises :class:`~repro.utils.errors.PetriError`
-        rather than passing vacuously.  The paper's flow
-        discharges these checks with commercial timing signoff; the
-        definitive functional check in this reproduction is
-        :func:`repro.equiv.check_flow_equivalence`.
-
-        A model-only result raises :class:`DesyncError`: its model's
-        signals are latch banks, not the clusters screened here, so the
-        screen would pass vacuously.
+        margin over epochs ``1 .. rounds-1`` between the consumer's k-th
+        local-clock rise (``lt:p``, a capture) and the corrupting wave
+        of the producer's same-epoch launch (``lt:g`` plus latch delay
+        plus the *minimum* combinational path), on the gate-level
+        fabric's first ``rounds`` rises per bank (recorded or run:
+        :func:`repro.equiv.flow_equivalence.enable_rises`).  A fabric
+        that stalls first raises its
+        :class:`~repro.utils.errors.FlowEquivalenceError`.  The paper's
+        flow discharges these checks with commercial timing signoff;
+        the definitive functional check in this reproduction is
+        :func:`repro.equiv.check_flow_equivalence`.  A model-only
+        result raises :class:`DesyncError`: it has no fabric.
         """
-        self._fabric()
+        from repro.equiv.flow_equivalence import enable_rises
+
+        if rounds < 2:
+            raise OptionsError("rounds", f"a hold check compares epochs "
+                                         f"1 .. rounds-1, got {rounds!r}")
         latch_delay = self.sync_netlist.library["LATCH_H"].delay
-        if use_model:
-            trace = simulate(self.model, rounds=rounds)
-            rises = {bank: trace.times_of(f"{bank}+")
-                     for bank in self.clustering.clusters}
-        else:
-            banks = list(self.clustering.clusters)
-            sim = self._free_run(rounds, record=[clock_net_name(bank)
-                                                 for bank in banks])
-            rises = {bank: [t for t, v
-                            in sim.history.get(clock_net_name(bank), [])
-                            if v == 1]
-                     for bank in banks}
+        rises = enable_rises(self, rounds)
         checks: list[HoldCheck] = []
         for pred, succ in sorted(self.clustering.edges):
-            min_cl = self.stage_min.get((pred, succ), 0.0)
-            pred_rises = rises[pred]
-            succ_rises = rises[succ]
-            worst = float("inf")
-            for k in range(1, min(len(pred_rises), len(succ_rises))):
-                corruption = pred_rises[k] + latch_delay + min_cl
-                capture = succ_rises[k]
-                worst = min(worst, corruption - capture)
-            checks.append(HoldCheck(pred, succ, worst))
+            slack = latch_delay + self.stage_min.get((pred, succ), 0.0)
+            checks.append(HoldCheck(pred, succ, min(
+                corrupt + slack - capture for corrupt, capture
+                in zip(rises[pred][1:], rises[succ][1:]))))
         return checks
-
-    def _free_run(self, rounds: int, record: list[str] | None = None,
-                  record_all: bool = False):
-        """Free-run the gate-level fabric for about ``rounds`` handshake
-        rounds (``rounds + 4`` model cycle times) on the default event
-        engine, recording ``record`` (every net with ``record_all``);
-        returns the engine."""
-        sim = make_simulator(self.desync_netlist, DEFAULT_BACKEND,
-                             record=record, record_all=record_all)
-        sim.run((rounds + 4) * max(1.0, self.desync_cycle_time().cycle_time))
-        return sim
 
     def dump_vcd(self, path: str, rounds: int = 10,
                  nets: list[str] | None = None) -> str:
         """Simulate the de-synchronized fabric and write a VCD file.
 
-        Free-runs the fabric for about ``rounds`` handshake rounds
-        (:meth:`_free_run`) and writes the recorded waveforms as
-        standard VCD (GTKWave-openable) to ``path``.
-        ``nets`` restricts the dump; by default every net is recorded —
-        handshake signals (``lt:*``, ``req:*``, ``ack:*``, ``tok:*``)
-        and data alike.  Returns ``path``.
+        Runs the fabric without stimulus until every master latch has
+        ``rounds`` captures
+        (:func:`repro.equiv.flow_equivalence.free_run`) and writes the
+        recorded waveforms as standard VCD (GTKWave-openable) to
+        ``path``.  ``nets`` restricts the dump; by default every net is
+        recorded — handshake signals (``lt:*``, ``req:*``, ``ack:*``,
+        ``tok:*``) and data alike.  Returns ``path``.
         """
+        from repro.equiv.flow_equivalence import free_run
         from repro.obs.vcd import write_vcd
 
-        sim = self._free_run(rounds, record=nets, record_all=nets is None)
-        return write_vcd(path, sim.history,
-                         module=self.desync_netlist.name,
-                         comment=f"desync fabric of "
-                                 f"{self.sync_netlist.name}, "
-                                 f"{DEFAULT_BACKEND} engine, "
+        sim = free_run(self, rounds, record=nets)
+        return write_vcd(path, sim.history, module=self.desync_netlist.name,
+                         comment=f"desync fabric of {self.sync_netlist.name}"
+                                 f", {DEFAULT_BACKEND} engine, "
                                  f"t<={sim.now:.0f}ps")
 
     def overhead_summary(self) -> dict[str, float]:

@@ -358,7 +358,7 @@ class PipelineVariant:
     be :data:`AUTO_SYNC_BANKS` to derive a per-config island.  With
     ``check_equivalence`` the variant is verified by
     :func:`repro.equiv.check_flow_equivalence_batch` (reference side on
-    the vector backend) and hold-screened via
+    the vector backend) and hold-checked on the fabric it ran via
     :meth:`~repro.desync.flow.DesyncResult.verify_hold`.
     """
 
@@ -428,12 +428,9 @@ SWEEP_COLUMNS = [
 SWEEP_SEEDS = tuple(range(8))
 
 #: Designs with more instances than this skip equivalence and the hold
-#: screen (fabric simulation dominates the sweep cost): their rows
+#: check (fabric simulation dominates the sweep cost): their rows
 #: report ``status='unchecked'``.
 MAX_EQUIV_INSTANCES = 200
-
-#: Model rounds of each verified cell's hold screen.
-HOLD_ROUNDS = 8
 
 
 def sweep_pipelines(configs: list[str] | None = None,
@@ -453,9 +450,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     flow-equivalence sweep — synchronous references lane-parallel on the
     vector backend, the de-synchronized side on the schedule-replay
     engine, with a logged per-seed event-simulation fallback — and
-    hold-screened on the timed model (:data:`HOLD_ROUNDS` rounds),
-    unless the design exceeds :data:`MAX_EQUIV_INSTANCES`, in which
-    case the row reports ``status='unchecked'``.
+    hold-checked on the fabric's recorded local clocks, unless the
+    design exceeds :data:`MAX_EQUIV_INSTANCES`, in which case the row
+    reports ``status='unchecked'``.
     A variant that is structurally inapplicable (e.g. ``per-register``
     on a cyclic register graph) reports ``status='invalid'`` instead of
     failing the sweep.  Every cell that builds a timed model validates
@@ -565,10 +562,9 @@ def sweep_pipelines(configs: list[str] | None = None,
 def _sweep_address(grid, seeds, cycles):
     """The ``address`` function that files each config of a sweep in a
     job dir: its name and netlist fingerprint plus every parameter and
-    module constant its rows depend on (:data:`MAX_EQUIV_INSTANCES`,
-    :data:`HOLD_ROUNDS`, and the lane-width
-    :data:`~repro.sim.lanes.TUNING_TABLE` that sets the ``lanes``
-    column)."""
+    module constant its rows depend on (:data:`MAX_EQUIV_INSTANCES`
+    and the lane-width :data:`~repro.sim.lanes.TUNING_TABLE` that sets
+    the ``lanes`` column)."""
     from repro.corpus import generate
     from repro.jobs import payload_digest
     params = payload_digest({
@@ -577,7 +573,6 @@ def _sweep_address(grid, seeds, cycles):
                       variant.check_equivalence] for variant in grid],
         "seeds": list(seeds), "cycles": cycles,
         "max_equiv_instances": MAX_EQUIV_INSTANCES,
-        "hold_rounds": HOLD_ROUNDS,
         "tuning_table": [list(row) for row in lane_policy.TUNING_TABLE]})
 
     def address(config: str, payload: tuple) -> str:
@@ -698,7 +693,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles):
                                                lanes=cell_lanes)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
-                      for check in result.verify_hold(rounds=HOLD_ROUNDS))
+                      for check in result.verify_hold(rounds=cycles))
     except ReproError as exc:
         # A deadlocked/stalled fabric is a per-row verdict, not a reason
         # to abort the grid and lose every completed row.

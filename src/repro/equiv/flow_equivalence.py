@@ -30,7 +30,8 @@ from repro.desync.latchify import master_name
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.sim.backends import DEFAULT_BACKEND, reused_simulator
+from repro.sim.backends import DEFAULT_BACKEND, make_simulator, \
+    reused_simulator
 from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
@@ -41,6 +42,7 @@ from repro.sim.vector_async import (
     control_cone,
 )
 from repro.utils.errors import FlowEquivalenceError, SimulationError
+from repro.utils.naming import clock_net_name
 
 @dataclass
 class Divergence:
@@ -251,6 +253,41 @@ def _paced_run(sim, result: DesyncResult, cycles: int,
         raise FlowEquivalenceError(
             f"de-synchronized circuit stalled: {sorted(shortfall)[:5]} "
             f"captured fewer than {cycles} values within {horizon:.0f} ps")
+
+
+def free_run(result: DesyncResult, rounds: int,
+             record: list[str] | None = None):
+    """Run ``result``'s fabric without stimulus until every master latch
+    has ``rounds`` captures (:func:`_paced_run`, raising its stall error),
+    recording ``record`` (``None``: every net); returns the engine."""
+    sim = make_simulator(result.desync_netlist, DEFAULT_BACKEND,
+                         record=record, record_all=record is None)
+    _paced_run(sim, result, rounds, None, _masters(result))
+    return sim
+
+
+def enable_rises(result: DesyncResult, rounds: int,
+                 sim=None) -> dict[str, tuple[float, ...]]:
+    """The first ``rounds`` rise times of every cluster's local clock
+    ``lt:<bank>`` (a high level at reset counts as a rise at 0) in the
+    finished paced run ``sim``, else in a :func:`free_run`; memoized on
+    the fabric per ``rounds``.  Masters close on their bank's rises, so
+    every bank has ``rounds``.  :func:`desync_streams_batch` passes its
+    replay recordings: the replay proof keeps data and inputs out of the
+    enable cone, so lane 0's enable edges are any stimulus's, or none's.
+    """
+    netlist = result.desync_netlist
+    banks = sorted(result.clustering.clusters)
+
+    def first_rises():
+        run = sim if sim is not None else free_run(
+            result, rounds, [clock_net_name(bank) for bank in banks])
+        return {bank: tuple([t for t, value
+                             in run.history.get(clock_net_name(bank), ())
+                             if value == 1][:rounds])
+                for bank in banks}
+
+    return netlist.memo(("enable-rises", rounds), first_rises)
 
 
 def _stall_watch(sim, result: DesyncResult):
@@ -503,6 +540,7 @@ def desync_streams_batch(result: DesyncResult, cycles: int,
             scalar_block(block, str(exc))
             continue
         METRICS.counter("equiv.blocks.replay").inc()
+        enable_rises(result, cycles, sim)
         for lane in range(len(block)):
             values = sim.lane_capture_values(lane)
             streams.append({

@@ -19,7 +19,7 @@ event-driven run and distills them into metrics:
 ``handshake.requests`` / ``handshake.captures``
     total request and capture rises observed.
 
-Use :func:`probe_handshakes` for the one-call form: it simulates a
+Use :func:`probe_handshakes` for the one-call form: it runs a
 :class:`~repro.desync.flow.DesyncResult`'s fabric with only the probe
 nets recorded and returns the snapshot.
 """
@@ -47,12 +47,10 @@ class HandshakeProbe:
     """
 
     def __init__(self, clustering, netlist,
-                 registry: MetricsRegistry | None = None,
-                 prefix: str = "handshake"):
+                 registry: MetricsRegistry | None = None):
         self.banks = sorted(clustering.clusters)
         self.edges = sorted(clustering.edges)
         self.registry = registry if registry is not None else METRICS
-        self.prefix = prefix
         wanted = [clock_net_name(bank) for bank in self.banks]
         for pred, succ in self.edges:
             wanted.append(request_net_name(pred, succ))
@@ -71,11 +69,10 @@ class HandshakeProbe:
         """
         present = [name for name in self.record_nets if name in history]
         group = WaveGroup.from_history(history, names=present)
-        latency = self.registry.histogram(f"{self.prefix}.latency_ps")
-        overlap = self.registry.histogram(
-            f"{self.prefix}.enable_overlap_ps")
-        requests = self.registry.counter(f"{self.prefix}.requests")
-        captures = self.registry.counter(f"{self.prefix}.captures")
+        latency = self.registry.histogram("handshake.latency_ps")
+        overlap = self.registry.histogram("handshake.enable_overlap_ps")
+        requests = self.registry.counter("handshake.requests")
+        captures = self.registry.counter("handshake.captures")
 
         rises: dict[str, list[float]] = {}
         for name in present:
@@ -107,13 +104,13 @@ class HandshakeProbe:
             if not incoming:
                 continue
             in_flight = self.registry.histogram(
-                f"{self.prefix}.tokens_in_flight.{bank}")
+                f"handshake.tokens_in_flight.{bank}")
             for capture_time in rises.get(clock_net_name(bank), []):
                 in_flight.observe(sum(
                     1 for name in incoming
                     if group.wave(name).at(capture_time) == 1))
 
-        return self.registry.snapshot(prefix=self.prefix)
+        return self.registry.snapshot(prefix="handshake")
 
 
 def probe_handshakes(result, rounds: int = 8,
@@ -121,13 +118,15 @@ def probe_handshakes(result, rounds: int = 8,
                      ) -> dict[str, dict]:
     """Simulate ``result``'s fabric with the probe attached.
 
-    ``result`` is a :class:`~repro.desync.flow.DesyncResult`; the fabric
-    free-runs for about ``rounds`` handshake rounds on the default event
-    engine with only the probe nets recorded, and the collected metrics
-    snapshot is returned (also left in ``registry``, the global one by
-    default).
+    ``result`` is a :class:`~repro.desync.flow.DesyncResult`; its fabric
+    runs without stimulus until every master latch has ``rounds``
+    captures (:func:`repro.equiv.flow_equivalence.free_run`) with only
+    the probe nets recorded, and the collected metrics snapshot is
+    returned (also left in ``registry``, the global one by default).
     """
+    from repro.equiv.flow_equivalence import free_run
+
     probe = HandshakeProbe(result.clustering, result.desync_netlist,
                            registry=registry)
-    sim = result._free_run(rounds, record=probe.record_nets)
+    sim = free_run(result, rounds, record=probe.record_nets)
     return probe.collect(sim.history, until=sim.now)

@@ -425,9 +425,9 @@ class ScheduleReplaySimulator:
         return self._recorder.captures
 
     @property
-    def toggle_counts(self) -> dict[str, int]:
-        """Lane-0 per-net toggle counts (exact, glitches included)."""
-        return self._recorder.toggle_counts
+    def history(self) -> dict[str, list[tuple[float, Value]]]:
+        """Lane-0 change history of every latch-enable net (exact)."""
+        return self._recorder.history
 
     def run(self, until: float):
         """Advance the recording simulation (lane 0) to ``until``."""

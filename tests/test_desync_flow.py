@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from repro.corpus import generate
 from repro.desync import (
     DesyncOptions,
     HandshakeMode,
@@ -19,9 +20,10 @@ from repro.desync import (
     slave_name,
     register_level_edges,
 )
+from repro.equiv import check_flow_equivalence
 from repro.netlist import CellKind, Netlist
 from repro.sim import CycleSimulator, LatchCycleSimulator
-from repro.utils.errors import DesyncError
+from repro.utils.errors import DesyncError, FlowEquivalenceError, OptionsError
 
 from tests.circuits import (
     inverter_pipeline,
@@ -251,8 +253,31 @@ class TestHoldVerification:
 
     def test_fabric_measurement_runs(self):
         result = desynchronize(mixed_feedback())
-        checks = result.verify_hold(use_model=False)
+        checks = result.verify_hold()
         assert len(checks) == len(result.clustering.edges)
+
+    def test_stalled_fabric_is_not_a_vacuous_pass(self):
+        # Hold the st1 -> st2 acknowledge's producer pin high: the
+        # acknowledge stays cleared, st1 never relaunches, and the fabric
+        # stalls before any edge has an epoch to compare (a screen of
+        # the rises seen so far reports margin inf on every edge).
+        result = desynchronize(generate("pipe4x1"),
+                               DesyncOptions(mode=HandshakeMode.SERIAL))
+        fabric = result.desync_netlist
+        ack = fabric.instances["ack:st1>st2/c"]
+        ack.pins["P"].sinks.remove((ack, "P"))
+        ack.pins["P"] = fabric.nets["ctl:one"]
+        fabric.nets["ctl:one"].sinks.append((ack, "P"))
+        fabric.invalidate_query_caches()  # direct structural edit
+        with pytest.raises(FlowEquivalenceError, match="stalled"):
+            check_flow_equivalence(result, cycles=10)
+        with pytest.raises(FlowEquivalenceError, match="stalled"):
+            result.verify_hold()
+
+    def test_too_few_rounds_rejected(self):
+        result = desynchronize(inverter_pipeline(3))
+        with pytest.raises(OptionsError, match="compares epochs"):
+            result.verify_hold(rounds=1)
 
 
 class TestPerformanceShape:

@@ -176,8 +176,7 @@ class TestVaryingInputs:
         racy = desynchronize(netlist,
                              DesyncOptions(mode=HandshakeMode.OVERLAP))
         worst = min(check.margin
-                    for check in racy.verify_hold(rounds=cycles + 2,
-                                                  use_model=False))
+                    for check in racy.verify_hold(rounds=cycles + 2))
         assert worst < 0.0  # the fabric's RT assumption really is broken
         report = check_flow_equivalence(racy, cycles=cycles,
                                         inputs_per_cycle=ipc)
@@ -186,8 +185,7 @@ class TestVaryingInputs:
         safe = desynchronize(generate("pipe4x1"),
                              DesyncOptions(mode=HandshakeMode.SERIAL))
         assert all(check.ok
-                   for check in safe.verify_hold(rounds=cycles + 2,
-                                                 use_model=False))
+                   for check in safe.verify_hold(rounds=cycles + 2))
         check_flow_equivalence(safe, cycles=cycles,
                                inputs_per_cycle=ipc).assert_ok()
 

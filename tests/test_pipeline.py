@@ -295,11 +295,9 @@ class TestPartialDesync:
                                                cycles=10,
                                                backend="compiled")
         assert all(report.equivalent for report in reports.values())
-        # The realized fabric's margins, not the model screen: the
-        # model's eager schedule is a conservative warning filter (it
-        # flags this fabric), while the measured local-clock edges show
-        # the hybrid's actual hold slack is positive.
-        checks = result.verify_hold(rounds=8, use_model=False)
+        # The measured local-clock edges show the hybrid's hold slack is
+        # positive (the timed model's eager schedule would flag it).
+        checks = result.verify_hold(rounds=8)
         assert checks and all(check.ok for check in checks)
 
     def test_broken_boundary_bridge_localized(self):
@@ -403,6 +401,62 @@ class TestSweepDriver:
         assert strategies == set(CLUSTERING_STRATEGIES)
 
 
+@pytest.fixture(scope="module")
+def core_sweep_holds():
+    """Run the stock grid's checked variants over the core tier and
+    return ``(served, free_runs, rows)``: every hold check the sweep
+    computed, as ``(result, rounds, checks)``, and every stimulus-free
+    fabric run it started on the way."""
+    import repro.equiv.flow_equivalence as flow_equivalence
+    from repro.corpus import names
+    from repro.desync import default_variants
+    from repro.desync.flow import DesyncResult
+
+    served, free_runs = [], []
+    verify_hold = DesyncResult.verify_hold
+    free_run = flow_equivalence.free_run
+
+    def spy_verify_hold(self, rounds=10):
+        checks = verify_hold(self, rounds)
+        served.append((self, rounds, checks))
+        return checks
+
+    def spy_free_run(result, rounds, *args, **kwargs):
+        free_runs.append((result.sync_netlist.name, rounds))
+        return free_run(result, rounds, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DesyncResult, "verify_hold", spy_verify_hold)
+        patch.setattr(flow_equivalence, "free_run", spy_free_run)
+        columns, rows, _ = sweep_pipelines(
+            configs=names("core"), jobs=1,
+            variants=[variant for variant in default_variants()
+                      if variant.check_equivalence])
+    return served, free_runs, [dict(zip(columns, row)) for row in rows]
+
+
+class TestSweepHoldCheck:
+    """The sweep's hold verdicts come from the fabric edges its batched
+    equivalence check recorded: no extra run, same margins as a
+    stimulus-free run of a freshly built fabric."""
+
+    def test_every_checked_cell_is_served_without_a_fabric_run(
+            self, core_sweep_holds):
+        served, free_runs, rows = core_sweep_holds
+        checked = [row for row in rows if row["hold_ok"] is not None]
+        assert checked and len(served) == len(checked)
+        assert free_runs == []
+
+    def test_recorded_checks_equal_a_stimulus_free_run(self,
+                                                       core_sweep_holds):
+        served, _, _ = core_sweep_holds
+        for result, rounds, checks in served:
+            fresh = run_pipeline(result.sync_netlist, result.options,
+                                 pipeline=result.pipeline)
+            assert fresh.verify_hold(rounds=rounds) == checks, (
+                result.sync_netlist.name, result.options)
+
+
 #: One change per input a sweep config's rows depend on: a call
 #: argument, a variant's options, or a module constant the cell reads.
 ADDRESS_CHANGES = {
@@ -413,8 +467,6 @@ ADDRESS_CHANGES = {
                                         margin=0.2))]},
     "MAX_EQUIV_INSTANCES": lambda monkeypatch: monkeypatch.setattr(
         "repro.desync.pipeline.MAX_EQUIV_INSTANCES", 100),
-    "HOLD_ROUNDS": lambda monkeypatch: monkeypatch.setattr(
-        "repro.desync.pipeline.HOLD_ROUNDS", 4),
     "TUNING_TABLE": lambda monkeypatch: monkeypatch.setattr(
         "repro.sim.lanes.TUNING_TABLE", ((None, 64),)),
 }

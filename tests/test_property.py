@@ -130,8 +130,7 @@ class TestFlowEquivalenceProperty:
                 violated = True
                 # The checker's window must cover every compared capture:
                 # a race can first bite at any cycle up to the last one.
-                checks = result.verify_hold(rounds=cycles + 4,
-                                            use_model=False)
+                checks = result.verify_hold(rounds=cycles + 4)
                 assert any(not check.ok for check in checks), (
                     report.divergences[:3])
         if violated:
@@ -172,6 +171,6 @@ class TestFlowEquivalenceProperty:
         # circuit equivalent, pick a new witness rather than letting the
         # hold-window property go untested.
         assert not report.equivalent
-        assert all(check.ok for check in result.verify_hold(use_model=False))
-        checks = result.verify_hold(rounds=cycles + 4, use_model=False)
+        assert all(check.ok for check in result.verify_hold())
+        checks = result.verify_hold(rounds=cycles + 4)
         assert any(not check.ok for check in checks), report.divergences[:3]
