@@ -40,6 +40,7 @@ remains the stable entry point.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -602,7 +603,17 @@ def _quarantined_row(config: str, variant: PipelineVariant,
 
 def _sweep_config_task(payload: tuple) -> list:
     """One shard task: every variant of one config, as ``[(row,
-    stats), ...]`` in variant order."""
+    stats), ...]`` in variant order.
+
+    Each cell's fabric dies when the cell ends, but a fabric is a graph
+    of reference cycles (``Net.driver``/``Net.sinks`` and
+    ``Instance.pins``), so only a full collection frees it.  Left to its
+    own thresholds, the collector lets two or three DLX-sized fabrics
+    pile up first, so the task collects after every cell and holds one
+    fabric at a time.  :func:`repro.jobs.run_grid` freezes the heap
+    from before the grid, so each collection walks only this config's
+    objects.
+    """
     config, grid, seeds, cycles = payload
     from repro.corpus import generate
 
@@ -618,6 +629,7 @@ def _sweep_config_task(payload: tuple) -> list:
             span.set(status=row[status_index],
                      desync_engine=row[engine_index])
         results.append((row, stats))
+        gc.collect()
     return results
 
 

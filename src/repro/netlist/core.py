@@ -32,7 +32,7 @@ from repro.utils.naming import NameScope
 _MISS = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     """A single-bit wire.
 
@@ -64,7 +64,7 @@ class Net:
         return f"Net({self.name!r})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """An instantiated library cell.
 

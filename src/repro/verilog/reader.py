@@ -34,33 +34,39 @@ from repro.verilog.tokenizer import (
     ESCAPED,
     ID,
     SYMBOL,
+    Comment,
     Token,
-    tokenize,
+    iter_tokens,
 )
 
 _DECL_KEYWORDS = ("input", "output", "wire")
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser with one token of lookahead.
+
+    ``current`` is the lookahead token; :meth:`advance` pulls the next
+    one from the lexer, which appends the comments it passes to
+    ``comments``.  So every comment before ``current`` is in the list,
+    and the annotation readers never look past ``current``.  Errors are
+    raised in source order: a syntax error before the first lexical
+    error is the one reported.
+    """
 
     def __init__(self, source: str, library: Library | None):
-        self.tokens, self.comments = tokenize(source)
-        self.pos = 0
+        self.comments: list[Comment] = []
+        self._tokens = iter_tokens(source, self.comments)
+        self.current: Token = next(self._tokens)
         self.library = library
         self._comment_scan = 0  # monotonic cursor into self.comments
 
     # ------------------------------------------------------------------
     # token stream helpers
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind is not EOF:
-            self.pos += 1
+            self.current = next(self._tokens)
         return token
 
     def error(self, message: str, token: Token | None = None) -> VerilogError:

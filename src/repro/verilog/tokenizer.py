@@ -4,9 +4,11 @@ The subset is exactly what :mod:`repro.verilog.writer` emits: plain and
 escaped identifiers, the punctuation of module/port/instance syntax, and
 ``//`` line comments.  Comments are not discarded — the writer encodes
 machine-readable annotations (``library=``, ``clock=``, ``init=``) as
-``// key=value`` comments, so the tokenizer returns them alongside the
-token stream with their line numbers and lets the parser associate them
-with the header or with an instance statement.
+``// key=value`` comments.  :func:`iter_tokens` is a generator: it
+yields one token at a time, so the reader never holds the whole token
+stream, and appends each comment to a caller's list as it passes it.
+The reader associates a comment with the header or with an instance
+statement once its lookahead token lies past the comment.
 
 Escaped identifiers follow the Verilog rule: ``\\`` starts the
 identifier, any run of printable non-whitespace characters forms the
@@ -17,7 +19,9 @@ followed by whitespace or end-of-input is a lexing error.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.utils.errors import VerilogError
 
@@ -27,13 +31,23 @@ ESCAPED = "escaped"  # escaped identifier; value holds the unescaped name
 SYMBOL = "symbol"    # one of ``( ) ; , .``
 EOF = "eof"
 
-_SYMBOLS = frozenset("();,.")
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+# One alternative per token kind, tried at the cursor.  Only valid
+# tokens match; the no-match branch of :func:`iter_tokens` names the
+# error.  ``\s`` and :meth:`str.isspace` agree on every character.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*)
+  | \\(?P<escaped>\S+)(?=\s)
+  | (?P<symbol>[();,.])
+  | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
+""", re.VERBOSE)
+# match.lastindex -> token kind (None: not a token).
+_KINDS = (None, None, None, ESCAPED, SYMBOL, ID)
+_SPACE, _COMMENT = 1, 2
 _ANNOTATION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(\S+)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str
@@ -69,53 +83,50 @@ class Comment:
         return {match.group(1): match.group(2) for match in matches}
 
 
-def tokenize(source: str) -> tuple[list[Token], list[Comment]]:
-    """Lex ``source`` into tokens plus the comment stream.
+def iter_tokens(source: str, comments: list[Comment]) -> Iterator[Token]:
+    """Lex ``source`` one token at a time, ending with an ``EOF`` token.
 
+    Each ``//`` comment is appended to ``comments`` when the lexer
+    passes it, so every comment before the last yielded token is there.
     Raises :class:`VerilogError` on characters outside the subset or on
-    malformed escaped identifiers.
+    malformed escaped identifiers, when the lexer reaches them.
     """
-    tokens: list[Token] = []
-    comments: list[Comment] = []
     line, line_start = 1, 0
     pos, length = 0, len(source)
+    match_at = _TOKEN_RE.match
     while pos < length:
-        char = source[pos]
-        column = pos - line_start + 1
-        if char == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-        elif char in " \t\r":
-            pos += 1
-        elif source.startswith("//", pos):
-            end = source.find("\n", pos)
-            end = length if end < 0 else end
-            comments.append(Comment(source[pos + 2:end].strip(), line, column))
-            pos = end
-        elif char == "\\":
-            end = pos + 1
-            while end < length and not source[end].isspace():
-                end += 1
-            if end == pos + 1:
-                raise VerilogError("malformed escaped identifier: '\\' must "
-                                   "be followed by non-whitespace characters",
-                                   line, column)
-            if end >= length:
-                raise VerilogError("unterminated escaped identifier "
-                                   f"{source[pos:end]!r} (escaped identifiers "
-                                   "end with whitespace)", line, column)
-            tokens.append(Token(ESCAPED, source[pos + 1:end], line, column))
-            pos = end
-        elif char in _SYMBOLS:
-            tokens.append(Token(SYMBOL, char, line, column))
-            pos += 1
+        match = match_at(source, pos)
+        if match is None:
+            raise _lexical_error(source, pos, line, pos - line_start + 1)
+        group = match.lastindex
+        if group == _SPACE:
+            newlines = match.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, match.end()) + 1
+        elif group == _COMMENT:
+            comments.append(Comment(match.group()[2:].strip(), line,
+                                    pos - line_start + 1))
         else:
-            match = _ID_RE.match(source, pos)
-            if match is None:
-                raise VerilogError(f"unexpected character {char!r}",
-                                   line, column)
-            tokens.append(Token(ID, match.group(0), line, column))
-            pos = match.end()
-    tokens.append(Token(EOF, "", line, length - line_start + 1))
-    return tokens, comments
+            yield Token(_KINDS[group], match.group(group), line,
+                        pos - line_start + 1)
+        pos = match.end()
+    yield Token(EOF, "", line, length - line_start + 1)
+
+
+def _lexical_error(source: str, pos: int, line: int,
+                   column: int) -> VerilogError:
+    """The error for the text at ``pos``, where no token matches."""
+    if source[pos] != "\\":
+        return VerilogError(f"unexpected character {source[pos]!r}",
+                            line, column)
+    end = pos + 1
+    while end < len(source) and not source[end].isspace():
+        end += 1
+    if end == pos + 1:
+        return VerilogError("malformed escaped identifier: '\\' must be "
+                            "followed by non-whitespace characters",
+                            line, column)
+    return VerilogError("unterminated escaped identifier "
+                        f"{source[pos:end]!r} (escaped identifiers end "
+                        "with whitespace)", line, column)

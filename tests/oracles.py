@@ -4,9 +4,11 @@ These are the straightforward versions the library replaced: a full
 topological scan per STA source bank, one backward DFS per register,
 the ``networkx`` graph passes the clustering strategies and the
 partial pass once called (a test-only dependency now), one Dijkstra
-run per transition for the marked-graph token distances, and the
-event-worklist timed simulation.  They are slow but obviously right,
-so ``test_analysis_oracles.py`` and ``test_structural_model.py`` hold
+run per transition for the marked-graph token distances, the
+event-worklist timed simulation, and the character-loop Verilog lexer
+that lexed a whole source before parsing began.  They are slow but
+obviously right, so ``test_analysis_oracles.py``,
+``test_structural_model.py`` and ``test_verilog_roundtrip.py`` hold
 the fast code to them for exact equality.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import deque
 
 import networkx as nx
@@ -23,7 +26,8 @@ from repro.petri import MarkedGraph, PetriNet, TimedEvent, TimedTrace
 from repro.stg import Stg
 from repro.stg.desync_model import LatchBank
 from repro.timing.sta import INPUTS, OUTPUTS, TimingResult, gate_delay
-from repro.utils.errors import DesyncError, StgError, TimingError
+from repro.utils.errors import DesyncError, StgError, TimingError, VerilogError
+from repro.verilog.tokenizer import EOF, ESCAPED, ID, SYMBOL, Comment, Token
 
 
 def sequential_fanin(inst: Instance) -> list[Instance]:
@@ -430,3 +434,60 @@ def check_consistency(stg: Stg, max_states: int = 100_000) -> None:
                 raise StgError(
                     f"inconsistent STG {stg.name}: marking reached with "
                     "two different signal states")
+
+
+_VERILOG_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+
+
+def lex_verilog(source: str) -> tuple[list[Token], list[Comment]]:
+    """Lex all of ``source`` into tokens (ending with ``EOF``) plus the
+    comment stream, one character at a time.
+
+    Raises :class:`VerilogError` on characters outside the subset or on
+    malformed escaped identifiers.
+    """
+    tokens: list[Token] = []
+    comments: list[Comment] = []
+    line, line_start = 1, 0
+    pos, length = 0, len(source)
+    while pos < length:
+        char = source[pos]
+        column = pos - line_start + 1
+        if char == "\n":
+            line += 1
+            line_start = pos + 1
+            pos += 1
+        elif char in " \t\r":
+            pos += 1
+        elif source.startswith("//", pos):
+            end = source.find("\n", pos)
+            end = length if end < 0 else end
+            comments.append(Comment(source[pos + 2:end].strip(), line, column))
+            pos = end
+        elif char == "\\":
+            end = pos + 1
+            while end < length and not source[end].isspace():
+                end += 1
+            if end == pos + 1:
+                raise VerilogError("malformed escaped identifier: '\\' must "
+                                   "be followed by non-whitespace characters",
+                                   line, column)
+            if end >= length:
+                raise VerilogError("unterminated escaped identifier "
+                                   f"{source[pos:end]!r} (escaped identifiers "
+                                   "end with whitespace)", line, column)
+            tokens.append(Token(ESCAPED, source[pos + 1:end], line, column))
+            pos = end
+        elif char in "();,.":
+            tokens.append(Token(SYMBOL, char, line, column))
+            pos += 1
+        else:
+            match = _VERILOG_ID_RE.match(source, pos)
+            if match is None:
+                raise VerilogError(f"unexpected character {char!r}",
+                                   line, column)
+            tokens.append(Token(ID, match.group(0), line, column))
+            pos = match.end()
+    tokens.append(Token(EOF, "", line, length - line_start + 1))
+    return tokens, comments
+

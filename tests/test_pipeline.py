@@ -457,6 +457,31 @@ class TestSweepHoldCheck:
                 result.sync_netlist.name, result.options)
 
 
+class TestSweepCellRelease:
+    """A sweep config task frees each cell's fabric when the cell ends,
+    so the next cell starts with nothing left for the collector."""
+
+    @pytest.mark.parametrize("config", ["fir8", "pipe4x1"])
+    def test_no_fabric_outlives_its_cell(self, monkeypatch, config):
+        import gc
+
+        from repro.desync import default_variants
+        from repro.desync import pipeline
+
+        found = []
+        sweep_cell = pipeline._sweep_cell
+
+        def collect_then_run(*args):
+            found.append(gc.collect())
+            return sweep_cell(*args)
+
+        monkeypatch.setattr(pipeline, "_sweep_cell", collect_then_run)
+        grid = default_variants()
+        gc.collect()
+        pipeline._sweep_config_task((config, grid, pipeline.SWEEP_SEEDS, 10))
+        assert found == [0] * len(grid)
+
+
 #: One change per input a sweep config's rows depend on: a call
 #: argument, a variant's options, or a module constant the cell reads.
 ADDRESS_CHANGES = {

@@ -8,7 +8,11 @@ the reader's error paths: unknown cells, undriven nets, malformed
 escaped identifiers, and the other ways a file can leave the subset.
 """
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.corpus import generate, names
 from repro.desync import desynchronize
@@ -22,8 +26,10 @@ from repro.verilog import (
     read_verilog_file,
     write_verilog,
 )
+from repro.verilog.tokenizer import ID, Token, iter_tokens
 
 from tests.circuits import all_circuits, lfsr3
+from tests.oracles import lex_verilog
 
 CIRCUITS = all_circuits()
 
@@ -315,3 +321,84 @@ class TestErrorLocations:
         assert "init annotation must be 0 or 1" in str(error)
         # located at the annotation comment itself, not the statement
         assert (error.line, error.column) == (5, 36)
+
+
+#: Pieces of a random source: the subset's alphabet and keywords,
+#: comment and annotation text, backslashes, whitespace the subset does
+#: not allow (vertical tab, form feed, unicode spaces and separators)
+#: and stray characters.
+LEXER_PIECES = (
+    *"aZ_09$();,./\\=#@\"-", " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c",
+    "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "\xe9", "\U0001f600",
+    "module", "endmodule", "input", "wire", "INV", "//", "// init=1",
+    "\\a/b[0]", "\\x ", "\\",
+)
+
+
+def _stream(source):
+    """``iter_tokens`` run to the end: ``(tokens, comments, error)``,
+    where ``error`` is ``(message, line, column)`` or ``None``."""
+    tokens, comments = [], []
+    try:
+        for token in iter_tokens(source, comments):
+            tokens.append(token)
+    except VerilogError as exc:
+        return None, None, (str(exc), exc.line, exc.column)
+    return tokens, comments, None
+
+
+def _oracle(source):
+    try:
+        tokens, comments = lex_verilog(source)
+    except VerilogError as exc:
+        return None, None, (str(exc), exc.line, exc.column)
+    return tokens, comments, None
+
+
+class TestStreamingLexer:
+    """``iter_tokens`` lexes exactly as the character-loop lexer did:
+    the same tokens, comments and errors, at the same positions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LEXER_PIECES), max_size=40).map("".join))
+    def test_matches_the_character_loop_oracle(self, source):
+        assert _stream(source) == _oracle(source)
+
+    @pytest.mark.parametrize("name", ["dlx", "pipe4x1", "lfsr8"])
+    def test_matches_the_oracle_on_written_sources(self, name):
+        source = netlist_to_verilog(generate(name))
+        assert _stream(source) == _oracle(source)
+
+    def test_token_fields_and_repr(self):
+        token = Token(ID, "u0", 3, 7)
+        assert (token.kind, token.value, token.line, token.column) == \
+            (ID, "u0", 3, 7)
+        assert repr(token) == "Token(id, 'u0', 3:7)"
+
+    def test_first_error_in_source_order_is_reported(self):
+        # A syntax error on line 1 precedes a stray character on line 3.
+        # Lexing the whole source first reported the lexical error; the
+        # streaming reader stops at the syntax error.
+        source = "module m (a b);\n  input a;\n#\nendmodule\n"
+        with pytest.raises(VerilogError) as lexical:
+            lex_verilog(source)
+        assert (lexical.value.line, lexical.value.column) == (3, 1)
+        with pytest.raises(VerilogError, match=r"expected '\)'") as syntax:
+            read_verilog(source)
+        assert (syntax.value.line, syntax.value.column) == (1, 13)
+
+
+def test_reader_peak_memory_is_near_the_netlist_it_returns():
+    """The reader streams its tokens: while reading the DLX source, its
+    allocation peak stays within 1.5x the netlist it returns."""
+    from repro.dlx.cpu import build_dlx
+    source = netlist_to_verilog(build_dlx().netlist)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        netlist = read_verilog(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(netlist) > 1000
+    assert peak <= 1.5 * kept, (peak, kept)
