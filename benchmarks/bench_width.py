@@ -3,17 +3,16 @@
 Sweeps the lane-parallel ``vector`` cycle engine over W in ``WIDTHS``
 lanes per word on representative core- and scale-tier corpus
 configurations.  Each cell reports per-stimulus cost and seeds/sec at
-full occupancy, normalized against the same config's W=64 row — the
-pre-tuning default — so the table reads directly as "what does
-widening the word buy".  Lane 0 of every run must demux to the scalar
+full occupancy, normalized against the same config's W=64 row, so the
+table reads directly as "what does widening the word buy".  Lane 0 of every run must demux to the scalar
 :class:`~repro.sim.sync.CycleSimulator` capture streams, so every
 width cell is also a correctness check at workload size.
 
-This bench is the measurement behind
-:data:`repro.sim.lanes.TUNING_TABLE`: the txt artifact ends with the
-per-config full-occupancy optimum and the shipped table's knee-point
-rationale (resolved width is paid by every batch, full or not — see
-``src/repro/sim/lanes.py``).
+This bench measures the engine's throughput against its width.  No
+setting rests on it: a batch check's width is its stimulus count, one
+lane per stimulus, so the sweep's 8-seed batches run 8-lane words.
+The txt artifact ends with the per-config full-occupancy optimum, the
+width a batch of that many stimuli would find fastest.
 
 Set ``REPRO_GRID=smoke`` for the reduced CI grid (two configs,
 two widths).  Artifacts: ``benchmarks/out/BENCH_width.{txt,json}``.
@@ -110,7 +109,7 @@ def _sweep() -> list[list[object]]:
     return rows
 
 
-def _suggested_table(rows: list[list[object]]) -> str:
+def _optimum_table(rows: list[list[object]]) -> str:
     """The per-config full-occupancy optimum."""
     by_name: dict[str, dict] = {}
     for row in rows:
@@ -118,9 +117,7 @@ def _suggested_table(rows: list[list[object]]) -> str:
         best = by_name.get(data["name"])
         if best is None or data["seeds_per_s"] > best["seeds_per_s"]:
             by_name[data["name"]] = data
-    lines = ["suggested TUNING_TABLE (full-occupancy optimum per config;",
-             "the shipped table sits at the knee instead — see",
-             "src/repro/sim/lanes.py for why partial batches cap it):"]
+    lines = ["full-occupancy optimum per config:"]
     for data in sorted(by_name.values(), key=lambda d: d["instances"]):
         lines.append(
             f"  {data['name']:10s} ({data['instances']:5d} inst, "
@@ -139,9 +136,9 @@ def test_bench_width(benchmark):
         table.add_row(*head, *(f"{value:,.0f}" if value >= 100 else
                                f"{value:.3f}" for value in values))
     table.print()
-    suggested = _suggested_table(rows)
-    print(suggested)
-    write_out("BENCH_width.txt", table.render() + "\n\n" + suggested)
+    optimum = _optimum_table(rows)
+    print(optimum)
+    write_out("BENCH_width.txt", table.render() + "\n\n" + optimum)
     write_json(out_path("BENCH_width.json"), COLUMNS, rows)
 
     with open(out_path("BENCH_width.json")) as handle:
@@ -155,7 +152,7 @@ def test_bench_width(benchmark):
     by_cell = {(r[0], r[5]): dict(zip(COLUMNS, r)) for r in rows}
     assert len(by_cell) == len(rows)
     # Acceptance: on the scale tier, W=256 words must buy at least
-    # SPEEDUP_FLOOR seeds/sec over the W=64 default.
+    # SPEEDUP_FLOOR seeds/sec over W=64 words.
     scale_gains = [data["speedup_vs_64"]
                    for (name, lanes), data in by_cell.items()
                    if data["tier"] == "scale" and lanes == 256]

@@ -42,8 +42,9 @@ METRIC_TYPES = {
 
 #: Columns specific artifacts must carry — the load-bearing fields
 #: downstream tooling keys on.  The pipeline sweep must report the
-#: lane width each cell verified at (``lanes``), and the width sweep
-#: must carry its full (config, backend, width) measurement tuple.
+#: lane width each cell verified at (``lanes``, one lane per seed, so
+#: the cell's seed count), and the width sweep must carry its full
+#: (config, backend, width) measurement tuple.
 REQUIRED_COLUMNS = {
     "BENCH_pipeline.json": {"lanes"},
     "BENCH_width.json": {"name", "tier", "backend", "lanes",

@@ -61,7 +61,6 @@ from repro.desync.network import (
 from repro.netlist.core import Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.sim import lanes as lane_policy
 from repro.stg.cluster_model import fabric_model
 from repro.timing.sta import INPUTS as STA_INPUTS
 from repro.timing.sta import analyze
@@ -464,9 +463,8 @@ def sweep_pipelines(configs: list[str] | None = None,
     ``verify_ms``), the engine(s) that produced the desync streams
     (``desync_engine`` — replay fallbacks are reported per row, never
     silent), and the lane width the batched equivalence check ran at
-    (``lanes`` — the size-tuned :func:`repro.sim.lanes.resolve_lanes`
-    width of the cell's synchronous netlist; ``None`` on rows that
-    never reached verification).  ``summary`` aggregates
+    (``lanes`` — one lane per seed, so ``len(seeds)``; ``None`` on rows
+    that never reached verification).  ``summary`` aggregates
     across the whole grid what the per-row strings only show locally:
     status counts, per-seed desync engine counts, fallback-reason
     counts, and the grid runner's accounting (``executor``, plus
@@ -563,9 +561,7 @@ def sweep_pipelines(configs: list[str] | None = None,
 def _sweep_address(grid, seeds, cycles):
     """The ``address`` function that files each config of a sweep in a
     job dir: its name and netlist fingerprint plus every parameter and
-    module constant its rows depend on (:data:`MAX_EQUIV_INSTANCES`
-    and the lane-width :data:`~repro.sim.lanes.TUNING_TABLE` that sets
-    the ``lanes`` column)."""
+    module constant its rows depend on (:data:`MAX_EQUIV_INSTANCES`)."""
     from repro.corpus import generate
     from repro.jobs import payload_digest
     params = payload_digest({
@@ -573,8 +569,7 @@ def _sweep_address(grid, seeds, cycles):
                       variant.options.digest(), variant.sync_banks,
                       variant.check_equivalence] for variant in grid],
         "seeds": list(seeds), "cycles": cycles,
-        "max_equiv_instances": MAX_EQUIV_INSTANCES,
-        "tuning_table": [list(row) for row in lane_policy.TUNING_TABLE]})
+        "max_equiv_instances": MAX_EQUIV_INSTANCES})
 
     def address(config: str, payload: tuple) -> str:
         return "|".join(("sweep", config, generate(config).fingerprint(),
@@ -634,16 +629,14 @@ def _sweep_config_task(payload: tuple) -> list:
 
 
 def _engine_summary(reports) -> str:
-    """Condense per-seed desync engines into one sweep-row cell."""
-    engines = {report.desync_engine for report in reports.values()}
-    reasons = {report.fallback_reason for report in reports.values()
-               if report.fallback_reason}
-    if engines == {"replay"}:
-        return "replay"
-    label = "+".join(sorted(engines))
-    if reasons:
-        label += f" ({sorted(reasons)[0][:60]})"
-    return label
+    """The batch's desync engine as one sweep-row cell: every seed of a
+    batch shares one engine and fallback reason."""
+    report = next(iter(reports.values()), None)
+    if report is None:  # no seeds
+        return ""
+    if report.fallback_reason:
+        return f"{report.desync_engine} ({report.fallback_reason[:60]})"
+    return report.desync_engine
 
 
 def _sweep_cell(config, netlist, variant, seeds, cycles):
@@ -697,12 +690,10 @@ def _sweep_cell(config, netlist, variant, seeds, cycles):
     if len(result.sync_netlist) > MAX_EQUIV_INSTANCES:
         row.update(status="unchecked", equiv_seeds=0)
         return cell(row)
-    cell_lanes = lane_policy.resolve_lanes(result.sync_netlist)
-    row.update(lanes=cell_lanes)
+    row.update(lanes=len(seeds))
     verify_start = perf_counter()
     try:
-        reports = check_flow_equivalence_batch(result, seeds, cycles=cycles,
-                                               lanes=cell_lanes)
+        reports = check_flow_equivalence_batch(result, seeds, cycles=cycles)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
                       for check in result.verify_hold(rounds=cycles))

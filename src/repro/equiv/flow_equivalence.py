@@ -16,6 +16,11 @@ content of the theorem:
 The k-th master-latch capture corresponds to the k-th flip-flop capture
 (both are "the value the register stores at the end of cycle k"), so the
 comparison is a plain per-register prefix check.
+
+:func:`check_flow_equivalence_batch` checks N seeded stimuli as one
+lane word: stimulus *i* rides lane *i* of one N-lane vector pass on the
+synchronous side and of one recorded-and-replayed schedule on the
+de-synchronized side.
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.sim.backends import DEFAULT_BACKEND, make_simulator, \
     reused_simulator
-from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
-from repro.sim.vector import VectorCycleSimulator, pack_stimuli
+from repro.sim.vector import VectorCycleSimulator, lane_count, pack_stimuli
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
@@ -115,37 +119,23 @@ def _simulate_reference(netlist, cycles, inputs, inputs_per_cycle,
 
 def reference_streams_batch(netlist: Netlist, cycles: int,
                             stimuli: list[list[dict[str, Value]]],
-                            lanes: int | None = None,
                             ) -> list[dict[str, list[Value]]]:
-    """Per-flip-flop reference streams for N stimuli, lane-parallel.
+    """Per-flip-flop reference streams for N stimuli, in one pass.
 
     Runs the lane-parallel :class:`~repro.sim.vector.VectorCycleSimulator`
-    in ``ceil(N / lanes)`` passes — stimulus *i* rides lane ``i % lanes``
-    of pass ``i // lanes`` — and demuxes one scalar stream dict per
-    stimulus, in input order.  ``lanes=None`` asks the
-    :func:`repro.sim.lanes.resolve_lanes` policy.  One simulator is
-    compiled at the full width and :meth:`reset` between blocks; a tail
-    block shorter than ``lanes`` rides the low lanes with the rest left
-    X, so no block ever recompiles the kernel at an odd width.  Lane
-    demux equals an independent :func:`reference_streams` call per
-    stimulus (the differential harness asserts this); the per-stimulus
-    cost is what drops.
+    at width N — stimulus *i* rides lane *i* — and demuxes one scalar
+    stream dict per stimulus, in input order.  Lane demux equals an
+    independent :func:`reference_streams` call per stimulus (the
+    differential harness asserts this); the per-stimulus cost is what
+    drops.
     """
     if not stimuli:
         return []
-    lanes = resolve_lanes(netlist, lanes)
-    sim = VectorCycleSimulator(netlist, lanes=lanes)
-    streams: list[dict[str, list[Value]]] = []
-    for start in range(0, len(stimuli), lanes):
-        block = stimuli[start:start + lanes]
-        with TRACER.span("equiv:reference-block", netlist=netlist.name,
-                         start=start, lanes=len(block)):
-            if start:
-                sim.reset()
-            sim.run(cycles, pack_stimuli(block))
-            streams.extend(sim.lane_captures(lane)
-                           for lane in range(len(block)))
-    return streams
+    with TRACER.span("equiv:reference-block", netlist=netlist.name,
+                     lanes=len(stimuli)):
+        sim = VectorCycleSimulator(netlist, len(stimuli))
+        sim.run(cycles, pack_stimuli(stimuli))
+        return [sim.lane_captures(lane) for lane in range(len(stimuli))]
 
 
 def _input_fed_masters(netlist: Netlist,
@@ -453,16 +443,12 @@ def replay_simulator(result: DesyncResult,
                      stimuli: list[list[dict[str, Value]]],
                      cycles: int,
                      backend: str = DEFAULT_BACKEND,
-                     lanes: int | None = None,
                      ) -> ScheduleReplaySimulator:
     """Run one lane-parallel schedule-replay pass over ``stimuli``.
 
     Packs the N scalar stimuli into N lanes (stimulus *i* rides lane
-    *i*; ``lanes`` defaults to N, but a batch driver passes its full
-    block width so a short tail block reuses the already-compiled
-    full-width segments, the unused lanes riding along as X),
-    records the firing schedule from lane 0 on the scalar engine named
-    ``backend`` under the same observational pacing as
+    *i*), records the firing schedule from lane 0 on the scalar engine
+    named ``backend`` under the same observational pacing as
     :func:`desync_streams`, and replays it across all lanes.  Returns
     the replayed simulator — lane captures (with times) via
     :meth:`~repro.sim.vector_async.ScheduleReplaySimulator.lane_captures`,
@@ -472,9 +458,7 @@ def replay_simulator(result: DesyncResult,
     """
     packed = pack_stimuli(stimuli)
     sim = ScheduleReplaySimulator(
-        result.desync_netlist,
-        lanes=len(stimuli) if lanes is None else lanes,
-        scalar_backend=backend,
+        result.desync_netlist, len(stimuli), scalar_backend=backend,
         initial_inputs=packed[0] if packed else None)
     _paced_run(sim, result, cycles, packed, _masters(result))
     sim.replay()
@@ -484,69 +468,53 @@ def replay_simulator(result: DesyncResult,
 def desync_streams_batch(result: DesyncResult, cycles: int,
                          stimuli: list[list[dict[str, Value]]],
                          backend: str = DEFAULT_BACKEND,
-                         lanes: int | None = None,
                          ) -> tuple[list[dict[str, list[Value]]],
-                                    list[tuple[str, str | None]]]:
+                                    tuple[str, str | None]]:
     """De-synchronized capture streams for N stimuli, batched.
 
-    The desync-side counterpart of :func:`reference_streams_batch`: each
-    block of up to ``lanes`` stimuli (``None`` asks
-    :func:`repro.sim.lanes.resolve_lanes`) costs one scalar recording
-    run on the event engine named ``backend`` plus one lane-parallel
-    replay instead of N event simulations.  When the netlist fails the
-    data-independence proof — or a block's lane-0 replay check fails —
-    that work falls back to per-stimulus scalar simulation and the
-    reason is recorded.
+    The desync-side counterpart of :func:`reference_streams_batch`: the
+    batch costs one scalar recording run on the event engine named
+    ``backend`` plus one N-lane replay instead of N event simulations.
+    When the netlist fails the data-independence proof — or the lane-0
+    replay check fails — the batch falls back to per-stimulus scalar
+    simulation and the reason is recorded.
 
-    Returns ``(streams, engines)``: per stimulus, the streams keyed by
-    original flip-flop name, and an ``(engine, fallback_reason)`` pair
-    (``("replay", None)`` or ``("scalar", reason)``).  Every scalar
-    block counts on the ``sim.replay.fallbacks`` counter.
+    Returns ``(streams, engine)``: per stimulus, the streams keyed by
+    original flip-flop name, and for the batch one ``(engine,
+    fallback_reason)`` pair (``("replay", None)`` or ``("scalar",
+    reason)``).  Every fallback counts on the ``sim.replay.fallbacks``
+    counter.  An empty batch raises :class:`SimulationError`, like a
+    zero-lane engine.
     """
-    lanes = resolve_lanes(result.desync_netlist, lanes)
-    reason = check_schedule_replayable(result.desync_netlist)
+    lane_count(len(stimuli))
     masters = _masters(result)
-    streams: list[dict[str, list[Value]]] = []
-    engines: list[tuple[str, str | None]] = []
-
-    def scalar_block(block, why: str) -> None:
-        with TRACER.span("equiv:desync-block", engine="scalar",
-                         lanes=len(block), fallback_reason=why):
-            for stimulus in block:
-                streams.append(desync_streams(result, cycles,
-                                              inputs_per_cycle=stimulus,
-                                              backend=backend))
-                engines.append(("scalar", why))
-        METRICS.counter("sim.replay.fallbacks").inc()
-        METRICS.counter("equiv.blocks.scalar_fallback").inc()
-        METRICS.counter("equiv.seeds.scalar_fallback").inc(len(block))
-
-    for start in range(0, len(stimuli), lanes):
-        block = stimuli[start:start + lanes]
-        if reason is not None:
-            scalar_block(block, reason)
-            continue
+    reason = check_schedule_replayable(result.desync_netlist)
+    if reason is None:
         try:
             with TRACER.span("equiv:desync-block", engine="replay",
-                             lanes=len(block)):
-                # Full block width even for a short tail: the segment
-                # kernels are already compiled at `lanes`.
-                sim = replay_simulator(result, block, cycles,
-                                       backend=backend, lanes=lanes)
+                             lanes=len(stimuli)):
+                sim = replay_simulator(result, stimuli, cycles,
+                                       backend=backend)
         except SimulationError as exc:
             # The lane-0 replay check failed: the settlement semantics
             # did not hold on this run (e.g. data in flight at a capture
             # under a violated hold assumption).  Fall back, loudly.
-            scalar_block(block, str(exc))
-            continue
-        METRICS.counter("equiv.blocks.replay").inc()
-        enable_rises(result, cycles, sim)
-        for lane in range(len(block)):
-            values = sim.lane_capture_values(lane)
-            streams.append({
-                masters[m]: values[m][:cycles] for m in masters})
-            engines.append(("replay", None))
-    return streams, engines
+            reason = str(exc)
+        else:
+            enable_rises(result, cycles, sim)
+            streams = []
+            for lane in range(len(stimuli)):
+                values = sim.lane_capture_values(lane)
+                streams.append({
+                    masters[m]: values[m][:cycles] for m in masters})
+            return streams, ("replay", None)
+    with TRACER.span("equiv:desync-block", engine="scalar",
+                     lanes=len(stimuli), fallback_reason=reason):
+        streams = [desync_streams(result, cycles, inputs_per_cycle=stimulus,
+                                  backend=backend)
+                   for stimulus in stimuli]
+    METRICS.counter("sim.replay.fallbacks").inc()
+    return streams, ("scalar", reason)
 
 
 def check_flow_equivalence(result: DesyncResult,
@@ -619,44 +587,42 @@ def check_flow_equivalence_batch(result: DesyncResult,
                                  seeds: Iterable[int],
                                  cycles: int = 20,
                                  backend: str = DEFAULT_BACKEND,
-                                 lanes: int | None = None,
                                  ) -> dict[int, FlowEquivalenceReport]:
     """Flow-equivalence sweep over N seeded random stimuli, batched on
     **both** sides.
 
     One seeded stimulus per entry of ``seeds`` (see
-    :func:`repro.testing.stimulus.random_stimulus`).  ``lanes=None``
-    asks :func:`repro.sim.lanes.resolve_lanes` for the measured
-    per-size width, resolved once against the synchronous netlist so
-    both sides run the same width.  The synchronous reference side runs
-    lane-parallel in ``ceil(N / lanes)`` vector passes
+    :func:`repro.testing.stimulus.random_stimulus`), and one lane per
+    stimulus: the batch is one lane word of width N.  The synchronous
+    reference side runs in one vector pass
     (:func:`reference_streams_batch`); the de-synchronized side runs on
-    the schedule-replay engine (:func:`desync_streams_batch`) —
-    one scalar recording plus one lane-parallel replay per block —
-    falling back to per-seed event simulation, with the reason recorded
-    on the reports, when the fabric fails the data-independence proof.
-    ``backend`` names the event engine that records the schedule and
-    runs any scalar seed.  The check runs at nominal delays; a delay
-    model perturbs the scalar :func:`check_flow_equivalence`.  Returns
-    a report per seed, in ``seeds`` order.
+    the schedule-replay engine (:func:`desync_streams_batch`) — one
+    scalar recording plus one lane-parallel replay — falling back to
+    per-seed event simulation, with the reason recorded on the reports,
+    when the fabric fails the data-independence proof.  ``backend``
+    names the event engine that records the schedule and runs any
+    scalar seed.  The check runs at nominal delays; a delay model
+    perturbs the scalar :func:`check_flow_equivalence`.  Returns a
+    report per seed, in ``seeds`` order.
     """
     from repro.testing.stimulus import random_stimulus
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise FlowEquivalenceError(
             "duplicate seeds in batch sweep (reports are keyed by seed)")
-    lanes = resolve_lanes(result.sync_netlist, lanes)
+    if not seeds:
+        return {}
     with TRACER.span("equiv:batch", netlist=result.sync_netlist.name,
-                     seeds=len(seeds), cycles=cycles, lanes=lanes) as span:
+                     seeds=len(seeds), cycles=cycles,
+                     lanes=len(seeds)) as span:
         stimuli = [random_stimulus(result.sync_netlist, cycles, seed)
                    for seed in seeds]
         sync_streams = reference_streams_batch(result.sync_netlist, cycles,
-                                               stimuli, lanes=lanes)
-        desync_list, engines = desync_streams_batch(
-            result, cycles, stimuli, backend=backend, lanes=lanes)
+                                               stimuli)
+        desync_list, (engine, reason) = desync_streams_batch(
+            result, cycles, stimuli, backend=backend)
         reports: dict[int, FlowEquivalenceReport] = {}
-        for seed, sync, desync, (engine, reason) in zip(
-                seeds, sync_streams, desync_list, engines):
+        for seed, sync, desync in zip(seeds, sync_streams, desync_list):
             report = compare_streams(sync, desync, cycles)
             report.desync_engine = engine
             report.fallback_reason = reason

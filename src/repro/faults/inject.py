@@ -143,17 +143,17 @@ def _clean_run(result, nets: list[str], cycles: int,
     and the deadline.
 
     The deadline is the earliest time some capture bank holds
-    ``cycles`` captures (``cycles`` periods when none does within
-    ``cycles + 1`` periods).  The run polls on a grid of ``period / 8``
-    and stops at the first poll that sees a complete bank: a bank still
+    ``cycles`` captures.  The run polls on a grid of ``period / 8`` and
+    stops at the first poll that sees a complete bank: a bank still
     short then completes later than the one that is complete, so that
-    poll already knows the deadline, and nothing after it is read.
+    poll already knows the deadline, and nothing after it is read.  A
+    fabric with no complete bank by the paced run's stall horizon,
+    ``(cycles + 8) * 2`` periods, raises its stall error.
     """
     period = result.desync_cycle_time().cycle_time
     sim = make_simulator(result.desync_netlist, DEFAULT_BACKEND, record=nets)
     captures = sim.captures
-    horizon = cycles * period + period
-    deadline = cycles * period
+    horizon = (cycles + 8) * 2 * period
     now = 0.0
     while now < horizon:
         now = min(horizon, now + period / 8)
@@ -162,9 +162,11 @@ def _clean_run(result, nets: list[str], cycles: int,
                     if len(bank) >= cycles]
         if complete:
             deadline = min(complete)
-            break
-    return {net: [edge for edge in history if edge[0] < deadline]
-            for net, history in sim.history.items()}, deadline
+            return {net: [edge for edge in history if edge[0] < deadline]
+                    for net, history in sim.history.items()}, deadline
+    raise FlowEquivalenceError(
+        f"de-synchronized circuit stalled: no capture bank captured "
+        f"{cycles} values within {horizon:.0f} ps")
 
 
 def profile_net(result, net: str, cycles: int,

@@ -100,7 +100,7 @@ class MetricsRegistry:
     """Get-or-create home for named metrics.
 
     Names are free-form but the convention is dotted lowercase with the
-    subsystem first: ``equiv.blocks.scalar_fallback``,
+    subsystem first: ``sim.replay.fallbacks``,
     ``handshake.latency_ps``, ``sweep.status.ok``.
     """
 

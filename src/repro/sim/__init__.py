@@ -17,7 +17,6 @@ from repro.sim.simulator import (
     SimStats,
     settle_combinational,
 )
-from repro.sim.lanes import resolve_lanes
 from repro.sim.sync import CycleSimulator, LatchCycleSimulator
 from repro.sim.vector import (
     VectorCycleSimulator,
@@ -48,7 +47,6 @@ __all__ = [
     "settle_combinational",
     "CycleSimulator",
     "LatchCycleSimulator",
-    "resolve_lanes",
     "VectorCycleSimulator",
     "pack_lanes",
     "pack_stimuli",

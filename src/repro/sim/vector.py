@@ -50,7 +50,6 @@ from repro.netlist.cells import Cell, CellKind, PIN_D, PIN_RESET_N
 from repro.netlist.core import Instance, Netlist
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER as _TRACER
-from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.utils.errors import SimulationError
 
@@ -61,6 +60,13 @@ Lanes = tuple[int, int]
 # ----------------------------------------------------------------------
 # packing helpers
 # ----------------------------------------------------------------------
+
+def lane_count(lanes: int) -> int:
+    """``lanes``, validated as a word width (a positive integer)."""
+    if isinstance(lanes, bool) or not isinstance(lanes, int) or lanes < 1:
+        raise SimulationError(f"lane count must be >= 1, got {lanes}")
+    return lanes
+
 
 def pack_lanes(values: Iterable[Value]) -> Lanes:
     """Pack scalar values (lane 0 first) into a ``(value, known)`` pair."""
@@ -284,7 +290,7 @@ class VectorCycleSimulator:
     ``lanes`` times lower.
     """
 
-    def __init__(self, netlist: Netlist, lanes: int | None = None):
+    def __init__(self, netlist: Netlist, lanes: int):
         if netlist.latch_instances():
             raise SimulationError(
                 f"{netlist.name} contains latches; "
@@ -293,7 +299,7 @@ class VectorCycleSimulator:
             raise SimulationError(
                 f"{netlist.name} contains C-elements; use EventSimulator")
         self.netlist = netlist
-        self.lanes = resolve_lanes(netlist, lanes)
+        self.lanes = lane_count(lanes)
         self.mask = (1 << self.lanes) - 1
         self._names = list(netlist.nets)
         self._slot_of = {name: i for i, name in enumerate(self._names)}
@@ -303,9 +309,6 @@ class VectorCycleSimulator:
         #: Packed capture streams: register name -> [(value, known)] per
         #: capture, lane-demuxed by :meth:`lane_captures`.
         self.captures: dict[str, list[Lanes]] = {}
-        #: ``(output slot, init value word)`` per register, for
-        #: :meth:`reset`.
-        self._seq_inits: list[tuple[int, int]] = []
         if netlist.clock is not None:
             self.K[self._slot_of[netlist.clock]] = self.mask
         # Fingerprint-cached: every same-width construction over a
@@ -323,30 +326,11 @@ class VectorCycleSimulator:
         out = self._slot_of[inst.output_net().name]
         init = self.mask if inst.init else 0
         self.V[out], self.K[out] = init, self.mask
-        self._seq_inits.append((out, init))
         reset = (self._slot_of[inst.pins[PIN_RESET_N].name]
                  if PIN_RESET_N in inst.cell.inputs else -1)
         caps: list[Lanes] = []
         self.captures[inst.name] = caps
         return (self._slot_of[inst.pins[PIN_D].name], reset, out, caps)
-
-    def reset(self) -> None:
-        """Return to the post-construction state.
-
-        All nets X, clock known-0, registers at their init values,
-        capture streams empty, cycle count zero.  Batch drivers reset
-        one full-width simulator between blocks instead of constructing
-        (and compiling a kernel for) a fresh one per block.
-        """
-        self.V = [0] * len(self._names)
-        self.K = [0] * len(self._names)
-        if self.netlist.clock is not None:
-            self.K[self._slot_of[self.netlist.clock]] = self.mask
-        for out, init in self._seq_inits:
-            self.V[out], self.K[out] = init, self.mask
-        for caps in self.captures.values():
-            caps.clear()
-        self.cycles = 0
 
     # -- stimulus ------------------------------------------------------
     def _coerce_packed(self, port: str,

@@ -28,8 +28,8 @@ combinational islands between them differ.
    per-lane scalar event simulation with the recorded reason — the
    fallback is a first-class, logged outcome, never silent.
 3. **Replay** — the recorded schedule is re-executed over ``lanes``
-   stimulus lanes at once (any width; defaults to the
-   :func:`repro.sim.lanes.resolve_lanes` policy), using the per-net
+   stimulus lanes at once (any width; a batch check passes its
+   stimulus count), using the per-net
    ``(value, known)`` lane words and the exec-compiled bitwise kernels
    of :mod:`repro.sim.vector`.  The data cone is compiled once per
    **latch half** (one bank's masters or slaves plus their D cone, with
@@ -69,10 +69,9 @@ from dataclasses import dataclass, field
 from repro.netlist.cells import CellKind, PIN_D, PIN_RESET_N
 from repro.netlist.core import Instance, Netlist
 from repro.obs.trace import TRACER as _TRACER
-from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.simulator import Capture
-from repro.sim.vector import Lanes, compile_pass_cached
+from repro.sim.vector import Lanes, compile_pass_cached, lane_count
 from repro.utils.errors import SimulationError
 
 #: A latch half: all latches sharing one enable net and one transparency
@@ -303,8 +302,7 @@ class ScheduleReplaySimulator:
     Args:
         netlist: the de-synchronized netlist (must pass
             :func:`check_schedule_replayable`, else ``SimulationError``).
-        lanes: stimulus lane count (lane 0 is the recorded lane);
-            ``None`` asks :func:`repro.sim.lanes.resolve_lanes`.
+        lanes: stimulus lane count (lane 0 is the recorded lane).
         scalar_backend: event backend carrying the recording run;
             ``None`` means :data:`repro.sim.backends.DEFAULT_BACKEND`.
         initial_inputs: input-port words present during reset (packed
@@ -312,11 +310,11 @@ class ScheduleReplaySimulator:
             of the event engines' ``initial_inputs``.
     """
 
-    def __init__(self, netlist: Netlist, lanes: int | None = None,
+    def __init__(self, netlist: Netlist, lanes: int,
                  scalar_backend: str | None = None,
                  initial_inputs: dict[str, Lanes | Value] | None = None):
         from repro.sim.backends import DEFAULT_BACKEND, make_simulator
-        lanes = resolve_lanes(netlist, lanes)
+        lanes = lane_count(lanes)
         reason = check_schedule_replayable(netlist)
         if reason is not None:
             raise SimulationError(

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from repro.netlist.core import Netlist
 from repro.obs.trace import TRACER
 from repro.sim.backends import EVENT_BACKENDS, make_simulator
-from repro.sim.lanes import resolve_lanes
 from repro.sim.logic import Value
 from repro.sim.sync import CycleSimulator
 from repro.sim.vector import VectorCycleSimulator, pack_stimuli
@@ -245,46 +244,38 @@ def _register_toggles_from_stream(init: int, stream: list[Value]) -> int:
 
 
 def vector_runs(netlist: Netlist, stimuli: list[list[dict[str, Value]]],
-                lanes: int | None = None) -> list[BackendRun]:
-    """Run N stimuli through the vector engine in ``ceil(N/lanes)`` passes.
+                ) -> list[BackendRun]:
+    """Run N stimuli through the vector engine in one N-lane pass.
 
-    ``lanes=None`` asks :func:`repro.sim.lanes.resolve_lanes`; one
-    simulator is built at full width and reset between blocks.  Returns one demuxed
-    :class:`BackendRun` per stimulus, in order — the same observables
-    :func:`_run_cycle` reports, so the runs drop straight into
-    :func:`compare_runs`.
+    Returns one demuxed :class:`BackendRun` per stimulus, in order — the
+    same observables :func:`_run_cycle` reports, so the runs drop
+    straight into :func:`compare_runs`.
     """
     if not stimuli:
         return []
-    lanes = resolve_lanes(netlist, lanes)
     ffs = netlist.dff_instances()
-    sim = VectorCycleSimulator(netlist, lanes=lanes)
+    sim = VectorCycleSimulator(netlist, len(stimuli))
+    sim.run(len(stimuli[0]), pack_stimuli(stimuli))
     runs: list[BackendRun] = []
-    for start in range(0, len(stimuli), lanes):
-        block = stimuli[start:start + lanes]
-        if start:
-            sim.reset()
-        sim.run(len(block[0]), pack_stimuli(block))
-        for lane in range(len(block)):
-            captures = sim.lane_captures(lane)
-            runs.append(BackendRun(
-                backend="vector",
-                captures=captures,
-                final_state={ff.name: sim.lane_value(ff.output_net().name,
-                                                     lane)
-                             for ff in ffs},
-                register_toggles={
-                    ff.name: _register_toggles_from_stream(
-                        ff.init, captures[ff.name])
-                    for ff in ffs},
-            ))
+    for lane in range(len(stimuli)):
+        captures = sim.lane_captures(lane)
+        runs.append(BackendRun(
+            backend="vector",
+            captures=captures,
+            final_state={ff.name: sim.lane_value(ff.output_net().name, lane)
+                         for ff in ffs},
+            register_toggles={
+                ff.name: _register_toggles_from_stream(
+                    ff.init, captures[ff.name])
+                for ff in ffs},
+        ))
     return runs
 
 
 def _run_vector(netlist: Netlist,
                 stimulus: list[dict[str, Value]]) -> BackendRun:
     """Single-stimulus vector runner (one lane) for the RUNNERS table."""
-    return vector_runs(netlist, [stimulus], lanes=1)[0]
+    return vector_runs(netlist, [stimulus])[0]
 
 
 #: Name -> runner.  ``run_differential`` copies and optionally extends
@@ -511,18 +502,15 @@ def run_differential(netlist: Netlist, cycles: int = 16,
 def run_differential_batch(netlist: Netlist, seeds: Iterable[int],
                            cycles: int = 16,
                            backends: Iterable[str] = DEFAULT_BATCH_BACKENDS,
-                           lanes: int | None = None,
                            runners: Mapping[str, Callable] | None = None,
                            minimize: bool = True,
                            ) -> dict[int, DifferentialReport]:
     """Differentially test the vector engine against scalar ``backends``.
 
-    One seeded stimulus per entry of ``seeds`` (``lanes=None`` asks
-    :func:`repro.sim.lanes.resolve_lanes`); the vector engine runs
-    them all in ``ceil(N / lanes)`` lane-parallel passes, each lane is
-    demuxed, and every per-seed run is compared against the scalar
-    ``backends`` on the same stimulus (capture streams, final register
-    state, register toggles).  Disagreeing seeds fall back to
+    One seeded stimulus per entry of ``seeds``; the vector engine runs
+    them all in one N-lane pass, each lane is demuxed, and every
+    per-seed run is compared against the scalar ``backends`` on the same
+    stimulus (capture streams, final register state, register toggles).  Disagreeing seeds fall back to
     :func:`run_differential` (vector riding along as a plugged-in
     backend) so their reports carry the minimized stimulus prefix.
     Returns a report per seed, in ``seeds`` order.
@@ -542,7 +530,7 @@ def run_differential_batch(netlist: Netlist, seeds: Iterable[int],
         raise DifferentialError(
             f"unknown backend(s) {missing} (have: {', '.join(sorted(table))})")
     stimuli = [random_stimulus(netlist, cycles, seed) for seed in seeds]
-    batched = vector_runs(netlist, stimuli, lanes=lanes)
+    batched = vector_runs(netlist, stimuli)
     reports: dict[int, DifferentialReport] = {}
     for seed, stimulus, vector_run in zip(seeds, stimuli, batched):
         runs = []
@@ -595,7 +583,6 @@ def _dump_async_mismatch(result, stimulus: list[dict[str, Value]],
 
 def run_differential_async(result, seeds: Iterable[int], cycles: int = 10,
                            backend: str = "event",
-                           lanes: int | None = None,
                            dump_dir: str | None = None,
                            ) -> dict[int, DifferentialReport]:
     """Differentially test the schedule-replay engine on a desync fabric.
@@ -604,7 +591,7 @@ def run_differential_async(result, seeds: Iterable[int], cycles: int = 10,
     pass sequence that built a controller network.  One seeded stimulus
     per entry of ``seeds``: the lane-parallel
     :class:`~repro.sim.vector_async.ScheduleReplaySimulator` runs them
-    in ``ceil(N / lanes)`` recorded-and-replayed blocks (via
+    in one recorded-and-replayed N-lane pass (via
     :func:`repro.equiv.desync_streams_batch`), each lane is demuxed, and
     every per-seed capture-stream set is compared against an independent
     scalar event simulation of the same stimulus on ``backend``.  A
@@ -626,11 +613,10 @@ def run_differential_async(result, seeds: Iterable[int], cycles: int = 10,
             "duplicate seeds in batch sweep (reports are keyed by seed)")
     stimuli = [random_stimulus(result.sync_netlist, cycles, seed)
                for seed in seeds]
-    batched, engines = desync_streams_batch(result, cycles, stimuli,
-                                            backend=backend, lanes=lanes)
+    batched, (engine, _reason) = desync_streams_batch(
+        result, cycles, stimuli, backend=backend)
     reports: dict[int, DifferentialReport] = {}
-    for seed, stimulus, streams, (engine, _reason) in zip(
-            seeds, stimuli, batched, engines):
+    for seed, stimulus, streams in zip(seeds, stimuli, batched):
         reference = desync_streams(result, cycles,
                                    inputs_per_cycle=stimulus,
                                    backend=backend)

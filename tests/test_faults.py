@@ -287,16 +287,15 @@ class TestInjection:
 
 
 def full_horizon_run(result, nets, cycles, cls=EventSimulator):
-    """The clean run as it was before it stopped at the deadline: ``cls``
-    recording ``nets`` to the ``(cycles + 1)``-period horizon.  Returns
-    the engine and the deadline, which stays the earliest ``cycles``-th
-    capture of any bank."""
+    """The clean run without the stop at the deadline: ``cls`` recording
+    ``nets`` to the paced run's stall horizon, ``(cycles + 8) * 2``
+    periods.  Returns the engine and the deadline, the earliest
+    ``cycles``-th capture of any bank."""
     period = result.desync_cycle_time().cycle_time
     sim = cls(result.desync_netlist, record=nets)
-    sim.run(cycles * period + period)
-    complete = [bank[cycles - 1].time for bank in sim.captures.values()
-                if len(bank) >= cycles]
-    return sim, min(complete) if complete else cycles * period
+    sim.run((cycles + 8) * 2 * period)
+    return sim, min(bank[cycles - 1].time for bank in sim.captures.values()
+                    if len(bank) >= cycles)
 
 
 def dedicated_profile(result, net, cycles):
@@ -388,6 +387,29 @@ class TestSharedProfile:
                 assert glitch_trials(history, deadline, gate) == \
                     glitch_trials(full.history.get(net, []), deadline,
                                   gate), (net, cycles)
+
+    @pytest.mark.parametrize("config", ["crc5", "crc8"])
+    def test_deadline_is_the_first_complete_bank(self, config):
+        # No bank of these fabrics completes within cycles + 1 model
+        # periods (7,680 and 8,200 ps): the deadline must wait for one.
+        result = desynchronize(generate(config),
+                               DesyncOptions(mode="serial"))
+        net = control_nets(result.desync_netlist)[0]
+        assert profile_net(result, net, CYCLES)[1] == 9450.0
+
+    def test_stalled_clean_run_raises(self):
+        # Tie the st1 -> st2 acknowledge's producer pin high: st1 never
+        # relaunches, so no bank ever completes CYCLES captures.
+        result = desynchronize(generate("pipe4x1"),
+                               DesyncOptions(mode="serial"))
+        fabric = result.desync_netlist
+        ack = fabric.instances["ack:st1>st2/c"]
+        ack.pins["P"].sinks.remove((ack, "P"))
+        ack.pins["P"] = fabric.nets["ctl:one"]
+        fabric.nets["ctl:one"].sinks.append((ack, "P"))
+        fabric.invalidate_query_caches()  # direct structural edit
+        with pytest.raises(FlowEquivalenceError, match="stalled"):
+            profile_net(result, "din", CYCLES)
 
     def test_clean_run_stops_at_the_deadline(self, count_runs,
                                               clean_engines):

@@ -492,8 +492,6 @@ ADDRESS_CHANGES = {
                                         margin=0.2))]},
     "MAX_EQUIV_INSTANCES": lambda monkeypatch: monkeypatch.setattr(
         "repro.desync.pipeline.MAX_EQUIV_INSTANCES", 100),
-    "TUNING_TABLE": lambda monkeypatch: monkeypatch.setattr(
-        "repro.sim.lanes.TUNING_TABLE", ((None, 64),)),
 }
 
 

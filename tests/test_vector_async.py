@@ -19,6 +19,8 @@ under the flow-equivalence sweeps:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.corpus import generate
@@ -32,7 +34,6 @@ from repro.equiv import (
     replay_simulator,
 )
 from repro.netlist.core import Netlist
-from repro.obs import METRICS
 from repro.sim.vector_async import (
     ScheduleReplaySimulator,
     check_schedule_replayable,
@@ -110,19 +111,8 @@ class TestReplayMatchesScalar:
         result = serial_desync(config)
         stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
                    for seed in SEEDS]
-        streams, engines = desync_streams_batch(result, CYCLES, stimuli)
-        assert engines == [("replay", None)] * len(stimuli)
-        for stimulus, batched in zip(stimuli, streams):
-            assert batched == desync_streams(result, CYCLES,
-                                             inputs_per_cycle=stimulus)
-
-    def test_blocks_wider_than_lanes(self):
-        result = serial_desync("counter6")
-        stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
-                   for seed in range(5)]
-        streams, engines = desync_streams_batch(result, CYCLES, stimuli,
-                                                lanes=2)
-        assert engines == [("replay", None)] * 5
+        streams, engine = desync_streams_batch(result, CYCLES, stimuli)
+        assert engine == ("replay", None)
         for stimulus, batched in zip(stimuli, streams):
             assert batched == desync_streams(result, CYCLES,
                                              inputs_per_cycle=stimulus)
@@ -203,13 +193,13 @@ class TestDataDependenceFallback:
                    for seed in range(2)]
         tracer.start()
         try:
-            _, engines = desync_streams_batch(result, CYCLES, stimuli)
+            _, engine = desync_streams_batch(result, CYCLES, stimuli)
             assert check_schedule_replayable(result.desync_netlist) is None
             events = [event for event in tracer.events()
                       if event["name"] == "replay:proof"]
         finally:
             tracer.stop()
-        assert engines == [("replay", None)] * 2
+        assert engine == ("replay", None)
         assert proofs == [result.desync_netlist.name]
         # Every call still leaves its instant, proved or memoized: the
         # batch's, the replay engine's and the direct one.
@@ -234,8 +224,8 @@ class TestDataDependenceFallback:
             ScheduleReplaySimulator(result.desync_netlist, lanes=2)
         stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
                    for seed in range(3)]
-        streams, engines = desync_streams_batch(result, CYCLES, stimuli)
-        assert engines == [("scalar", reason)] * 3
+        streams, engine = desync_streams_batch(result, CYCLES, stimuli)
+        assert engine == ("scalar", reason)
         for stimulus, batched in zip(stimuli, streams):
             assert batched == desync_streams(result, CYCLES,
                                              inputs_per_cycle=stimulus)
@@ -261,9 +251,8 @@ class TestDataDependenceFallback:
         result = desynchronize(generate("pipe8x2"))
         stimuli = [random_stimulus(result.sync_netlist, 6, seed)
                    for seed in range(3)]
-        streams, engines = desync_streams_batch(result, 6, stimuli)
-        assert {engine for engine, _ in engines} == {"scalar"}
-        assert all("diverged" in reason for _, reason in engines)
+        streams, (engine, reason) = desync_streams_batch(result, 6, stimuli)
+        assert engine == "scalar" and "diverged" in reason
         for stimulus, batched in zip(stimuli, streams):
             assert batched == desync_streams(result, 6,
                                              inputs_per_cycle=stimulus)
@@ -297,53 +286,43 @@ class TestPackingValidation:
 
 
 class TestLaneWidthPolicy:
-    """Replay width is a tuned parameter: lanes=None resolves through
-    the policy, off-word widths replay correctly, and a wide block
-    width lets tail blocks reuse the compiled segments."""
-
-    def test_default_lanes_resolve(self):
-        from repro.sim import resolve_lanes
-        result = serial_desync("counter6")
-        sim = ScheduleReplaySimulator(result.desync_netlist)
-        assert sim.lanes == resolve_lanes(result.desync_netlist)
-        assert ScheduleReplaySimulator(result.desync_netlist,
-                                       lanes=72).lanes == 72
+    """A batch is one lane word: stimulus *i* rides lane *i*, and the
+    width is the stimulus count, off the 64-bit machine word too."""
 
     @pytest.mark.parametrize("lanes", (1, 63, 65, 130))
     def test_off_word_width_replays(self, lanes):
         result = serial_desync("counter6")
         stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
-                   for seed in range(min(3, lanes))]
-        streams, engines = desync_streams_batch(result, CYCLES, stimuli,
-                                                lanes=lanes)
-        assert engines == [("replay", None)] * len(stimuli)
-        for stimulus, batched in zip(stimuli, streams):
-            assert batched == desync_streams(result, CYCLES,
-                                             inputs_per_cycle=stimulus)
+                   for seed in range(lanes)]
+        streams, engine = desync_streams_batch(result, CYCLES, stimuli)
+        assert engine == ("replay", None)
+        assert len(streams) == lanes
+        for lane in sorted({0, lanes // 2, lanes - 1}):
+            assert streams[lane] == desync_streams(
+                result, CYCLES, inputs_per_cycle=stimuli[lane]), lane
 
-    def test_explicit_lanes_reach_check_batch(self):
-        result = serial_desync("pipe4x1")
-        narrow = check_flow_equivalence_batch(result, SEEDS, cycles=CYCLES,
-                                              lanes=2)
-        wide = check_flow_equivalence_batch(result, SEEDS, cycles=CYCLES,
-                                            lanes=256)
-        for seed in SEEDS:
-            assert narrow[seed].equivalent == wide[seed].equivalent is True
-            assert narrow[seed].desync_engine == "replay"
-            assert wide[seed].desync_engine == "replay"
-
-    def test_tail_block_reuses_compiled_segments(self):
-        # 5 stimuli at lanes=4: a full block and a 1-stimulus tail.
-        # The tail rides the same full-width compiled segments, so the
-        # second block must add cache hits, not misses.
+    def test_one_pass_per_batch(self, monkeypatch):
+        from repro.equiv import flow_equivalence
+        from repro.obs.trace import Tracer
+        tracer = Tracer()
+        monkeypatch.setattr(flow_equivalence, "TRACER", tracer)
         result = serial_desync("counter6")
-        stimuli = [random_stimulus(result.sync_netlist, CYCLES, seed)
-                   for seed in range(5)]
-        misses = METRICS.counter("sim.vector.kernel_cache_misses")
-        first, _ = desync_streams_batch(result, CYCLES, stimuli, lanes=4)
-        base_misses = misses.value
-        second, engines = desync_streams_batch(result, CYCLES, stimuli,
-                                               lanes=4)
-        assert engines == [("replay", None)] * 5
-        assert second == first
-        assert misses.value == base_misses
+        seeds = range(20)
+        tracer.start()
+        try:
+            reports = check_flow_equivalence_batch(result, seeds,
+                                                   cycles=CYCLES)
+            blocks = [(event["name"], event["args"]["lanes"])
+                      for event in tracer.events()
+                      if event["name"].endswith("-block")]
+        finally:
+            tracer.stop()
+        assert sorted(blocks) == [("equiv:desync-block", 20),
+                                  ("equiv:reference-block", 20)]
+        for seed in seeds:
+            scalar = check_flow_equivalence(
+                result, cycles=CYCLES,
+                inputs_per_cycle=random_stimulus(result.sync_netlist,
+                                                 CYCLES, seed))
+            assert reports[seed].desync_engine == "replay"
+            assert replace(reports[seed], desync_engine="scalar") == scalar

@@ -35,10 +35,8 @@ from repro.sim import (
     VectorCycleSimulator,
     pack_lanes,
     pack_stimuli,
-    resolve_lanes,
     unpack_lanes,
 )
-from repro.sim.lanes import TUNING_TABLE
 from repro.testing import random_stimulus
 from repro.utils.errors import SimulationError
 
@@ -46,7 +44,6 @@ from tests.differential import (
     RUNNERS,
     run_differential,
     run_differential_batch,
-    vector_runs,
 )
 
 COMB_CELLS = [cell for cell in GENERIC.cells.values()
@@ -148,26 +145,10 @@ class TestCorpusLaneDemux:
                 net = ff.output_net().name
                 assert vector.lane_value(net, lane) == scalar.values[net]
 
-    def test_more_stimuli_than_lanes(self):
-        # 5 stimuli through 2-lane passes: 3 passes, same demux.
-        netlist = generate("crc5")
-        stimuli = [random_stimulus(netlist, 8, seed) for seed in range(5)]
-        runs = vector_runs(netlist, stimuli, lanes=2)
-        assert len(runs) == 5
-        for stimulus, run in zip(stimuli, runs):
-            scalar = CycleSimulator(netlist)
-            scalar.run(8, stimulus)
-            assert run.captures == {name: list(stream)
-                                    for name, stream in
-                                    scalar.captures.items()}
-            assert run.register_toggles == {
-                ff.name: scalar.toggle_counts.get(ff.output_net().name, 0)
-                for ff in netlist.dff_instances()}
-
     def test_batched_reference_streams(self):
         netlist = generate("lfsr8")
         stimuli = [random_stimulus(netlist, 10, seed) for seed in (1, 2, 3)]
-        batched = reference_streams_batch(netlist, 10, stimuli, lanes=2)
+        batched = reference_streams_batch(netlist, 10, stimuli)
         scalar = [reference_streams(netlist, 10, inputs_per_cycle=stimulus)
                   for stimulus in stimuli]
         assert batched == scalar
@@ -294,7 +275,7 @@ class TestRegistry:
     def test_dff_engine_rejects_latches(self):
         with pytest.raises(SimulationError,
                            match="use LatchCycleSimulator"):
-            VectorCycleSimulator(latchify(generate("lfsr8")))
+            VectorCycleSimulator(latchify(generate("lfsr8")), 1)
 
     def test_bad_lane_count(self):
         with pytest.raises(SimulationError, match="lane count"):
@@ -312,8 +293,8 @@ class TestRegistry:
 
 
 class TestLaneWidths:
-    """Width is a tuning parameter: demux identity must hold at any
-    lane count — below, at, and past the 64-bit machine word."""
+    """A batch's width is its stimulus count: demux identity must hold
+    at any lane count — below, at, and past the 64-bit machine word."""
 
     WIDTHS = (1, 63, 64, 65, 256, 1024)
     CYCLES = 8
@@ -350,44 +331,4 @@ class TestLaneWidths:
         assert sim.lane_value("din", 64) == 1
         with pytest.raises(SimulationError, match="spills outside"):
             sim.set_inputs({"din": (0, 1 << 65)})
-
-    def test_reset_reproduces_run(self):
-        # One simulator, two identical runs bracketing a reset() —
-        # the contract the batch drivers rely on to reuse a compiled
-        # engine across stimulus blocks.
-        netlist = generate("counter6")
-        stimuli = [random_stimulus(netlist, self.CYCLES, 7)]
-        sim = VectorCycleSimulator(netlist, lanes=8)
-        sim.run(self.CYCLES, pack_stimuli(stimuli))
-        first = sim.lane_captures(0)
-        sim.reset()
-        assert sim.cycles == 0 and all(not caps for caps in
-                                       sim.captures.values())
-        sim.run(self.CYCLES, pack_stimuli(stimuli))
-        assert sim.lane_captures(0) == first
-
-
-class TestResolveLanes:
-    """The lane-width policy: an explicit width, else the tuning table."""
-
-    def test_requested_wins_over_table(self):
-        assert resolve_lanes(generate("lfsr8"), requested=7) == 7
-
-    def test_table_buckets_by_instance_count(self):
-        small = resolve_lanes(generate("lfsr8"))   # 9 instances
-        large = resolve_lanes(generate("mult8"))   # 352 instances
-        assert small == dict(TUNING_TABLE)[48]
-        assert large == dict(TUNING_TABLE)[None]
-
-    def test_requested_validated(self):
-        with pytest.raises(SimulationError, match="lane count"):
-            resolve_lanes(generate("lfsr8"), requested=0)
-        with pytest.raises(SimulationError, match="must be >= 1"):
-            resolve_lanes(generate("lfsr8"), requested=-3)
-
-    def test_default_flows_into_engines(self):
-        netlist = generate("lfsr8")
-        assert VectorCycleSimulator(netlist).lanes == \
-            resolve_lanes(netlist)
-        assert VectorCycleSimulator(netlist, lanes=80).lanes == 80
 
