@@ -377,6 +377,11 @@ def dlx_datapath(width: int = 16, n_registers: int = 8,
 
     core = build_dlx(DlxConfig(width=width, n_registers=n_registers,
                                name=name))
-    netlist = read_verilog(netlist_to_verilog(core.netlist))
+    source = netlist_to_verilog(core.netlist)
+    # Free the RTL scaffold by reference counting before the reader
+    # builds the netlist that replaces it.
+    core.netlist.release()
+    del core
+    netlist = read_verilog(source)
     netlist.validate()
     return netlist

@@ -225,6 +225,19 @@ class DesyncResult:
                 "de-synchronized netlist)")
         return self.network
 
+    def release(self) -> None:
+        """Free the fabric now and leave this result model-only.
+
+        Breaks the fabric netlist's reference cycles
+        (:meth:`~repro.netlist.core.Netlist.release`) and drops the
+        network, so the fabric is freed by reference counting instead
+        of waiting for a full collection.  The sync netlist, the
+        clustering, the stage delays and the model stay.
+        """
+        if self.network is not None:
+            self.network.netlist.release()
+            self.network = None
+
     def sync_period(self) -> float:
         """Clock period of the synchronous reference, ps."""
         return self.timing.sync_period()

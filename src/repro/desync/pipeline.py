@@ -40,7 +40,6 @@ remains the stable entry point.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -318,6 +317,16 @@ def run_pipeline(netlist: Netlist, options: DesyncOptions | None = None,
     ``pipeline:<name>`` span) and leaves a :class:`PassRecord` in the
     result's ``records``.
     """
+    result, passes = _new_result(netlist, options, pipeline)
+    with TRACER.span(f"pipeline:{pipeline}", netlist=netlist.name):
+        _run_passes(result, passes)
+    return result
+
+
+def _new_result(netlist: Netlist, options: DesyncOptions | None,
+                pipeline: str) -> tuple[DesyncResult, tuple[Pass, ...]]:
+    """The empty result of a ``pipeline`` run on ``netlist`` (validated
+    first) and the passes that fill it."""
     try:
         passes = PIPELINES[pipeline]
     except KeyError:
@@ -325,20 +334,23 @@ def run_pipeline(netlist: Netlist, options: DesyncOptions | None = None,
             f"unknown pipeline {pipeline!r} "
             f"(have: {', '.join(sorted(PIPELINES))})") from None
     netlist.validate()
-    result = DesyncResult(sync_netlist=netlist,
-                          options=options if options is not None
-                          else DesyncOptions(),
-                          pipeline=pipeline)
-    with TRACER.span(f"pipeline:{pipeline}", netlist=netlist.name):
-        for stage in passes:
-            start = perf_counter()
-            with TRACER.span(f"pass:{stage.name}") as span:
-                info = stage.run(result)
-                span.set(**(info or {}))
-            result.records.append(PassRecord(
-                stage.name, dict(info or {}),
-                duration_ms=(perf_counter() - start) * 1e3))
-    return result
+    return DesyncResult(sync_netlist=netlist,
+                        options=options if options is not None
+                        else DesyncOptions(),
+                        pipeline=pipeline), passes
+
+
+def _run_passes(result: DesyncResult, passes: tuple[Pass, ...]) -> None:
+    """Run ``passes`` on ``result`` in order, each in its ``pass:<name>``
+    span, appending one :class:`PassRecord` per pass."""
+    for stage in passes:
+        start = perf_counter()
+        with TRACER.span(f"pass:{stage.name}") as span:
+            info = stage.run(result)
+            span.set(**(info or {}))
+        result.records.append(PassRecord(
+            stage.name, dict(info or {}),
+            duration_ms=(perf_counter() - start) * 1e3))
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +457,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     Returns ``(SWEEP_COLUMNS, rows, summary)``; columns and rows are
     ready for :func:`repro.report.write_json`.  Per cell: the variant's
     pipeline runs end to end (**once** — the de-synchronized netlist is
-    built per cell and shared by every equivalence seed); full-flow
+    built once per distinct fabric of a config and shared by every
+    equivalence seed and every variant that builds the same fabric, see
+    :func:`_sweep_cell`); full-flow
     variants with ``check_equivalence`` are verified by the batched
     flow-equivalence sweep — synchronous references lane-parallel on the
     vector backend, the de-synchronized side on the schedule-replay
@@ -460,7 +474,8 @@ def sweep_pipelines(configs: list[str] | None = None,
     so no design is too large for it).
 
     Each row records the build-vs-verify wall-time split (``build_ms`` /
-    ``verify_ms``), the engine(s) that produced the desync streams
+    ``verify_ms``; near zero on a cell that reused an earlier variant's
+    fabric), the engine(s) that produced the desync streams
     (``desync_engine`` — replay fallbacks are reported per row, never
     silent), and the lane width the batched equivalence check ran at
     (``lanes`` — one lane per seed, so ``len(seeds)``; ``None`` on rows
@@ -469,8 +484,9 @@ def sweep_pipelines(configs: list[str] | None = None,
     status counts, per-seed desync engine counts, fallback-reason
     counts, and the grid runner's accounting (``executor``, plus
     ``jobs`` when a job dir is in play); the same totals land
-    in the global metrics registry under ``sweep.*``.  Every cell also
-    gets a ``sweep:cell`` tracer span.
+    in the global metrics registry under ``sweep.*``
+    (``sweep.fabrics.reused`` counts the cells that reused a fabric's
+    row values).  Every cell also gets a ``sweep:cell`` tracer span.
 
     The grid runs on :func:`repro.jobs.run_grid`, one task per config.
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
@@ -600,32 +616,39 @@ def _sweep_config_task(payload: tuple) -> list:
     """One shard task: every variant of one config, as ``[(row,
     stats), ...]`` in variant order.
 
-    Each cell's fabric dies when the cell ends, but a fabric is a graph
-    of reference cycles (``Net.driver``/``Net.sinks`` and
-    ``Instance.pins``), so only a full collection frees it.  Left to its
-    own thresholds, the collector lets two or three DLX-sized fabrics
-    pile up first, so the task collects after every cell and holds one
-    fabric at a time.  :func:`repro.jobs.run_grid` freezes the heap
-    from before the grid, so each collection walks only this config's
-    objects.
+    The variants share the config's netlist and everything memoized on
+    it (latch conversion, STA, the batched reference streams), and one
+    fabric table (see :func:`_sweep_cell`): variants that build the same
+    fabric build, check and verify it once.  Each cell frees the fabric
+    it built when it ends (:meth:`~repro.desync.flow.DesyncResult.
+    release`), so the task holds one fabric at a time without running
+    the collector.
     """
     config, grid, seeds, cycles = payload
     from repro.corpus import generate
 
-    status_index = SWEEP_COLUMNS.index("status")
-    engine_index = SWEEP_COLUMNS.index("desync_engine")
     netlist = generate(config)
-    results = []
-    for variant in grid:
-        with TRACER.span("sweep:cell", config=config,
-                         variant=variant.name) as span:
-            row, stats = _sweep_cell(config, netlist, variant, seeds,
-                                     cycles)
-            span.set(status=row[status_index],
-                     desync_engine=row[engine_index])
-        results.append((row, stats))
-        gc.collect()
-    return results
+    fabrics: dict[tuple, dict] = {}
+    return [_sweep_cell(config, netlist, variant, seeds, cycles, fabrics)
+            for variant in grid]
+
+
+def _fabric_key(result: DesyncResult) -> tuple:
+    """Everything of ``result`` that its fabric, the fabric's model and
+    their verdicts depend on besides the config's netlist: what
+    :class:`ControllerNetworkPass` reads (the clustering, the stage
+    delays, the margin and the mode) plus the minimum stage delays the
+    hold check reads.  Equal keys on one netlist build equal fabrics."""
+    clustering = result.clustering
+    return (
+        tuple((name, tuple(cluster.registers), cluster.has_self_edge)
+              for name, cluster in clustering.clusters.items()),
+        tuple(sorted(clustering.edges)),
+        tuple(clustering.cluster_of.items()),
+        tuple(sorted(result.stage_max.items())),
+        tuple(sorted(result.stage_min.items())),
+        tuple(sorted(result.env_stage.items())),
+        result.options.margin, result.options.mode)
 
 
 def _engine_summary(reports) -> str:
@@ -639,15 +662,23 @@ def _engine_summary(reports) -> str:
     return report.desync_engine
 
 
-def _sweep_cell(config, netlist, variant, seeds, cycles):
-    """One grid cell: ``(row_values, stats)``.
+def _sweep_cell(config, netlist, variant, seeds, cycles, fabrics):
+    """One grid cell in its ``sweep:cell`` span: ``(row_values, stats)``.
 
     ``stats`` carries the aggregation inputs the row string cannot:
     ``engines`` (desync engine -> seed count) and ``reasons`` (fallback
     reason -> seed count), both empty for unverified cells.
-    """
-    from repro.equiv import check_flow_equivalence_batch
 
+    ``fabrics`` is the config task's fabric table: :func:`_fabric_key`
+    -> the row values of that fabric (``desync_cycle_ps``,
+    ``area_ratio`` and, once a checked cell verified it, ``verdict``:
+    the verification's row fields and stats), never the fabric itself.
+    A cell whose key is in the table takes those values instead of
+    building the fabric; its ``build_ms``/``verify_ms`` then read the
+    lookup, near zero.  A checked cell whose fabric has no verdict yet
+    (first built by an unchecked variant) builds and verifies it.  The
+    cell frees the fabric it built before it returns.
+    """
     stats = {"engines": {}, "reasons": {}}
     options = replace(variant.options)
     if variant.sync_banks == AUTO_SYNC_BANKS:
@@ -659,61 +690,118 @@ def _sweep_cell(config, netlist, variant, seeds, cycles):
                pipeline=variant.pipeline, strategy=options.strategy,
                mode=options.mode.value,
                registers=len(netlist.dff_instances()))
+    checked = (variant.check_equivalence
+               and len(netlist) <= MAX_EQUIV_INSTANCES)
+    with TRACER.span("sweep:cell", config=config,
+                     variant=variant.name) as span:
+        reused = False
+        build_start = perf_counter()
+        try:
+            result, fabric, reused = _build_cell(
+                netlist, options, variant.pipeline, fabrics, checked)
+        except ReproError as exc:
+            row.update(status=f"invalid: {exc}"[:120],
+                       build_ms=(perf_counter() - build_start) * 1e3)
+        else:
+            row.update(build_ms=(perf_counter() - build_start) * 1e3)
+            try:
+                _fill_row(row, stats, result, fabric, variant, seeds,
+                          cycles)
+            finally:
+                result.release()
+        span.set(status=row["status"], desync_engine=row["desync_engine"],
+                 reused=reused)
+    if reused:
+        METRICS.counter("sweep.fabrics.reused").inc()
+    return [row[column] for column in SWEEP_COLUMNS], stats
 
-    def cell(values):
-        return [values[column] for column in SWEEP_COLUMNS], stats
 
-    build_start = perf_counter()
-    try:
-        result = run_pipeline(netlist, options, pipeline=variant.pipeline)
-    except ReproError as exc:
-        row.update(status=f"invalid: {exc}"[:120],
-                   build_ms=(perf_counter() - build_start) * 1e3)
-        return cell(row)
-    row.update(build_ms=(perf_counter() - build_start) * 1e3)
+def _build_cell(netlist, options, pipeline, fabrics, checked):
+    """Run a cell's pass sequence: ``(result, fabric, reused)``.
+
+    A sequence without a controller network runs whole and gives
+    ``fabric=None``.  In one with it, that pass comes last (it reads
+    every other pass's artifact), and ``fabric`` is the fabric's entry
+    in the table ``fabrics``: with ``reused`` the sequence stopped
+    before the controller-network pass because the entry already had
+    what the cell needs (a verdict, if the cell is ``checked``);
+    without it the fabric was built and its fresh entry filed.
+    """
+    result, passes = _new_result(netlist, options, pipeline)
+    with TRACER.span(f"pipeline:{pipeline}", netlist=netlist.name):
+        if not isinstance(passes[-1], ControllerNetworkPass):
+            _run_passes(result, passes)
+            return result, None, False
+        _run_passes(result, passes[:-1])
+        key = _fabric_key(result)
+        fabric = fabrics.get(key)
+        if fabric is not None and (not checked or "verdict" in fabric):
+            return result, fabric, True
+        _run_passes(result, passes[-1:])
+    fabrics[key] = fabric = {
+        "desync_cycle_ps": result.desync_cycle_time().cycle_time,
+        "area_ratio": (result.desync_netlist.total_area()
+                       / netlist.total_area())}
+    return result, fabric, False
+
+
+def _fill_row(row, stats, result, fabric, variant, seeds, cycles):
+    """Fill a built cell's measurement and verdict columns, and
+    ``stats``, from ``result`` and its fabric's table entry; a checked
+    cell verifies the fabric first if the entry has no verdict yet."""
     sync_period = result.sync_period()
-    desync_cycle = result.desync_cycle_time().cycle_time
+    desync_cycle = (result.desync_cycle_time().cycle_time if fabric is None
+                    else fabric["desync_cycle_ps"])
     row.update(domains=len(result.clustering.clusters),
                edges=len(result.clustering.edges),
                sync_island=result.sync_island,
                sync_period_ps=sync_period,
                desync_cycle_ps=desync_cycle,
                cycle_ratio=desync_cycle / sync_period)
-    if result.network is None:
+    if fabric is None:
         row.update(status="model-only")
-        return cell(row)
-    row.update(area_ratio=(result.desync_netlist.total_area()
-                           / result.sync_netlist.total_area()))
+        return
+    row.update(area_ratio=fabric["area_ratio"])
     if not variant.check_equivalence:
         row.update(status="unchecked")
-        return cell(row)
+        return
     if len(result.sync_netlist) > MAX_EQUIV_INSTANCES:
         row.update(status="unchecked", equiv_seeds=0)
-        return cell(row)
+        return
     row.update(lanes=len(seeds))
     verify_start = perf_counter()
+    if "verdict" not in fabric:
+        fabric["verdict"] = _verify(result, seeds, cycles)
+    fields, tallies = fabric["verdict"]
+    row.update(fields, verify_ms=(perf_counter() - verify_start) * 1e3)
+    for name, tally in tallies.items():
+        stats[name].update(tally)
+
+
+def _verify(result, seeds, cycles):
+    """The batched equivalence and hold verdict of ``result``'s fabric:
+    its row fields and its ``stats`` tallies.  A stalled or deadlocked
+    fabric is a ``failed`` verdict, not a reason to abort the grid and
+    lose every completed row."""
+    from repro.equiv import check_flow_equivalence_batch
+
+    engines, reasons = {}, {}
+    tallies = {"engines": engines, "reasons": reasons}
     try:
         reports = check_flow_equivalence_batch(result, seeds, cycles=cycles)
         equiv_ok = all(report.equivalent for report in reports.values())
         hold_ok = all(check.ok
                       for check in result.verify_hold(rounds=cycles))
     except ReproError as exc:
-        # A deadlocked/stalled fabric is a per-row verdict, not a reason
-        # to abort the grid and lose every completed row.
-        row.update(status=f"failed: {exc}"[:120], equiv_seeds=len(seeds),
-                   equiv_ok=False,
-                   verify_ms=(perf_counter() - verify_start) * 1e3)
-        return cell(row)
+        return {"status": f"failed: {exc}"[:120], "equiv_seeds": len(seeds),
+                "equiv_ok": False}, tallies
     for report in reports.values():
-        engines = stats["engines"]
         engines[report.desync_engine] = \
             engines.get(report.desync_engine, 0) + 1
         if report.fallback_reason:
-            reasons = stats["reasons"]
             reasons[report.fallback_reason] = \
                 reasons.get(report.fallback_reason, 0) + 1
-    row.update(status="ok" if (equiv_ok and hold_ok) else "failed",
-               equiv_seeds=len(reports), equiv_ok=equiv_ok,
-               hold_ok=hold_ok, desync_engine=_engine_summary(reports),
-               verify_ms=(perf_counter() - verify_start) * 1e3)
-    return cell(row)
+    return {"status": "ok" if (equiv_ok and hold_ok) else "failed",
+            "equiv_seeds": len(reports), "equiv_ok": equiv_ok,
+            "hold_ok": hold_ok,
+            "desync_engine": _engine_summary(reports)}, tallies

@@ -138,6 +138,22 @@ def reference_streams_batch(netlist: Netlist, cycles: int,
         return [sim.lane_captures(lane) for lane in range(len(stimuli))]
 
 
+def _reference_batch(netlist: Netlist, seeds: list[int], cycles: int,
+                     ) -> tuple[list[list[dict[str, Value]]],
+                                list[dict[str, list[Value]]]]:
+    """The seeded stimuli of a batch check and their
+    :func:`reference_streams_batch`, memoized on ``netlist`` per
+    ``(seeds, cycles)``: every fabric checked against one synchronous
+    netlist shares them, so callers must only read them."""
+    from repro.testing.stimulus import random_stimulus
+
+    def compute():
+        stimuli = [random_stimulus(netlist, cycles, seed) for seed in seeds]
+        return stimuli, reference_streams_batch(netlist, cycles, stimuli)
+
+    return netlist.memo(("reference-batch", tuple(seeds), cycles), compute)
+
+
 def _input_fed_masters(netlist: Netlist,
                        masters: dict[str, str]) -> tuple[str, ...]:
     """Master latches whose data cone reaches a primary data input, sorted.
@@ -605,7 +621,6 @@ def check_flow_equivalence_batch(result: DesyncResult,
     perturbs the scalar :func:`check_flow_equivalence`.  Returns a
     report per seed, in ``seeds`` order.
     """
-    from repro.testing.stimulus import random_stimulus
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise FlowEquivalenceError(
@@ -615,10 +630,8 @@ def check_flow_equivalence_batch(result: DesyncResult,
     with TRACER.span("equiv:batch", netlist=result.sync_netlist.name,
                      seeds=len(seeds), cycles=cycles,
                      lanes=len(seeds)) as span:
-        stimuli = [random_stimulus(result.sync_netlist, cycles, seed)
-                   for seed in seeds]
-        sync_streams = reference_streams_batch(result.sync_netlist, cycles,
-                                               stimuli)
+        stimuli, sync_streams = _reference_batch(result.sync_netlist,
+                                                 seeds, cycles)
         desync_list, (engine, reason) = desync_streams_batch(
             result, cycles, stimuli, backend=backend)
         reports: dict[int, FlowEquivalenceReport] = {}

@@ -15,7 +15,6 @@ from repro.netlist.core import (
     clone,
     iter_register_banks,
 )
-from repro.netlist.dot import netlist_to_dot
 from repro.netlist.stats import NetlistStats, collect_stats
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Netlist",
     "clone",
     "iter_register_banks",
-    "netlist_to_dot",
     "NetlistStats",
     "collect_stats",
 ]

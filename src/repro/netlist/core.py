@@ -151,6 +151,25 @@ class Netlist:
         """Drop cached structural queries after a direct mutation."""
         self._query_cache.clear()
 
+    def release(self) -> None:
+        """Free this netlist's object graph by reference counting.
+
+        Nets and instances point at each other (``Net.driver``/
+        ``Net.sinks`` against ``Instance.pins``), and the query cache
+        holds engines compiled from them, so a dropped netlist is a
+        graph of reference cycles that only a full collection frees.
+        Clearing those links and the cache leaves no cycle: the graph is
+        freed as soon as its last outside reference goes.  The netlist
+        keeps its names but has no connectivity afterwards; call this
+        only on a netlist nothing will read again.
+        """
+        for net in self.nets.values():
+            net.driver = None
+            net.sinks = []
+        for inst in self.instances.values():
+            inst.pins = {}
+        self._query_cache.clear()
+
     def memo(self, key, compute):
         """Memoize a structure-derived value in the query cache.
 

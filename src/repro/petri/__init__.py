@@ -2,7 +2,7 @@
 formal substrate)."""
 
 from repro.petri.analysis import CycleTimeResult, cycle_time, total_tokens
-from repro.petri.dot import marked_graph_to_dot, petri_to_dot
+from repro.petri.dot import marked_graph_to_dot
 from repro.petri.marked_graph import MarkedGraph, MgEdge
 from repro.petri.net import Marking, PetriNet, Place, Transition
 from repro.petri.simulate import TimedEvent, TimedTrace, simulate
@@ -12,7 +12,6 @@ __all__ = [
     "cycle_time",
     "total_tokens",
     "marked_graph_to_dot",
-    "petri_to_dot",
     "MarkedGraph",
     "MgEdge",
     "Marking",

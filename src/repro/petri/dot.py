@@ -1,35 +1,12 @@
-"""Graphviz DOT export for Petri nets and marked graphs."""
+"""Graphviz DOT export of marked graphs."""
 
 from __future__ import annotations
 
 from repro.petri.marked_graph import MarkedGraph
-from repro.petri.net import PetriNet
 
 
 def _quote(name: str) -> str:
     return '"' + name.replace('"', r'\"') + '"'
-
-
-def petri_to_dot(net: PetriNet) -> str:
-    """Render a general Petri net with explicit place nodes."""
-    lines = [f"digraph {_quote(net.name)} {{", "  rankdir=LR;"]
-    for transition in net.transitions.values():
-        label = transition.label or transition.name
-        lines.append(f"  {_quote(transition.name)} "
-                     f"[shape=box, height=0.2, label={_quote(label)}];")
-    for place in net.places:
-        tokens = net.initial_marking.get(place, 0)
-        label = "&bull;" * tokens if tokens <= 3 else str(tokens)
-        lines.append(f"  {_quote(place)} "
-                     f"[shape=circle, label={_quote(label)}, width=0.25];")
-    for transition, places in net.post.items():
-        for place in places:
-            lines.append(f"  {_quote(transition)} -> {_quote(place)};")
-    for transition, places in net.pre.items():
-        for place in places:
-            lines.append(f"  {_quote(place)} -> {_quote(transition)};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def marked_graph_to_dot(graph: MarkedGraph) -> str:

@@ -9,7 +9,6 @@ from repro.netlist import (
     clone,
     collect_stats,
     iter_register_banks,
-    netlist_to_dot,
 )
 from repro.utils.errors import NetlistError
 
@@ -206,18 +205,3 @@ class TestStatsAndDot:
             stats.comb_area + stats.seq_area)
         assert stats.cell_histogram == {"NAND2": 1, "DFF": 1}
         assert "small" in stats.describe()
-
-    def test_dot_contains_instances(self):
-        dot = netlist_to_dot(small_circuit())
-        assert '"g1"' in dot
-        assert '"r0"' in dot
-        assert dot.startswith("digraph")
-
-    def test_dot_truncation(self):
-        n = Netlist("big")
-        a = n.add_input("a")
-        previous = a
-        for i in range(30):
-            previous = n.add_gate("INV", [previous], name=f"i{i}")
-        dot = netlist_to_dot(n, max_instances=10)
-        assert "truncated" in dot

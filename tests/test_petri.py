@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petri import MarkedGraph, PetriNet, petri_to_dot, marked_graph_to_dot
+from repro.petri import MarkedGraph, PetriNet, marked_graph_to_dot
 from repro.utils.errors import NotAMarkedGraphError, PetriError
 from tests import oracles
 
@@ -172,10 +172,6 @@ class TestMarkedGraph:
 
 
 class TestDotExport:
-    def test_petri_dot(self):
-        dot = petri_to_dot(producer_consumer())
-        assert '"produce"' in dot
-
     def test_marked_graph_dot(self):
         dot = marked_graph_to_dot(two_stage_ring())
         assert '"t0" -> "t1"' in dot

@@ -404,13 +404,19 @@ class TestSweepDriver:
 @pytest.fixture(scope="module")
 def core_sweep_holds():
     """Run the stock grid's checked variants over the core tier and
-    return ``(served, free_runs, rows)``: every hold check the sweep
-    computed, as ``(result, rounds, checks)``, and every stimulus-free
-    fabric run it started on the way."""
+    return ``(served, free_runs, rows, reused)``: every hold check the
+    sweep computed, as ``(result, rounds, checks)``, every
+    stimulus-free fabric run it started on the way, and how many cells
+    took their fabric's verdict from an earlier variant."""
     import repro.equiv.flow_equivalence as flow_equivalence
     from repro.corpus import names
     from repro.desync import default_variants
     from repro.desync.flow import DesyncResult
+    from repro.obs import METRICS
+
+    def reused_cells():
+        return METRICS.snapshot().get("sweep.fabrics.reused",
+                                      {}).get("value", 0)
 
     served, free_runs = [], []
     verify_hold = DesyncResult.verify_hold
@@ -425,6 +431,7 @@ def core_sweep_holds():
         free_runs.append((result.sync_netlist.name, rounds))
         return free_run(result, rounds, *args, **kwargs)
 
+    before = reused_cells()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DesyncResult, "verify_hold", spy_verify_hold)
         patch.setattr(flow_equivalence, "free_run", spy_free_run)
@@ -432,24 +439,28 @@ def core_sweep_holds():
             configs=names("core"), jobs=1,
             variants=[variant for variant in default_variants()
                       if variant.check_equivalence])
-    return served, free_runs, [dict(zip(columns, row)) for row in rows]
+    return (served, free_runs, [dict(zip(columns, row)) for row in rows],
+            reused_cells() - before)
 
 
 class TestSweepHoldCheck:
     """The sweep's hold verdicts come from the fabric edges its batched
     equivalence check recorded: no extra run, same margins as a
-    stimulus-free run of a freshly built fabric."""
+    stimulus-free run of a freshly built fabric.  A cell whose fabric
+    an earlier variant of its config already verified takes that
+    verdict."""
 
     def test_every_checked_cell_is_served_without_a_fabric_run(
             self, core_sweep_holds):
-        served, free_runs, rows = core_sweep_holds
+        served, free_runs, rows, reused = core_sweep_holds
         checked = [row for row in rows if row["hold_ok"] is not None]
-        assert checked and len(served) == len(checked)
+        assert checked and reused
+        assert len(served) + reused == len(checked)
         assert free_runs == []
 
     def test_recorded_checks_equal_a_stimulus_free_run(self,
                                                        core_sweep_holds):
-        served, _, _ = core_sweep_holds
+        served = core_sweep_holds[0]
         for result, rounds, checks in served:
             fresh = run_pipeline(result.sync_netlist, result.options,
                                  pipeline=result.pipeline)
@@ -480,6 +491,77 @@ class TestSweepCellRelease:
         gc.collect()
         pipeline._sweep_config_task((config, grid, pipeline.SWEEP_SEEDS, 10))
         assert found == [0] * len(grid)
+
+
+class TestSweepFabricTable:
+    """A sweep config task builds, checks and verifies each distinct
+    fabric once: later variants with an equal fabric key take its row
+    values from the task's fabric table."""
+
+    def test_equal_keys_build_equal_fabrics(self):
+        from repro.corpus import names
+        from repro.desync import default_variants
+        from repro.desync.pipeline import (AUTO_SYNC_BANKS, _fabric_key,
+                                           auto_sync_banks)
+        from repro.utils.errors import ReproError
+
+        shared = 0
+        for config in names("core"):
+            netlist = generate(config)
+            fingerprints = {}
+            for variant in default_variants():
+                if variant.pipeline != "desync":
+                    continue
+                options = variant.options
+                if variant.sync_banks == AUTO_SYNC_BANKS:
+                    options = DesyncOptions(
+                        mode=options.mode,
+                        sync_banks=auto_sync_banks(netlist))
+                try:
+                    result = run_pipeline(netlist, options)
+                except ReproError:
+                    continue
+                fingerprint = result.desync_netlist.fingerprint()
+                key = _fabric_key(result)
+                shared += key in fingerprints
+                assert fingerprints.setdefault(key, fingerprint) \
+                    == fingerprint, (config, variant.name)
+        assert shared  # the table has something to share on this tier
+
+    @pytest.mark.parametrize("config", ["counter6", "fir8"])
+    def test_rows_equal_each_variant_alone(self, config):
+        # counter6 is one domain: single-overlap's fabric equals the
+        # unchecked scc-overlap's, so the checked variant must still
+        # verify it.  fir8's serial variants share fabrics.
+        from repro.desync import default_variants
+        from repro.desync import pipeline
+
+        def stable(results):
+            return [[value for column, value
+                     in zip(pipeline.SWEEP_COLUMNS, row)
+                     if not column.endswith("_ms")] for row, _ in results]
+
+        grid = default_variants()
+        together = pipeline._sweep_config_task(
+            (config, grid, pipeline.SWEEP_SEEDS, 10))
+        alone = [result for variant in grid
+                 for result in pipeline._sweep_config_task(
+                     (config, [variant], pipeline.SWEEP_SEEDS, 10))]
+        assert stable(together) == stable(alone)
+        assert [stats for _, stats in together] \
+            == [stats for _, stats in alone]
+
+    def test_config_task_runs_no_collection(self, monkeypatch):
+        import gc
+
+        from repro.desync import default_variants
+        from repro.desync import pipeline
+
+        calls = []
+        monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args))
+        pipeline._sweep_config_task(
+            ("fir8", default_variants(), pipeline.SWEEP_SEEDS, 10))
+        assert calls == []
 
 
 #: One change per input a sweep config's rows depend on: a call
