@@ -2,25 +2,26 @@
 committed one.
 
 Runs ``sweep_pipelines`` over the whole corpus (123 configs x 8
-variants), drops the wall-time columns (``*_ms``), and hashes the rows
-as ``sha256(json.dumps(rows))``, truncated to 12 hex digits.  The
-digest, the status counts and the per-seed desync engine counts must
-equal ``baseline/sweep_rows.json``; otherwise the script prints both
-and exits with status 1.  A change that moves rows on purpose updates
-that file and says why.
+variants) on ``REPRO_JOBS`` workers (default 1), drops the wall-time
+columns (``check_envelopes.TIMING_FIELDS``), and hashes the rows as
+``sha256(json.dumps(rows))``, truncated to 12 hex digits.  The digest,
+the status counts and the per-seed desync engine counts must equal
+``baseline/sweep_rows.json``; otherwise the script prints both and
+exits with status 1.  A change that moves rows on purpose updates that
+file and says why.
 
-Run:  PYTHONPATH=src python benchmarks/check_rows_digest.py [--jobs N]
+Run:  REPRO_JOBS=2 PYTHONPATH=src python benchmarks/check_rows_digest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
 import time
 
+from check_envelopes import TIMING_FIELDS
 from repro.desync.pipeline import SWEEP_COLUMNS, sweep_pipelines
 
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -28,33 +29,29 @@ BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def rows_digest(rows: list[list[object]]) -> str:
-    """sha256 (12 hex digits) of ``rows`` without the ``*_ms`` columns."""
+    """sha256 (12 hex digits) of ``rows`` without the wall-time columns."""
     keep = [index for index, column in enumerate(SWEEP_COLUMNS)
-            if not column.endswith("_ms")]
+            if column not in TIMING_FIELDS]
     stable = [[row[index] for index in keep] for row in rows]
     return hashlib.sha256(json.dumps(stable).encode()).hexdigest()[:12]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="sweep worker processes (default 2)")
-    args = parser.parse_args(argv)
+def main() -> int:
     with open(BASELINE) as handle:
         expected = json.load(handle)
     start = time.perf_counter()
-    _, rows, summary = sweep_pipelines(jobs=args.jobs)
+    _, rows, summary = sweep_pipelines()
     found = {"digest": rows_digest(rows), "statuses": summary["statuses"],
              "desync_engines": summary["desync_engines"]}
     wall = time.perf_counter() - start
     want = {key: expected[key] for key in found}
     if found != want:
-        print(f"rows changed ({wall:.1f} s, jobs={args.jobs}):\n"
+        print(f"rows changed ({wall:.1f} s):\n"
               f"  committed {json.dumps(want, sort_keys=True)}\n"
               f"  found     {json.dumps(found, sort_keys=True)}")
         return 1
     print(f"rows ok: digest {found['digest']}, {len(rows)} rows "
-          f"({wall:.1f} s, jobs={args.jobs})")
+          f"({wall:.1f} s)")
     return 0
 
 

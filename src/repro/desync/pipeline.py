@@ -619,18 +619,24 @@ def _sweep_config_task(payload: tuple) -> list:
     The variants share the config's netlist and everything memoized on
     it (latch conversion, STA, the batched reference streams), and one
     fabric table (see :func:`_sweep_cell`): variants that build the same
-    fabric build, check and verify it once.  Each cell frees the fabric
-    it built when it ends (:meth:`~repro.desync.flow.DesyncResult.
-    release`), so the task holds one fabric at a time without running
-    the collector.
+    fabric build, check and verify it once.  The checked variants run
+    first, so a fabric an unchecked variant shares with a checked one
+    is built once, together with its verdict; the rows still come back
+    in variant order.  Each cell frees the fabric it built when it ends
+    (:meth:`~repro.desync.flow.DesyncResult.release`), so the task
+    holds one fabric at a time without running the collector.
     """
     config, grid, seeds, cycles = payload
     from repro.corpus import generate
 
     netlist = generate(config)
     fabrics: dict[tuple, dict] = {}
-    return [_sweep_cell(config, netlist, variant, seeds, cycles, fabrics)
-            for variant in grid]
+    order = sorted(range(len(grid)),
+                   key=lambda index: not grid[index].check_equivalence)
+    cells = {index: _sweep_cell(config, netlist, grid[index], seeds, cycles,
+                                fabrics)
+             for index in order}
+    return [cells[index] for index in range(len(grid))]
 
 
 def _fabric_key(result: DesyncResult) -> tuple:
@@ -662,6 +668,18 @@ def _engine_summary(reports) -> str:
     return report.desync_engine
 
 
+def _cell_options(netlist: Netlist,
+                  variant: PipelineVariant) -> DesyncOptions:
+    """The options a sweep cell of ``variant`` runs on ``netlist``: a
+    copy of the variant's, with its sync banks resolved."""
+    options = replace(variant.options)
+    if variant.sync_banks == AUTO_SYNC_BANKS:
+        options.sync_banks = auto_sync_banks(netlist)
+    elif variant.sync_banks:
+        options.sync_banks = tuple(variant.sync_banks)
+    return options
+
+
 def _sweep_cell(config, netlist, variant, seeds, cycles, fabrics):
     """One grid cell in its ``sweep:cell`` span: ``(row_values, stats)``.
 
@@ -680,11 +698,7 @@ def _sweep_cell(config, netlist, variant, seeds, cycles, fabrics):
     cell frees the fabric it built before it returns.
     """
     stats = {"engines": {}, "reasons": {}}
-    options = replace(variant.options)
-    if variant.sync_banks == AUTO_SYNC_BANKS:
-        options.sync_banks = auto_sync_banks(netlist)
-    elif variant.sync_banks:
-        options.sync_banks = tuple(variant.sync_banks)
+    options = _cell_options(netlist, variant)
     row = {column: None for column in SWEEP_COLUMNS}
     row.update(config=config, variant=variant.name,
                pipeline=variant.pipeline, strategy=options.strategy,

@@ -501,8 +501,7 @@ class TestSweepFabricTable:
     def test_equal_keys_build_equal_fabrics(self):
         from repro.corpus import names
         from repro.desync import default_variants
-        from repro.desync.pipeline import (AUTO_SYNC_BANKS, _fabric_key,
-                                           auto_sync_banks)
+        from repro.desync.pipeline import _cell_options, _fabric_key
         from repro.utils.errors import ReproError
 
         shared = 0
@@ -512,13 +511,9 @@ class TestSweepFabricTable:
             for variant in default_variants():
                 if variant.pipeline != "desync":
                     continue
-                options = variant.options
-                if variant.sync_banks == AUTO_SYNC_BANKS:
-                    options = DesyncOptions(
-                        mode=options.mode,
-                        sync_banks=auto_sync_banks(netlist))
                 try:
-                    result = run_pipeline(netlist, options)
+                    result = run_pipeline(netlist,
+                                          _cell_options(netlist, variant))
                 except ReproError:
                     continue
                 fingerprint = result.desync_netlist.fingerprint()
@@ -530,9 +525,9 @@ class TestSweepFabricTable:
 
     @pytest.mark.parametrize("config", ["counter6", "fir8"])
     def test_rows_equal_each_variant_alone(self, config):
-        # counter6 is one domain: single-overlap's fabric equals the
-        # unchecked scc-overlap's, so the checked variant must still
-        # verify it.  fir8's serial variants share fabrics.
+        # counter6 is one domain: the unchecked scc-overlap reuses the
+        # fabric the checked single-overlap built and verified.  fir8's
+        # serial variants share fabrics.
         from repro.desync import default_variants
         from repro.desync import pipeline
 
@@ -550,6 +545,31 @@ class TestSweepFabricTable:
         assert stable(together) == stable(alone)
         assert [stats for _, stats in together] \
             == [stats for _, stats in alone]
+
+    def test_checked_cell_verifies_a_fabric_built_unchecked(self):
+        # Run after the unchecked scc-overlap on one table, the checked
+        # single-overlap finds counter6's fabric without a verdict: it
+        # must build and verify the fabric, as it does alone.
+        from repro.desync import default_variants
+        from repro.desync import pipeline
+
+        variants = {variant.name: variant for variant in default_variants()}
+        netlist = generate("counter6")
+
+        def cell(name, fabrics):
+            row, stats = pipeline._sweep_cell(
+                "counter6", netlist, variants[name], pipeline.SWEEP_SEEDS,
+                10, fabrics)
+            return {column: value
+                    for column, value in zip(pipeline.SWEEP_COLUMNS, row)
+                    if not column.endswith("_ms")}, stats
+
+        fabrics = {}
+        cell("scc-overlap", fabrics)
+        shared = cell("single-overlap", fabrics)
+        assert len(fabrics) == 1
+        assert shared == cell("single-overlap", {})
+        assert shared[0]["status"] == "ok"
 
     def test_config_task_runs_no_collection(self, monkeypatch):
         import gc
